@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import inequalities, io
 from .dmap import KernelSpec, contractivity_check, kernel_in_hypothesis
-from .errors import MeanforgeError, NoConvergenceError, UnknownCaseError
+from .errors import (MeanforgeError, NoConvergenceError, UnknownCaseError,
+                     UnknownParameterError)
 from .linalg import random_complex, random_hpd
 
 EXIT_OK = 0
@@ -40,7 +42,7 @@ def parse_number(text: str) -> float:
 
 def parse_dims(text: str) -> list[int]:
     dims = [int(d) for d in text.split(",") if d]
-    if not dims or any(d < 1 for d in dims):
+    if not dims or any(d < 1 for d in dims) or len(set(dims)) < len(dims):
         raise argparse.ArgumentTypeError(f"bad dims {text!r}")
     return dims
 
@@ -71,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma separated case ids (default: all)")
     p.add_argument("--cond-lo", type=parse_number, default=0.05)
     p.add_argument("--cond-hi", type=parse_number, default=20.0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int,
+                   default=os.environ.get("MEANFORGE_THREADS", "1"),
+                   help="worker processes (default: $MEANFORGE_THREADS or 1)")
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("fuzz", help="search for inequality violations")
@@ -127,9 +131,13 @@ def cmd_verify(args) -> int:
     for case in report.cases:
         status = "ok" if case.violations == 0 else "VIOLATED"
         print(f"{case.id:18s} minMargin={case.min_margin: .3e} "
-              f"violations={case.violations} [{status}]")
+              f"violations={case.violations} [{status}]"
+              + (f" numericalFailures={case.numerical_failures}"
+                 if case.numerical_failures else ""))
     print(f"total violations: {report.total_violations} "
           f"({report.elapsed_seconds:.1f}s)")
+    if report.total_numerical_failures:
+        return EXIT_NUMERICAL
     return EXIT_OK if report.total_violations == 0 else EXIT_VIOLATION
 
 
@@ -139,17 +147,17 @@ def cmd_fuzz(args) -> int:
     except UnknownCaseError:
         print(f"error: unknown case {args.case!r}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    if args.budget < 1:
-        print("error: --budget must be >= 1", file=sys.stderr)
+    if args.budget < 1 or args.dim < 1:
+        print("error: --budget and --dim must be >= 1", file=sys.stderr)
         return EXIT_BAD_FLAGS
     try:
         overrides = parse_overrides(args.set)
-    except argparse.ArgumentTypeError as exc:
+        finding = inequalities.fuzz(case, overrides, args.budget,
+                                    np.random.default_rng(args.seed),
+                                    dim=args.dim, tolerance=args.tol)
+    except (argparse.ArgumentTypeError, UnknownParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    rng = np.random.default_rng(args.seed)
-    finding = inequalities.fuzz(case, overrides, args.budget, rng,
-                                dim=args.dim, tolerance=args.tol)
     print(f"case {finding.case_id}: worst margin {finding.margin:.6g} "
           f"(normalized {finding.normalized_margin:.6g}) "
           f"after {finding.evaluations} evaluations")
@@ -170,6 +178,9 @@ def cmd_contractivity(args) -> int:
     alias = {"part1": "coshRatioT", "part2": "coshComboRatio",
              "part3": "sinhRatioT", "part4": "sinhComboRatio"}
     kind = alias.get(args.kernel, args.kernel)
+    if args.samples < 1 or args.dim < 1:
+        print("error: --samples and --dim must be >= 1", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     try:
         params = parse_overrides(args.set)
         spec = KernelSpec(kind, params)

@@ -8,7 +8,8 @@ eigenbases, where d_ij = (log a_i - log b_j)/2.
 The kernel catalog covers the four contractive rational families
 (cosh/sinh ratios and convex combinations), plus the plain cosh kernel
 behind the Heinz mean, sinch behind the integral mean, and the finite
-nu-average kernel.
+nu-average kernel.  Kernel parameters may be numbers or per-sample
+arrays that broadcast against the d grid of a frame stack.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, PoleError
-from .linalg import HpdMatrix, adjoint
-from .means import SERIES_THRESHOLD
-from .norms import ky_fan
+from .errors import PoleError
+from .linalg import (Frame, HpdMatrix, frame_apply, random_complex,
+                     svd_values)
+# ky_fan is looked up here by benchmarks/tracer.py.
+from .norms import ky_fan  # noqa: F401
 
 KERNEL_KINDS = (
     "constant",
@@ -30,15 +32,19 @@ KERNEL_KINDS = (
     "sinhRatioT",
     "sinhComboRatio",
     "sinch",
-    "logMean",
     "heinzAverage",
 )
+
+# |x| below which sinh(x)/x switches to its Taylor series; truncation
+# error is ~x^8/10^4, far below working tolerances.
+SERIES_THRESHOLD = 1e-5
 
 _POLE_EPS = 1e-300
 
 
-def _sinch(x):
-    """Vectorized sinh(x)/x with series near zero."""
+def sinch(x):
+    """sinh(x)/x, elementwise, with the removable singularity at 0
+    filled by series."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < SERIES_THRESHOLD
     x2 = x * x
@@ -59,55 +65,49 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         for key, value in self.params.items():
-            if not np.isfinite(value):
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"non-finite kernel parameter {key}={value}")
-
-    def __getitem__(self, key: str) -> float:
-        return float(self.params[key])
-
-    def get(self, key: str, default: float) -> float:
-        return float(self.params.get(key, default))
 
 
 def kernel_eval(spec: KernelSpec, d):
     """Evaluate the kernel at d (scalar or array), removable
     singularities filled by series."""
     d = np.asarray(d, dtype=float)
-    kind = spec.kind
+    kind, p = spec.kind, spec.params
 
     if kind == "constant":
-        return np.full_like(d, spec.get("value", 1.0))
+        return np.full_like(d, p.get("value", 1.0))
     if kind == "coshScaled":
-        return np.cosh(spec["c"] * d)
-    if kind in ("sinch", "logMean"):
-        return _sinch(d)
+        return np.cosh(p["c"] * d)
+    if kind == "sinch":
+        return sinch(d)
     if kind == "heinzAverage":
-        c1 = 2.0 * spec["lo"] - 1.0
-        c2 = 2.0 * spec["hi"] - 1.0
-        return 0.5 * (c2 * _sinch(c2 * d) - c1 * _sinch(c1 * d))
+        c1 = 2.0 * p["lo"] - 1.0
+        c2 = 2.0 * p["hi"] - 1.0
+        return 0.5 * (c2 * sinch(c2 * d) - c1 * sinch(c1 * d))
 
     if kind == "coshRatioT":
-        r, s1, s2, t = spec["r"], spec["s1"], spec["s2"], spec["t"]
+        r, s1, s2, t = p["r"], p["s1"], p["s2"], p["t"]
         num = (1.0 + t) * np.cosh(r * d)
         den = np.cosh(s1 * d) + t * np.cosh(s2 * d)
     elif kind == "coshComboRatio":
-        r, rp = spec["r"], spec["rp"]
-        s1, s2 = spec["s1"], spec["s2"]
-        alpha, beta = spec["alpha"], spec["beta"]
+        r, rp = p["r"], p["rp"]
+        s1, s2 = p["s1"], p["s2"]
+        alpha, beta = p["alpha"], p["beta"]
         num = alpha * np.cosh(r * d) + (1.0 - alpha) * np.cosh(rp * d)
         den = beta * np.cosh(s1 * d) + (1.0 - beta) * np.cosh(s2 * d)
     elif kind == "sinhRatioT":
         # (1+t) sinh(r d) / (r (sinh(s1 d) + t sinh(s2 d))) rewritten
         # through sinch so d = 0 and r = 0 are regular.
-        r, s1, s2, t = spec["r"], spec["s1"], spec["s2"], spec["t"]
-        num = (1.0 + t) * _sinch(r * d)
-        den = s1 * _sinch(s1 * d) + t * s2 * _sinch(s2 * d)
+        r, s1, s2, t = p["r"], p["s1"], p["s2"], p["t"]
+        num = (1.0 + t) * sinch(r * d)
+        den = s1 * sinch(s1 * d) + t * s2 * sinch(s2 * d)
     elif kind == "sinhComboRatio":
-        r, rp = spec["r"], spec["rp"]
-        s1, s2 = spec["s1"], spec["s2"]
-        alpha, beta = spec["alpha"], spec["beta"]
-        num = alpha * _sinch(r * d) + (1.0 - alpha) * _sinch(rp * d)
-        den = beta * s1 * _sinch(s1 * d) + (1.0 - beta) * s2 * _sinch(s2 * d)
+        r, rp = p["r"], p["rp"]
+        s1, s2 = p["s1"], p["s2"]
+        alpha, beta = p["alpha"], p["beta"]
+        num = alpha * sinch(r * d) + (1.0 - alpha) * sinch(rp * d)
+        den = beta * s1 * sinch(s1 * d) + (1.0 - beta) * s2 * sinch(s2 * d)
     else:  # pragma: no cover - guarded by __post_init__
         raise ValueError(kind)
 
@@ -126,15 +126,15 @@ def kernel_in_hypothesis(spec: KernelSpec) -> dict:
     the reading the even/odd symmetry of the kernels actually needs).
     Non-rational kinds report True for both.
     """
-    kind = spec.kind
+    kind, p = spec.kind, spec.params
     if kind not in ("coshRatioT", "coshComboRatio",
                     "sinhRatioT", "sinhComboRatio"):
         return {"literal": True, "abs": True}
 
-    s1, s2 = spec["s1"], spec["s2"]
-    exponents = [spec["r"]]
+    s1, s2 = p["s1"], p["s2"]
+    exponents = [p["r"]]
     if kind in ("coshComboRatio", "sinhComboRatio"):
-        exponents.append(spec["rp"])
+        exponents.append(p["rp"])
     mid = 0.5 * (s1 + s2)
 
     if 0.0 <= s2 <= s1:
@@ -147,12 +147,12 @@ def kernel_in_hypothesis(spec: KernelSpec) -> dict:
         abs(r) <= abs(mid) for r in exponents)
 
     if kind in ("coshRatioT", "sinhRatioT"):
-        t = spec["t"]
+        t = p["t"]
         ok_t = -1.0 < t <= 1.0
         literal = literal and ok_t
         in_abs = in_abs and ok_t
     else:
-        ok = 0.0 <= spec["alpha"] <= 1.0 and spec["beta"] >= 0.5
+        ok = 0.0 <= p["alpha"] <= 1.0 and p["beta"] >= 0.5
         literal = literal and ok
         in_abs = in_abs and ok
     if kind in ("sinhRatioT", "sinhComboRatio"):
@@ -162,53 +162,26 @@ def kernel_in_hypothesis(spec: KernelSpec) -> dict:
     return {"literal": literal, "abs": in_abs}
 
 
-class DMap:
-    """Joint-eigenbasis frame of an (A, B) pair with a per-kernel cache.
+def kernel_grid(frame: Frame, spec: KernelSpec,
+                base_exponent: float = 0.5) -> np.ndarray:
+    """The entrywise kernel of f(D) applied to A^e X B^e on a frame."""
+    return (kernel_eval(spec, frame.d)
+            * frame.power(base_exponent, base_exponent))
 
-    Rotating in and out of the frame is the O(n^3) part; evaluated
-    kernel grids are cached so repeated applications are cheap.
-    """
+
+class DMap:
+    """Joint-eigenbasis frame of an (A, B) pair, applying kernels to
+    single matrices X."""
 
     def __init__(self, a: HpdMatrix, b: HpdMatrix):
-        if a.dim != b.dim:
-            raise DimMismatchError(f"dims A={a.dim}, B={b.dim}")
         self.a = a
         self.b = b
-        self.d_grid = 0.5 * np.subtract.outer(a.log_eigenvalues,
-                                              b.log_eigenvalues)
-        self._kernel_cache: dict = {}
-        self._base_cache: dict = {}
-
-    def _base_grid(self, base_exponent: float) -> np.ndarray:
-        grid = self._base_cache.get(base_exponent)
-        if grid is None:
-            grid = np.outer(self.a.eigenvalues ** base_exponent,
-                            self.b.eigenvalues ** base_exponent)
-            self._base_cache[base_exponent] = grid
-        return grid
-
-    def _kernel_grid(self, spec: KernelSpec) -> np.ndarray:
-        key = (spec.kind, tuple(sorted(spec.params.items())))
-        grid = self._kernel_cache.get(key)
-        if grid is None:
-            grid = kernel_eval(spec, self.d_grid)
-            self._kernel_cache[key] = grid
-        return grid
 
     def apply(self, spec: KernelSpec, x: np.ndarray,
               base_exponent: float = 0.5) -> np.ndarray:
         """f(D) applied to A^e X B^e."""
-        if x.shape != (self.a.dim, self.a.dim):
-            raise DimMismatchError(f"X shape {x.shape}, dim {self.a.dim}")
-        ua, ub = self.a.eigenvectors, self.b.eigenvectors
-        xt = adjoint(ua) @ x @ ub
-        grid = self._kernel_grid(spec) * self._base_grid(base_exponent)
-        return ua @ (grid * xt) @ adjoint(ub)
-
-    def base(self, x: np.ndarray, base_exponent: float = 0.5) -> np.ndarray:
-        """A^e X B^e itself (the identity kernel)."""
-        return self.apply(KernelSpec("constant", {"value": 1.0}),
-                          x, base_exponent)
+        return frame_apply(kernel_grid, self.a, x, self.b, spec,
+                           base_exponent)
 
 
 def apply_kernel(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
@@ -222,23 +195,19 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     """Sampled Ky Fan certificate of |||f(D) T||| <= |||T|||.
 
     Returns (max_ratio, worst_x) where max_ratio is the maximum over
-    random T and Ky Fan orders of ky_fan(f(D)T, k) / ky_fan(T, k).
+    random T and Ky Fan orders of ky_fan(f(D)T, k) / ky_fan(T, k); orders
+    where ky_fan(T, k) is 0 are skipped.  All sample_count draws of X
+    are evaluated as one stack.
     """
-    from .linalg import random_complex
-
-    frame = DMap(a, b)
-    max_ratio = -np.inf
-    worst = None
-    for _ in range(sample_count):
-        x = random_complex(a.dim, rng)
-        t_base = frame.base(x, base_exponent)
-        mapped = frame.apply(spec, x, base_exponent)
-        for k in range(1, a.dim + 1):
-            denom = ky_fan(t_base, k)
-            if denom == 0.0:
-                continue
-            ratio = ky_fan(mapped, k) / denom
-            if ratio > max_ratio:
-                max_ratio = ratio
-                worst = x
-    return float(max_ratio), worst
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    xs = random_complex(a.dim, rng, sample_count)
+    frame = Frame.of(a, xs, b)
+    base = frame.power(base_exponent, base_exponent) * frame.xt
+    mapped = kernel_eval(spec, frame.d) * base
+    fans = np.cumsum(svd_values(np.stack([mapped, base])), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(fans[1] == 0.0, -np.inf, fans[0] / fans[1])
+    worst = np.unravel_index(np.argmax(ratios), ratios.shape)
+    max_ratio = float(ratios[worst])
+    return max_ratio, (xs[worst[0]] if max_ratio > -np.inf else None)

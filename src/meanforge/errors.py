@@ -39,3 +39,7 @@ class RangeViolationError(MeanforgeError):
 
 class UnknownCaseError(MeanforgeError):
     """Inequality case id not present in the registry."""
+
+
+class UnknownParameterError(MeanforgeError):
+    """Parameter name that the case's sampler does not produce."""

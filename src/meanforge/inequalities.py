@@ -6,21 +6,30 @@ that an affine combination of Ky Fan norms on the left is dominated by
 one on the right; its margins (right minus left, one per Ky Fan order)
 must all be nonnegative up to a relative tolerance whenever the case
 parameters lie inside the registered validity ranges.
+
+Builders write steps on a :class:`Frame`, a single instance or a stack:
+each term is the kernel grid of a mean, whose Ky Fan norms are those of
+the grid times the frame's Xt.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmap import DMap, KernelSpec
-from .errors import RangeViolationError, UnknownCaseError
-from .linalg import HpdMatrix, random_complex, random_hpd, svd_values
-from .means import (heinz, heinz_nu_average, heinz_p_diff, heinz_p_sum,
-                    heron, integral_mean)
+from .dmap import KernelSpec, kernel_grid
+from .errors import (DimMismatchError, RangeViolationError,
+                     UnknownCaseError, UnknownParameterError)
+from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
+                     gaussian_unitary, log_range, random_complex, random_hpd,
+                     svd_values)
+from .means import (geo_grid, heinz_grid, heron_grid, integral_grid,
+                    nu_average_grid, p_diff_grid, p_sum_grid)
+# The matrix-valued means are looked up here by benchmarks/tracer.py.
+from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
+                    heinz_p_sum, heron, integral_mean)
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_CONDITION_RANGE = (0.05, 20.0)
@@ -55,7 +64,7 @@ class InequalityCase:
     id: str
     ranges: dict
     sampler: object  # rng -> params dict
-    builder: object  # (InstanceTriple, params) -> list[Step]
+    builder: object  # (Frame, params) -> list[Step] of kernel grids
     description: str = ""
 
     def in_range(self, params: dict) -> bool:
@@ -66,34 +75,36 @@ class InequalityCase:
         return True
 
 
-def step_margins(steps: list[Step]) -> tuple[list[np.ndarray], list[float]]:
+def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
     """Ky Fan margins and normalization scales for a list of steps.
 
-    Singular values are computed once per distinct matrix object, so
-    grid cases that reuse matrices across steps stay cheap.
+    Each term is a kernel grid that multiplies ``xt`` entrywise or, with
+    ``xt`` left at 1, a matrix; terms may be stacks (..., n, n).  The
+    singular values of all distinct terms come from one batched SVD.
+    Returns per step the margins (..., n), right minus left for each Ky
+    Fan order, and the scale (...), 1 + the trace norm of the right side.
     """
-    cache: dict[int, np.ndarray] = {}
-
-    def cumulative(m: np.ndarray) -> np.ndarray:
-        c = cache.get(id(m))
-        if c is None:
-            c = np.cumsum(svd_values(m))
-            cache[id(m)] = c
-        return c
+    terms = {id(m): m for step in steps for _, m in step.lhs + step.rhs}
+    if len({np.shape(m) for m in terms.values()}) > 1:
+        raise DimMismatchError("step terms differ in shape")
+    fans = np.cumsum(svd_values(np.stack(list(terms.values())) * xt), -1)
+    # cumulative sums as (..., 1, n), so that coefficients, numbers or
+    # per-sample (..., 1, 1) arrays, weigh them by broadcasting
+    cumulative = dict(zip(terms, fans[..., None, :]))
 
     margins, scales = [], []
     for step in steps:
-        total = None
-        for coef, m in step.rhs:
-            contrib = coef * cumulative(m)
-            total = contrib if total is None else total + contrib
-        # normalization: 1 + trace norm of the right-hand side combination
-        scale = 1.0 + float(total[-1])
-        for coef, m in step.lhs:
-            total = total - coef * cumulative(m)
-        margins.append(total)
-        scales.append(scale)
+        total = sum(c * cumulative[id(m)] for c, m in step.rhs)
+        scales.append(1.0 + total[..., 0, -1])
+        for c, m in step.lhs:
+            total = total - c * cumulative[id(m)]
+        margins.append(total[..., 0, :])
     return margins, scales
+
+
+def _margins(case: InequalityCase, inst: InstanceTriple, params: dict):
+    frame = Frame.of(inst.a, inst.x, inst.b)
+    return step_margins(case.builder(frame, params), frame.xt)
 
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
@@ -102,17 +113,11 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
-    steps = case.builder(inst, params)
-    margins, _ = step_margins(steps)
-    return margins
+    return _margins(case, inst, params)[0]
 
 
 # ---------------------------------------------------------------------------
-# Builders
-
-def _geo(inst: InstanceTriple) -> np.ndarray:
-    return inst.a.power(0.5) @ inst.x @ inst.b.power(0.5)
-
+# Builders: (Frame, params) -> steps whose terms are kernel grids
 
 def _sample_alpha(rng) -> float:
     # boundary point alpha = 1/2 drawn with positive probability
@@ -121,49 +126,46 @@ def _sample_alpha(rng) -> float:
     return float(rng.uniform(0.5, ALPHA_CAP))
 
 
-def _build_eq11(inst, p):
-    a, b, x = inst.a, inst.b, inst.x
+def _build_eq11(f, p):
     t = p["t"]
-    lhs = heinz_p_sum(a, x, b, p["nu"], 1.0)
-    rhs = a.matrix @ x + x @ b.matrix + t * _geo(inst)
+    lhs = p_sum_grid(f, p["nu"], 1.0)
+    rhs = f.a + f.b + t * geo_grid(f)  # AX + XB + t A^(1/2) X B^(1/2)
     return [Step([(1.0, lhs)], [(2.0 / (2.0 + t), rhs)])]
 
 
-def _build_eq12(inst, p):
-    h = heinz(inst.a, inst.x, inst.b, p["nu"])
-    f = heron(inst.a, inst.x, inst.b, p["alpha"])
-    return [Step([(1.0, h)], [(1.0, f)])]
+def _build_eq12(f, p):
+    h = heinz_grid(f, p["nu"])
+    return [Step([(1.0, h)], [(1.0, heron_grid(f, p["alpha"]))])]
 
 
-def _build_eq13(inst, p):
-    g = _geo(inst)
-    h = heinz(inst.a, inst.x, inst.b, p["nu"])
-    f = heron(inst.a, inst.x, inst.b, p["alpha"])
-    return [Step([(1.0, g)], [(1.0, h)]), Step([(1.0, h)], [(1.0, f)])]
+def _build_eq13(f, p):
+    g = geo_grid(f)
+    h = heinz_grid(f, p["nu"])
+    return [Step([(1.0, g)], [(1.0, h)]),
+            Step([(1.0, h)], [(1.0, heron_grid(f, p["alpha"]))])]
 
 
-def _build_ref_ali(inst, p):
+def _build_ref_ali(f, p):
     nu = p["nu"]
-    r0 = min(nu, 1.0 - nu)
-    h = heinz(inst.a, inst.x, inst.b, nu)
-    f = heron(inst.a, inst.x, inst.b, p["alpha"])
+    r0 = np.minimum(nu, 1.0 - nu)
+    h = heinz_grid(f, nu)
     return [Step([(1.0, h)],
-                 [(4.0 * r0 - 1.0, _geo(inst)), (2.0 * (1.0 - 2.0 * r0), f)])]
+                 [(4.0 * r0 - 1.0, geo_grid(f)),
+                  (2.0 * (1.0 - 2.0 * r0), heron_grid(f, p["alpha"]))])]
 
 
-def _build_eq14_chain(inst, p):
-    g = _geo(inst)
-    im = integral_mean(inst.a, inst.x, inst.b)
-    f = heron(inst.a, inst.x, inst.b, p["alpha"])
-    return [Step([(1.0, g)], [(1.0, im)]), Step([(1.0, im)], [(1.0, f)])]
+def _build_eq14_chain(f, p):
+    im = integral_grid(f)
+    return [Step([(1.0, geo_grid(f))], [(1.0, im)]),
+            Step([(1.0, im)], [(1.0, heron_grid(f, p["alpha"]))])]
 
 
 ALPHA_MONO_GRID = tuple(np.round(np.arange(0.5, 10.01, 0.5), 10))
 ALPHA_SMALL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
-def _build_alpha_mono(inst, p):
-    herons = {alpha: heron(inst.a, inst.x, inst.b, alpha)
+def _build_alpha_mono(f, p):
+    herons = {alpha: heron_grid(f, alpha)
               for alpha in ALPHA_MONO_GRID + ALPHA_SMALL_GRID}
     steps = [Step([(1.0, herons[a1])], [(1.0, herons[a2])])
              for a1, a2 in zip(ALPHA_MONO_GRID, ALPHA_MONO_GRID[1:])]
@@ -173,96 +175,80 @@ def _build_alpha_mono(inst, p):
     return steps
 
 
-def _convex_chain(inst, p, mids):
+def _convex_chain(f, p, mids):
     """H_nu <= mid_1 <= ... <= mid_k <= F_alpha as successive steps."""
-    h = heinz(inst.a, inst.x, inst.b, p["nu"])
-    f = heron(inst.a, inst.x, inst.b, p["alpha"])
-    chain = [h] + mids + [f]
+    chain = [heinz_grid(f, p["nu"])] + mids + [heron_grid(f, p["alpha"])]
     return [Step([(1.0, lo)], [(1.0, hi)])
             for lo, hi in zip(chain, chain[1:])]
 
 
-def _build_eq22(inst, p):
+def _build_eq22(f, p):
     beta = p["beta"]
-    mid = ((1.0 - beta) * _geo(inst)
-           + beta * heinz(inst.a, inst.x, inst.b, 0.25))
-    return _convex_chain(inst, p, [mid])
+    mid = (1.0 - beta) * geo_grid(f) + beta * heinz_grid(f, 0.25)
+    return _convex_chain(f, p, [mid])
 
 
-def _build_eq23(inst, p):
+def _build_eq23(f, p):
     beta = p["beta"]
-    mid = ((1.0 - beta) * heinz(inst.a, inst.x, inst.b, 3 / 8)
-           + beta * heinz(inst.a, inst.x, inst.b, 0.25))
-    return _convex_chain(inst, p, [mid])
+    mid = (1.0 - beta) * heinz_grid(f, 3 / 8) + beta * heinz_grid(f, 0.25)
+    return _convex_chain(f, p, [mid])
 
 
-def _build_eq27(inst, p):
+def _build_eq27(f, p):
     beta = p["beta"]
-    mid = ((1.0 - beta) * heinz(inst.a, inst.x, inst.b, 5 / 16)
-           + beta * heinz(inst.a, inst.x, inst.b, 0.25))
-    return _convex_chain(inst, p, [mid])
+    mid = (1.0 - beta) * heinz_grid(f, 5 / 16) + beta * heinz_grid(f, 0.25)
+    return _convex_chain(f, p, [mid])
 
 
-def _build_eq28(inst, p):
+def _build_eq28(f, p):
     beta, gamma = p["beta"], p["gamma"]
-    h38 = heinz(inst.a, inst.x, inst.b, 3 / 8)
-    mid1 = (1.0 - gamma) * h38 + gamma * heinz(inst.a, inst.x, inst.b, 5 / 16)
-    mid2 = (1.0 - beta) * h38 + beta * heinz(inst.a, inst.x, inst.b, 0.25)
-    return _convex_chain(inst, p, [mid1, mid2])
+    h38 = heinz_grid(f, 3 / 8)
+    mid1 = (1.0 - gamma) * h38 + gamma * heinz_grid(f, 5 / 16)
+    mid2 = (1.0 - beta) * h38 + beta * heinz_grid(f, 0.25)
+    return _convex_chain(f, p, [mid1, mid2])
 
 
-def _build_eq29(inst, p):
-    m1 = 0.5 * (heinz(inst.a, inst.x, inst.b, 1 / 8)
-                + heinz(inst.a, inst.x, inst.b, 3 / 8))
-    im = integral_mean(inst.a, inst.x, inst.b)
-    m2 = 0.5 * (heinz(inst.a, inst.x, inst.b, 0.25)
-                + heron(inst.a, inst.x, inst.b, 0.5))
-    return _convex_chain(inst, p, [m1, im, m2])
+def _build_eq29(f, p):
+    m1 = 0.5 * (heinz_grid(f, 1 / 8) + heinz_grid(f, 3 / 8))
+    m2 = 0.5 * (heinz_grid(f, 0.25) + heron_grid(f, 0.5))
+    return _convex_chain(f, p, [m1, integral_grid(f), m2])
 
 
 def _make_avg_builder(lo, hi, factor):
-    def build(inst, p):
-        avg = heinz_nu_average(inst.a, inst.x, inst.b, lo, hi)
-        f = heron(inst.a, inst.x, inst.b, p["alpha"])
-        return [Step([(1.0, avg)], [(factor, f)])]
+    def build(f, p):
+        avg = nu_average_grid(f, lo, hi)
+        return [Step([(1.0, avg)], [(factor, heron_grid(f, p["alpha"]))])]
     return build
 
 
-def _build_eq210(inst, p):
-    a, b, x = inst.a, inst.b, inst.x
+def _build_eq210(f, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    lhs = heinz_p_sum(a, x, b, r, pw)
-    rhs = (a.power(pw) @ x + x @ b.power(pw)
-           + t * heinz_p_sum(a, x, b, nu, pw))
+    lhs = p_sum_grid(f, r, pw)
+    # A^p X + X B^p + t (A^nu X B^(p-nu) + A^(p-nu) X B^nu)
+    rhs = p_sum_grid(f, pw, pw) + t * p_sum_grid(f, nu, pw)
     return [Step([(1.0 + t, lhs)], [(1.0, rhs)])]
 
 
-def _build_eq211(inst, p):
+def _build_eq211(f, p):
     # perturbation written as t (A^(p-nu) X B^nu - A^nu X B^(p-nu)) so the
     # underlying kernel is sinh(pD) + t sinh((p-2 nu)D) for nu <= p/2
-    a, b, x = inst.a, inst.b, inst.x
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    lhs = heinz_p_diff(a, x, b, r, pw)
-    rhs = (a.power(pw) @ x - x @ b.power(pw)
-           + t * heinz_p_diff(a, x, b, pw - nu, pw))
+    lhs = p_diff_grid(f, r, pw)
+    rhs = p_diff_grid(f, pw, pw) + t * p_diff_grid(f, pw - nu, pw)
     return [Step([(1.0 + t, lhs)], [(abs(pw - 2.0 * r), rhs)])]
 
 
-def _build_eq212(inst, p):
-    a, b, x = inst.a, inst.b, inst.x
+def _build_eq212(f, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    big = heinz_p_sum(a, x, b, r, pw)
-    small = (a.power(pw) @ x + x @ b.power(pw)
-             + t * heinz_p_sum(a, x, b, nu, pw))
+    big = p_sum_grid(f, r, pw)
+    small = p_sum_grid(f, pw, pw) + t * p_sum_grid(f, nu, pw)
     return [Step([(1.0, small)], [(1.0 + t, big)])]
 
 
-def _build_eq213(inst, p):
-    a, b, x = inst.a, inst.b, inst.x
+def _build_eq213(f, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    big = heinz_p_diff(a, x, b, r, pw)
-    small = (a.power(pw) @ x - x @ b.power(pw)
-             + t * heinz_p_diff(a, x, b, nu, pw))
+    big = p_diff_grid(f, r, pw)
+    small = p_diff_grid(f, pw, pw) + t * p_diff_grid(f, nu, pw)
     factor = ((1.0 + t) * pw - 2.0 * t * nu) / (pw - 2.0 * r)
     return [Step([(1.0, small)], [(factor, big)])]
 
@@ -270,10 +256,10 @@ def _build_eq213(inst, p):
 F_NU_GRID_POINTS = 41
 
 
-def _build_f_nu_shape(inst, p):
+def _build_f_nu_shape(f, p):
     pw = p["p"]
     grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, F_NU_GRID_POINTS)
-    mats = [heinz_p_sum(inst.a, inst.x, inst.b, nu, pw) for nu in grid]
+    mats = [p_sum_grid(f, nu, pw) for nu in grid]
     center = F_NU_GRID_POINTS // 2
     steps = []
     # nonincreasing left of p/2, nondecreasing right of it
@@ -297,17 +283,10 @@ _PROP_KINDS = {
 
 
 def _make_prop_builder(kind):
-    keys = {"coshRatioT": ("r", "s1", "s2", "t"),
-            "coshComboRatio": ("r", "rp", "s1", "s2", "alpha", "beta"),
-            "sinhRatioT": ("r", "s1", "s2", "t"),
-            "sinhComboRatio": ("r", "rp", "s1", "s2", "alpha", "beta")}[kind]
-
-    def build(inst, p):
-        spec = KernelSpec(kind, {k: p[k] for k in keys})
-        frame = DMap(inst.a, inst.b)
-        t_base = frame.base(inst.x)
-        mapped = frame.apply(spec, inst.x)
-        return [Step([(1.0, mapped)], [(1.0, t_base)])]
+    # the samplers produce exactly the kernel family's parameters
+    def build(f, p):
+        spec = KernelSpec(kind, p)
+        return [Step([(1.0, kernel_grid(f, spec))], [(1.0, geo_grid(f))])]
     return build
 
 
@@ -506,26 +485,27 @@ class CaseResult:
     violations: int = 0
     worst_seed: list = field(default_factory=lambda: [0, 0])
     steps: list = field(default_factory=list)
+    numerical_failures: int = 0  # normalized margins that are NaN or inf
 
     def to_dict(self) -> dict:
         return {"id": self.id, "minMargin": self.min_margin,
                 "violations": self.violations, "worstSeed": self.worst_seed,
-                "steps": self.steps}
+                "steps": self.steps,
+                "numericalFailures": self.numerical_failures}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CaseResult":
         return cls(d["id"], d["minMargin"], d["violations"],
-                   list(d["worstSeed"]), list(d["steps"]))
+                   list(d["worstSeed"]), list(d["steps"]),
+                   d.get("numericalFailures", 0))
 
     def merge(self, other: "CaseResult") -> None:
         if other.min_margin < self.min_margin:
             self.min_margin = other.min_margin
             self.worst_seed = other.worst_seed
         self.violations += other.violations
-        if not self.steps:
-            self.steps = list(other.steps)
-        else:
-            self.steps = [min(s, o) for s, o in zip(self.steps, other.steps)]
+        self.numerical_failures += other.numerical_failures
+        self.steps = [min(s, o) for s, o in zip(self.steps, other.steps)]
 
 
 @dataclass
@@ -540,6 +520,10 @@ class VerificationReport:
     @property
     def total_violations(self) -> int:
         return sum(c.violations for c in self.cases)
+
+    @property
+    def total_numerical_failures(self) -> int:
+        return sum(c.numerical_failures for c in self.cases)
 
     def to_dict(self, include_timing: bool = True) -> dict:
         d = {"seed": self.seed, "dims": list(self.dims),
@@ -556,6 +540,26 @@ class VerificationReport:
                    d.get("elapsedSeconds", 0.0))
 
 
+def _draw_stack(seed: int, case_index: int, dim: int, samples,
+                condition_range):
+    """Stacked instances (A eigenvalues, U_A, B eigenvalues, U_B, X) of
+    some samples of a (case, dim) cell.  Each sample draws A eigenvalues,
+    A Gaussian, B eigenvalues, B Gaussian and X from its own stream, which
+    is returned positioned for the case's parameter sampler."""
+    logs, shape = log_range(condition_range), (2, dim, dim)
+    draws, rngs = [], []
+    for sample in samples:
+        ss = np.random.SeedSequence(seed, spawn_key=(case_index, dim, sample))
+        rng = np.random.default_rng(ss)
+        draws.append((rng.uniform(*logs, size=dim), rng.standard_normal(shape),
+                      rng.uniform(*logs, size=dim), rng.standard_normal(shape),
+                      rng.standard_normal(shape)))
+        rngs.append(rng)
+    la, ga, lb, gb, gx = (np.array(z) for z in zip(*draws))
+    ua, ub = gaussian_unitary(complex_gaussian(np.stack([ga, gb])))
+    return (np.exp(la), ua, np.exp(lb), ub, complex_gaussian(gx)), rngs
+
+
 def make_instance(seed: int, case_index: int, dim: int, sample: int,
                   condition_range=DEFAULT_CONDITION_RANGE
                   ) -> tuple[InstanceTriple, np.random.Generator]:
@@ -564,36 +568,53 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
     Counter-derived from the master seed, so any subset of the suite
     reproduces exactly the same instances.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(case_index, dim, sample))
-    rng = np.random.default_rng(ss)
-    a = random_hpd(dim, rng, condition_range)
-    b = random_hpd(dim, rng, condition_range)
-    x = random_complex(dim, rng)
-    return InstanceTriple(a, b, x, seed=(case_index, dim, sample)), rng
+    (ea, ua, eb, ub, x), (rng,) = _draw_stack(seed, case_index, dim,
+                                              [sample], condition_range)
+    return InstanceTriple(HpdMatrix.from_spectrum(ea[0], ua[0]),
+                          HpdMatrix.from_spectrum(eb[0], ub[0]), x[0],
+                          seed=(case_index, dim, sample)), rng
+
+
+# Samples evaluated together: the stacks of a block take memory linear in
+# its size (f-nu-shape holds 41 grids), so a cell goes block by block.
+CELL_BLOCK = 256
+
+
+def _run_block(case: InequalityCase, case_index: int, dim: int, samples,
+               seed: int, tolerance: float, condition_range) -> CaseResult:
+    """Some samples of one (case, dim) cell, evaluated as one frame stack
+    with per-sample parameters as (samples, 1, 1) arrays."""
+    (ea, ua, eb, ub, x), rngs = _draw_stack(seed, case_index, dim, samples,
+                                            condition_range)
+    params = [case.sampler(rng) for rng in rngs]
+    params = {k: np.array([p[k] for p in params])[:, None, None]
+              for k in params[0]}
+    frame = Frame(ea, eb, adjoint(ua) @ x @ ub)
+    margins, scales = step_margins(case.builder(frame, params), frame.xt)
+    normalized = np.array([np.min(m, axis=-1) / s
+                           for m, s in zip(margins, scales)])
+    # NaN or infinite margins count as numerical failures, neither a pass
+    # nor a violation, and stay out of the minima
+    finite = np.isfinite(normalized)
+    clean = np.where(finite, normalized, np.inf)
+    worst = clean.min(axis=0)
+    i = int(np.argmin(worst))
+    return CaseResult(case.id, float(worst[i]),
+                      int(np.count_nonzero(clean < -tolerance)),
+                      [dim, samples[i]] if worst[i] < np.inf else [0, 0],
+                      clean.min(axis=1).tolist(),
+                      int(np.count_nonzero(~finite)))
 
 
 def _run_case_dim(args) -> CaseResult:
-    case_id, case_index, dim, samples, seed, tolerance, condition_range = args
-    case = REGISTRY[case_id]
-    result = CaseResult(case_id)
-    for sample in range(samples):
-        inst, rng = make_instance(seed, case_index, dim, sample,
-                                  condition_range)
-        params = case.sampler(rng)
-        steps = case.builder(inst, params)
-        margins, scales = step_margins(steps)
-        if not result.steps:
-            result.steps = [np.inf] * len(margins)
-        worst = np.inf
-        for i, (m, scale) in enumerate(zip(margins, scales)):
-            normalized = float(np.min(m)) / scale
-            result.steps[i] = min(result.steps[i], normalized)
-            worst = min(worst, normalized)
-            if normalized < -tolerance:
-                result.violations += 1
-        if worst < result.min_margin:
-            result.min_margin = worst
-            result.worst_seed = [dim, sample]
+    """All samples of one (case, dim) cell, CELL_BLOCK at a time."""
+    case_id, case_index, dim, samples, *rest = args
+    result, *others = (_run_block(REGISTRY[case_id], case_index, dim,
+                                  range(lo, min(lo + CELL_BLOCK, samples)),
+                                  *rest)
+                       for lo in range(0, samples, CELL_BLOCK))
+    for other in others:
+        result.merge(other)
     return result
 
 
@@ -601,17 +622,16 @@ def run_suite(dims, samples: int, seed: int,
               tolerance: float = DEFAULT_TOLERANCE,
               case_ids=None,
               condition_range=DEFAULT_CONDITION_RANGE,
-              workers: int | None = None) -> VerificationReport:
+              workers: int = 1) -> VerificationReport:
     """Sample every requested case over every dimension and report the
-    worst normalized Ky Fan margins.  Deterministic given the seed."""
+    worst normalized Ky Fan margins.  Deterministic given the seed, and
+    the same for any number of worker processes."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if case_ids is None:
         case_ids = list(CASE_IDS)
     for cid in case_ids:
         get_case(cid)
-    if workers is None:
-        workers = int(os.environ.get("MEANFORGE_THREADS", "1"))
 
     start = time.perf_counter()
     tasks = [(cid, CASE_IDS.index(cid), dim, samples, seed, tolerance,
@@ -651,8 +671,7 @@ class FuzzFinding:
 
 
 def _instance_margin(case, inst, params) -> tuple[float, float]:
-    steps = case.builder(inst, params)
-    margins, scales = step_margins(steps)
+    margins, scales = _margins(case, inst, params)
     raw = min(float(np.min(m)) for m in margins)
     normalized = min(float(np.min(m)) / s for m, s in zip(margins, scales))
     return raw, normalized
@@ -663,8 +682,14 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
          tolerance: float = DEFAULT_TOLERANCE,
          condition_range=(1e-3, 1e3)) -> FuzzFinding:
     """Hunt for negative margins: random restarts followed by coordinate
-    descent on log-eigenvalues and the entries of X."""
+    descent on log-eigenvalues and the entries of X.  Overrides must name
+    parameters that the case's sampler produces."""
     params = dict(case.sampler(rng))
+    unknown = sorted(set(overrides) - set(params))
+    if unknown:
+        raise UnknownParameterError(
+            f"{case.id} has no parameter {', '.join(unknown)}; "
+            f"it takes {', '.join(sorted(params)) or 'none'}")
     params.update(overrides)
 
     evals = 0

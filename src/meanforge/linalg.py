@@ -1,9 +1,10 @@
 """Dense complex linear algebra: Hermitian eigendecomposition, singular
-values, HPD spectral calculus and seeded random instance generation.
+values, HPD spectral calculus, joint eigenframes and seeded random
+instance generation.
 
-Matrices are plain complex numpy arrays.  Hermitian positive definite
-matrices are carried as :class:`HpdMatrix`, which caches the
-eigendecomposition so that fractional powers are cheap.
+Matrices are plain complex numpy arrays, or stacks (..., n, n) where a
+docstring says so.  Hermitian positive definite matrices are carried as
+:class:`HpdMatrix`, which keeps the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotHermitianError
+from .errors import DimMismatchError, NoConvergenceError, NotHermitianError
 
 HERMITIAN_RTOL = 1e-12
 
@@ -22,7 +23,8 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
@@ -50,28 +52,28 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svd_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of m, descending.
+    """Singular values of a matrix or of each matrix in a stack,
+    descending along the last axis.
 
-    Computed as the square roots of the eigenvalues of m* m, with small
-    negative eigenvalues clamped to zero.
+    Taken from the SVD itself: going through the eigenvalues of m* m
+    would square the condition number and lose the small values.
     """
-    m = np.asarray(m, dtype=complex)
-    w = np.linalg.eigvalsh(adjoint(m) @ m)
-    w = np.clip(w, 0.0, None)
-    return np.sqrt(w)[::-1]
+    return np.linalg.svd(m, compute_uv=False)
 
 
 @dataclass(frozen=True)
 class HpdMatrix:
-    """Hermitian positive definite matrix with cached spectral data.
+    """Hermitian positive definite matrix with its spectral data.
 
     eigenvalues are descending and strictly positive; the columns of
-    eigenvectors are orthonormal and matrix = V diag(eigenvalues) V*.
+    eigenvectors are orthonormal and matrix = V diag(eigenvalues) V*,
+    assembled on first use.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    _matrix: np.ndarray = field(repr=False)
+    _matrix: np.ndarray | None = field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def dim(self) -> int:
@@ -79,6 +81,10 @@ class HpdMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            v = self.eigenvectors
+            m = (v * self.eigenvalues) @ adjoint(v)
+            object.__setattr__(self, "_matrix", 0.5 * (m + adjoint(m)))
         return self._matrix
 
     @property
@@ -92,11 +98,7 @@ class HpdMatrix:
         if np.any(w <= 0.0):
             raise ValueError("eigenvalues must be strictly positive")
         order = np.argsort(-w, kind="stable")
-        w = w[order]
-        v = v[:, order]
-        m = (v * w) @ adjoint(v)
-        m = 0.5 * (m + adjoint(m))
-        return cls(eigenvalues=w, eigenvectors=v, _matrix=m)
+        return cls(eigenvalues=w[order], eigenvectors=v[:, order])
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "HpdMatrix":
@@ -117,35 +119,88 @@ class HpdMatrix:
         return 0.5 * (m + adjoint(m))
 
 
-def hpd_power(h: HpdMatrix, t: float) -> np.ndarray:
-    return h.power(t)
+class Frame:
+    """(A, X, B) triples, one or a stack, in their joint eigenframes.
+
+    Every mean in the package is U_A (K o Xt) U_B* for Xt = U_A* X U_B
+    and an entrywise kernel grid K(a_i, b_j); Ky Fan norms are unitarily
+    invariant, so margins need K o Xt only.  ``a`` has shape (..., n, 1)
+    and ``b`` (..., 1, n), so expressions in them broadcast to grids of
+    the shape (..., n, n) of ``xt``.
+    """
+
+    def __init__(self, a, b, xt):
+        self.a = np.asarray(a, dtype=float)[..., :, None]
+        self.b = np.asarray(b, dtype=float)[..., None, :]
+        self.la = np.log(self.a)
+        self.lb = np.log(self.b)
+        # the difference variable of the hyperbolic kernel calculus
+        self.d = 0.5 * (self.la - self.lb)
+        self.xt = xt
+
+    @classmethod
+    def of(cls, a: HpdMatrix, x: np.ndarray, b: HpdMatrix) -> "Frame":
+        """The frame of one (A, B) pair; x is one matrix or a stack."""
+        if not (a.dim == b.dim and np.shape(x)[-2:] == (a.dim, a.dim)):
+            raise DimMismatchError(
+                f"dims A={a.dim}, X={np.shape(x)}, B={b.dim} do not match")
+        return cls(a.eigenvalues, b.eigenvalues,
+                   adjoint(a.eigenvectors) @ x @ b.eigenvectors)
+
+    def power(self, s, t) -> np.ndarray:
+        """The grid a_i^s b_j^t, the kernel of A^s X B^t."""
+        return np.exp(s * self.la + t * self.lb)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary from QR of a complex Gaussian matrix.
+def frame_apply(grid, a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
+                *params) -> np.ndarray:
+    """U_A (K o Xt) U_B* for the kernel grid K = grid(frame, *params) on
+    the frame of (A, x, B)."""
+    f = Frame.of(a, x, b)
+    return a.eigenvectors @ (grid(f, *params) * f.xt) @ adjoint(b.eigenvectors)
+
+
+def gaussian_unitary(g: np.ndarray) -> np.ndarray:
+    """Haar-ish unitary from the QR of a complex Gaussian matrix, or one
+    for each matrix in a stack.
 
     Column phases are fixed from the R diagonal so the result is a
     deterministic function of the draw.
     """
-    g = random_complex(dim, rng)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phases = d / np.where(np.abs(d) == 0.0, 1.0, np.abs(d))
-    return q * phases.conj()
+    return q * phases.conj()[..., None, :]
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return gaussian_unitary(random_complex(dim, rng))
+
+
+def log_range(condition_range: tuple[float, float]) -> tuple[float, float]:
+    """Logs of a condition range (lo, hi) with 0 < lo <= hi."""
+    lo, hi = condition_range
+    if not (0.0 < lo <= hi):
+        raise ValueError("condition range must satisfy 0 < lo <= hi")
+    return np.log(lo), np.log(hi)
 
 
 def random_hpd(dim: int, rng: np.random.Generator,
                condition_range: tuple[float, float] = (0.05, 20.0)) -> HpdMatrix:
     """Random HPD matrix with eigenvalues log-uniform in condition_range."""
-    lo, hi = condition_range
-    if not (0.0 < lo <= hi):
-        raise ValueError("condition range must satisfy 0 < lo <= hi")
-    eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
-    v = random_unitary(dim, rng)
-    return HpdMatrix.from_spectrum(eigs, v)
+    eigs = np.exp(rng.uniform(*log_range(condition_range), size=dim))
+    return HpdMatrix.from_spectrum(eigs, random_unitary(dim, rng))
 
 
-def random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """dim x dim matrix with iid standard complex Gaussian entries."""
-    return (rng.standard_normal((dim, dim))
-            + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def complex_gaussian(g: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussian matrices from real standard normal
+    pairs g[..., 0, :, :] (real parts) and g[..., 1, :, :] (imaginary)."""
+    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+
+
+def random_complex(dim: int, rng: np.random.Generator,
+                   count: int | None = None) -> np.ndarray:
+    """dim x dim matrix with iid standard complex Gaussian entries, or a
+    stack of ``count`` of them drawn one after another."""
+    shape = (2, dim, dim) if count is None else (count, 2, dim, dim)
+    return complex_gaussian(rng.standard_normal(shape))

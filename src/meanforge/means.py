@@ -1,115 +1,81 @@
 """Heinz and Heron operator means, their p-parameter generalizations,
-and closed-form integral averages.
+and closed-form integral averages, as kernel grids in the joint
+eigenframe.
 
-All means take pre-decomposed :class:`HpdMatrix` operands so repeated
-evaluations on one instance reuse a single eigendecomposition.
+Each ``*_grid`` function returns the entrywise kernel K(a_i, b_j) of a
+mean on a :class:`Frame` (a single triple or a stack); parameters may be
+numbers or per-sample arrays that broadcast against the grid.  The
+matrix-valued functions take pre-decomposed :class:`HpdMatrix` operands
+and rotate K o Xt back: U_A (K o U_A* X U_B) U_B*.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadIntervalError, DimMismatchError
-from .linalg import HpdMatrix, adjoint
-
-# |log a - log b| below which log-mean style kernels switch to a Taylor
-# series; truncation error is ~h^8/10^4, far below working tolerances.
-SERIES_THRESHOLD = 1e-5
+from .dmap import KernelSpec, kernel_eval, sinch
+from .errors import BadIntervalError
+from .linalg import Frame, HpdMatrix, frame_apply
 
 
-@dataclass(frozen=True)
-class MeanParams:
-    """Parameter bundle for the inequality cases.
-
-    delta is accepted for interface parity but is never used by any
-    registered inequality.
-    """
-
-    nu: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    delta: float | None = None
-    p: float | None = None
-    r: float | None = None
-    rp: float | None = None
-    t: float | None = None
-    lo: float | None = None
-    hi: float | None = None
-
-    @property
-    def r0(self) -> float:
-        if self.nu is None:
-            raise ValueError("r0 requires nu")
-        return min(self.nu, 1.0 - self.nu)
-
-    def replace(self, **kwargs) -> "MeanParams":
-        return dataclasses.replace(self, **kwargs)
+def geo_grid(f: Frame) -> np.ndarray:
+    """sqrt(a b), the kernel of A^(1/2) X B^(1/2)."""
+    return f.power(0.5, 0.5)
 
 
-def sinch(x: float) -> float:
-    """sinh(x)/x with the removable singularity filled by series."""
-    if abs(x) < SERIES_THRESHOLD:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0))
-    return np.sinh(x) / x
+def p_sum_grid(f: Frame, nu, p) -> np.ndarray:
+    """a^nu b^(p-nu) + a^(p-nu) b^nu."""
+    return f.power(nu, p - nu) + f.power(p - nu, nu)
 
 
-def log_mean(a: float, b: float) -> float:
-    """Scalar logarithmic mean (a - b)/(log a - log b), L(a, a) = a."""
-    h = np.log(a) - np.log(b)
-    return float(np.sqrt(a * b) * sinch(0.5 * h))
+def p_diff_grid(f: Frame, nu, p) -> np.ndarray:
+    """a^nu b^(p-nu) - a^(p-nu) b^nu."""
+    return f.power(nu, p - nu) - f.power(p - nu, nu)
 
 
-def _check_dims(a: HpdMatrix, x: np.ndarray, b: HpdMatrix) -> None:
-    if not (a.dim == b.dim == x.shape[0] == x.shape[1]):
-        raise DimMismatchError(
-            f"dims A={a.dim}, X={x.shape}, B={b.dim} do not match")
+def heinz_grid(f: Frame, nu) -> np.ndarray:
+    """(a^nu b^(1-nu) + a^(1-nu) b^nu) / 2."""
+    return 0.5 * p_sum_grid(f, nu, 1.0)
+
+
+def heron_grid(f: Frame, alpha) -> np.ndarray:
+    """(1-alpha) sqrt(a b) + alpha (a + b)/2."""
+    return (1.0 - alpha) * geo_grid(f) + alpha * 0.5 * (f.a + f.b)
+
+
+def integral_grid(f: Frame) -> np.ndarray:
+    """The scalar logarithmic mean sqrt(a b) sinh(d)/d."""
+    return geo_grid(f) * sinch(f.d)
+
+
+def nu_average_grid(f: Frame, lo: float, hi: float) -> np.ndarray:
+    """The Heinz kernel averaged over nu in [lo, hi]."""
+    if not lo < hi:
+        raise BadIntervalError(f"need lo < hi, got [{lo}, {hi}]")
+    spec = KernelSpec("heinzAverage", {"lo": lo, "hi": hi})
+    return geo_grid(f) * kernel_eval(spec, f.d)
 
 
 def heinz(a: HpdMatrix, x: np.ndarray, b: HpdMatrix, nu: float) -> np.ndarray:
     """Heinz mean (A^nu X B^(1-nu) + A^(1-nu) X B^nu) / 2."""
-    _check_dims(a, x, b)
-    return 0.5 * heinz_p_sum(a, x, b, nu, 1.0)
+    return frame_apply(heinz_grid, a, x, b, nu)
 
 
 def heron(a: HpdMatrix, x: np.ndarray, b: HpdMatrix, alpha: float) -> np.ndarray:
     """Heron mean (1-alpha) A^(1/2) X B^(1/2) + alpha (AX + XB)/2."""
-    _check_dims(a, x, b)
-    geo = a.power(0.5) @ x @ b.power(0.5)
-    ari = 0.5 * (a.matrix @ x + x @ b.matrix)
-    return (1.0 - alpha) * geo + alpha * ari
+    return frame_apply(heron_grid, a, x, b, alpha)
 
 
 def heinz_p_sum(a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
                 nu: float, p: float) -> np.ndarray:
     """A^nu X B^(p-nu) + A^(p-nu) X B^nu."""
-    _check_dims(a, x, b)
-    return (a.power(nu) @ x @ b.power(p - nu)
-            + a.power(p - nu) @ x @ b.power(nu))
+    return frame_apply(p_sum_grid, a, x, b, nu, p)
 
 
 def heinz_p_diff(a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
                  nu: float, p: float) -> np.ndarray:
     """A^nu X B^(p-nu) - A^(p-nu) X B^nu."""
-    _check_dims(a, x, b)
-    return (a.power(nu) @ x @ b.power(p - nu)
-            - a.power(p - nu) @ x @ b.power(nu))
-
-
-def _entrywise_mean(a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
-                    scalar_kernel) -> np.ndarray:
-    """Apply an entrywise (a_i, b_j) scalar kernel in the joint eigenbases."""
-    ua, ub = a.eigenvectors, b.eigenvectors
-    xt = adjoint(ua) @ x @ ub
-    grid = np.empty((a.dim, b.dim))
-    for i, ai in enumerate(a.eigenvalues):
-        for j, bj in enumerate(b.eigenvalues):
-            grid[i, j] = scalar_kernel(ai, bj)
-    return ua @ (grid * xt) @ adjoint(ub)
+    return frame_apply(p_diff_grid, a, x, b, nu, p)
 
 
 def integral_mean(a: HpdMatrix, x: np.ndarray, b: HpdMatrix) -> np.ndarray:
@@ -118,8 +84,7 @@ def integral_mean(a: HpdMatrix, x: np.ndarray, b: HpdMatrix) -> np.ndarray:
     Entrywise in the joint eigenbases this is multiplication by the
     scalar logarithmic mean of the eigenvalue pair.
     """
-    _check_dims(a, x, b)
-    return _entrywise_mean(a, x, b, log_mean)
+    return frame_apply(integral_grid, a, x, b)
 
 
 def heinz_nu_average(a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
@@ -130,15 +95,4 @@ def heinz_nu_average(a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
     entrywise kernel is sqrt(a b) * (c2 sinch(c2 d) - c1 sinch(c1 d)) / 2
     with d = (log a - log b)/2, c1 = 2 lo - 1, c2 = 2 hi - 1.
     """
-    _check_dims(a, x, b)
-    if not lo < hi:
-        raise BadIntervalError(f"need lo < hi, got [{lo}, {hi}]")
-    c1 = 2.0 * lo - 1.0
-    c2 = 2.0 * hi - 1.0
-
-    def kernel(ai: float, bj: float) -> float:
-        d = 0.5 * (np.log(ai) - np.log(bj))
-        return float(np.sqrt(ai * bj)
-                     * 0.5 * (c2 * sinch(c2 * d) - c1 * sinch(c1 * d)))
-
-    return _entrywise_mean(a, x, b, kernel)
+    return frame_apply(nu_average_grid, a, x, b, lo, hi)

@@ -1,8 +1,8 @@
-"""Singular-value based norms and the Ky Fan dominance test.
+"""Singular-value based norms.
 
 A claim of the form "|||L||| <= |||R||| for every unitarily invariant
-norm" holds iff it holds for every Ky Fan norm, so ``fan_margins`` /
-``fan_dominates`` are the workhorse predicates of the whole suite.
+norm" holds iff it holds for every Ky Fan norm, which is why the suite
+compares cumulative singular value sums (``inequalities.step_margins``).
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import BadExponentError, BadOrderError, DimMismatchError
+from .errors import BadExponentError, BadOrderError
 from .linalg import svd_values
-
-DEFAULT_TOL = 1e-9
 
 
 def schatten(m: np.ndarray, p: float) -> float:
@@ -38,21 +36,3 @@ def ky_fan(m: np.ndarray, k: int) -> float:
         raise BadOrderError(f"Ky Fan order {k} outside [1, {n}]")
     s = svd_values(m)
     return float(np.sum(s[:k]))
-
-
-def fan_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Per-order Ky Fan margins ky_fan(rhs, k) - ky_fan(lhs, k), k = 1..dim."""
-    if lhs.shape != rhs.shape:
-        raise DimMismatchError(f"shape {lhs.shape} vs {rhs.shape}")
-    sl = np.cumsum(svd_values(lhs))
-    sr = np.cumsum(svd_values(rhs))
-    return sr - sl
-
-
-def fan_dominates(lhs: np.ndarray, rhs: np.ndarray,
-                  tol: float = DEFAULT_TOL) -> bool:
-    """True iff every Ky Fan norm of lhs is <= that of rhs, up to a
-    relative slack normalized by 1 + trace norm of rhs."""
-    margins = fan_margins(lhs, rhs)
-    scale = 1.0 + float(np.sum(svd_values(rhs)))
-    return bool(np.min(margins) >= -tol * scale)

@@ -13,6 +13,8 @@ from meanforge.linalg import (HpdMatrix, hermitian_eig, random_complex,
                               random_hpd)
 from meanforge.means import (heinz, heinz_nu_average, heron, integral_mean)
 
+import product_oracle as oracle
+
 MASTER_SEED = 20240801
 
 
@@ -59,29 +61,29 @@ def test_criterion_2_scalar_anchors():
 def test_criterion_3_oracle_equivalences():
     rng = np.random.default_rng(MASTER_SEED + 1)
     worst_cosh = worst_sinch = worst_quad = 0.0
-    for i in range(200):
+    for _ in range(200):
         dim = int(rng.integers(1, 7))
         a, b = random_hpd(dim, rng), random_hpd(dim, rng)
         x = random_complex(dim, rng)
         frame = DMap(a, b)
         for nu in np.linspace(0.0, 1.0, 11):
-            lhs = frame.apply(KernelSpec("coshScaled", {"c": 2 * nu - 1}), x)
-            rhs = heinz(a, x, b, nu)
-            err = np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs))
-            worst_cosh = max(worst_cosh, err)
-        im = integral_mean(a, x, b)
-        err = (np.linalg.norm(frame.apply(KernelSpec("sinch"), x) - im)
-               / (1.0 + np.linalg.norm(im)))
+            # both the cosh kernel and the Heinz mean against direct
+            # A^nu X B^(1-nu) products
+            want = oracle.heinz(a, x, b, nu)
+            for got in (frame.apply(KernelSpec("coshScaled",
+                                               {"c": 2 * nu - 1}), x),
+                        heinz(a, x, b, nu)):
+                err = np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
+                worst_cosh = max(worst_cosh, err)
+        # the sinch kernel and the integral mean against Simpson quadrature
+        # of direct A^nu X B^(1-nu) products
+        quad = oracle.integral_mean(a, x, b)
+        err = (np.linalg.norm(frame.apply(KernelSpec("sinch"), x) - quad)
+               / (1.0 + np.linalg.norm(quad)))
         worst_sinch = max(worst_sinch, err)
-        if i < 100:
-            nodes = np.linspace(0.0, 1.0, 1001)
-            weights = np.ones(1001)
-            weights[1:-1:2] = 4.0
-            weights[2:-1:2] = 2.0
-            quad = sum(w * (a.power(nu) @ x @ b.power(1 - nu))
-                       for w, nu in zip(weights, nodes)) * (1.0 / 3000.0)
-            err = np.linalg.norm(quad - im) / (1.0 + np.linalg.norm(im))
-            worst_quad = max(worst_quad, err)
+        im = integral_mean(a, x, b)
+        err = np.linalg.norm(quad - im) / (1.0 + np.linalg.norm(im))
+        worst_quad = max(worst_quad, err)
     ok = worst_cosh <= 1e-10 and worst_sinch <= 1e-10 and worst_quad <= 1e-8
     _report("criterion 3: oracle equivalences", ok,
             f"cosh/heinz={worst_cosh:.2e} sinch/integral={worst_sinch:.2e} "

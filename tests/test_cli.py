@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meanforge import cli, io
+from meanforge import inequalities as iq
 from meanforge.inequalities import InstanceTriple
 from meanforge.linalg import random_complex, random_hpd
 
@@ -26,6 +27,25 @@ def test_verify_unknown_case():
 
 def test_verify_zero_samples():
     assert cli.main(["verify", "--samples", "0"]) == 2
+
+
+def test_verify_duplicate_dims():
+    assert cli.main(["verify", "--dims", "2,2", "--samples", "1"]) == 2
+
+
+def test_verify_bad_thread_count(monkeypatch):
+    monkeypatch.setenv("MEANFORGE_THREADS", "x")
+    assert cli.main(["verify", "--dims", "1", "--samples", "1"]) == 2
+
+
+def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):
+    from test_inequalities import nan_first_step
+    monkeypatch.setitem(iq.REGISTRY, "eq1.2",
+                        nan_first_step(iq.get_case("eq1.2")))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--cases", "eq1.2", "--dims", "1,2",
+                     "--samples", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["cases"][0]["numericalFailures"] == 6
 
 
 def test_verify_fraction_flags(tmp_path):
@@ -60,6 +80,22 @@ def test_fuzz_unknown_case():
 def test_fuzz_bad_override():
     assert cli.main(["fuzz", "--case", "eq1.2", "--set", "nu",
                      "--budget", "10"]) == 2
+
+
+def test_fuzz_unknown_parameter():
+    assert cli.main(["fuzz", "--case", "eq1.2", "--set", "nuu=0.1",
+                     "--budget", "10"]) == 2
+
+
+def test_fuzz_zero_dim():
+    assert cli.main(["fuzz", "--case", "eq1.2", "--dim", "0",
+                     "--budget", "10"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--dim"])
+def test_contractivity_nothing_to_check(flag):
+    assert cli.main(["contractivity", "--kernel", "constant",
+                     "--set", "value=1", flag, "0"]) == 2
 
 
 def test_contractivity_in_hypothesis():

@@ -6,7 +6,8 @@ from meanforge.dmap import (DMap, KernelSpec, apply_kernel,
                             kernel_in_hypothesis)
 from meanforge.errors import DimMismatchError, PoleError
 from meanforge.linalg import random_complex, random_hpd
-from meanforge.means import heinz, integral_mean
+
+import product_oracle as oracle
 
 
 def test_sinch_limit():
@@ -72,7 +73,7 @@ def test_cosh_kernel_matches_heinz_random():
         for nu in np.linspace(0.0, 1.0, 11):
             spec = KernelSpec("coshScaled", {"c": 2 * nu - 1.0})
             lhs = frame.apply(spec, x)
-            rhs = heinz(a, x, b, nu)
+            rhs = oracle.heinz(a, x, b, nu)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * (
                 1.0 + np.linalg.norm(rhs))
 
@@ -84,7 +85,7 @@ def test_sinch_kernel_matches_integral_mean():
         a, b = random_hpd(dim, rng), random_hpd(dim, rng)
         x = random_complex(dim, rng)
         lhs = apply_kernel(KernelSpec("sinch"), a, b, x)
-        rhs = integral_mean(a, x, b)
+        rhs = oracle.integral_mean(a, x, b)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * (
             1.0 + np.linalg.norm(rhs))
 
@@ -107,6 +108,31 @@ def test_apply_kernel_dim_mismatch():
     with pytest.raises(DimMismatchError):
         apply_kernel(KernelSpec("sinch"), random_hpd(2, rng),
                      random_hpd(2, rng), random_complex(3, rng))
+
+
+def test_contractivity_matches_one_sample_at_a_time():
+    # the stacked check reproduces the per-sample, per-order Ky Fan loop
+    rng = np.random.default_rng(9)
+    a, b = random_hpd(3, rng), random_hpd(3, rng)
+    spec = KernelSpec("coshComboRatio", {"r": 0.2, "rp": -0.3, "s1": 0.9,
+                                         "s2": 0.1, "alpha": 0.4,
+                                         "beta": 0.7})
+    ratio, worst = contractivity_check(spec, a, b, 6, np.random.default_rng(1))
+    replay = np.random.default_rng(1)
+    frame = DMap(a, b)
+    ratios = []
+    for _ in range(6):
+        x = random_complex(3, replay)
+        mapped, base = frame.apply(spec, x), oracle.geo(a, x, b)
+        ratios += [(oracle_fan(mapped, k) / oracle_fan(base, k), x)
+                   for k in (1, 2, 3)]
+    want, want_x = max(ratios, key=lambda r: r[0])
+    assert ratio == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(worst, want_x)
+
+
+def oracle_fan(m, k):
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)[:k]))
 
 
 def test_contractivity_identity_kernel():

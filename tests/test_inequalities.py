@@ -1,3 +1,7 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,9 @@ from meanforge.errors import RangeViolationError, UnknownCaseError
 from meanforge.linalg import HpdMatrix
 
 from scalar_oracle import oracle_margins
+
+REFERENCE = (Path(__file__).resolve().parents[1] / "benchmarks"
+             / "reference_sweep_20240801.json")
 
 EXPECTED_IDS = {
     "eq1.1", "eq1.2", "eq1.3", "refAli", "eq1.4-chain", "eq1.4-alpha-mono",
@@ -121,10 +128,92 @@ def test_suite_parallel_matches_serial():
             == parallel.to_dict(include_timing=False))
 
 
+def test_blocked_cells_match_one_block(monkeypatch):
+    # cells evaluated three samples at a time give the same report, bit for
+    # bit, as each cell in one block
+    whole = iq.run_suite([1, 3], 10, seed=29).to_dict(include_timing=False)
+    monkeypatch.setattr(iq, "CELL_BLOCK", 3)
+    blocked = iq.run_suite([1, 3], 10, seed=29).to_dict(include_timing=False)
+    assert blocked == whole
+    # some worst samples sit past the first block
+    assert any(c["worstSeed"][1] >= 3 for c in blocked["cases"])
+
+
+def test_criterion_1_minima_match_reference():
+    # per-case and per-step minima recorded from the matrix-product
+    # implementation that preceded the kernel-grid engine
+    ref = json.loads(REFERENCE.read_text())
+    report = iq.run_suite(ref["dims"], ref["samples"], seed=ref["seed"])
+    assert [c.id for c in report.cases] == list(ref["cases"])
+    for case in report.cases:
+        want = ref["cases"][case.id]
+        assert len(case.steps) == len(want["steps"])
+        for got, expected in zip([case.min_margin, *case.steps],
+                                 [want["minMargin"], *want["steps"]]):
+            assert got == pytest.approx(expected, abs=1e-13), case.id
+
+
+def test_worst_margins_replay_from_their_seeds():
+    seed = 17
+    report = iq.run_suite([1, 2, 3, 4], 20, seed=seed)
+    for case in report.cases:
+        dim, sample = case.worst_seed
+        inst, rng = iq.make_instance(seed, iq.CASE_IDS.index(case.id), dim,
+                                     sample)
+        params = iq.get_case(case.id).sampler(rng)
+        margins, scales = iq._margins(iq.get_case(case.id), inst, params)
+        replayed = min(float(np.min(m)) / s for m, s in zip(margins, scales))
+        assert replayed == pytest.approx(case.min_margin, abs=1e-13), case.id
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_suite_sound_across_seeds(seed):
+    report = iq.run_suite([1, 2, 3, 4, 5, 6], 5, seed=seed)
+    assert report.total_violations == 0
+    assert report.total_numerical_failures == 0
+
+
+def nan_first_step(case):
+    """The case with the right side of its first step weighted by NaN."""
+    def build(*args):
+        first, *rest = case.builder(*args)
+        return [iq.Step(first.lhs, [(c * np.nan, m) for c, m in first.rhs]),
+                *rest]
+    return dataclasses.replace(case, builder=build)
+
+
+def test_non_finite_margins_are_counted_not_passed(monkeypatch):
+    monkeypatch.setitem(iq.REGISTRY, "eq1.3",
+                        nan_first_step(iq.get_case("eq1.3")))
+    report = iq.run_suite([1, 2], 4, seed=3, case_ids=["eq1.3"])
+    case = report.cases[0]
+    assert case.numerical_failures == 2 * 4
+    assert report.total_numerical_failures == 2 * 4
+    # the NaN step reports no minimum; the finite one still does
+    assert case.steps[0] == np.inf
+    assert np.isfinite(case.steps[1])
+    assert case.min_margin == case.steps[1]
+
+
 def test_report_round_trip():
     report = iq.run_suite([2], 3, seed=5)
     restored = iq.VerificationReport.from_dict(report.to_dict())
     assert restored.to_dict() == report.to_dict()
+
+
+def test_report_without_numerical_failures_field_loads():
+    d = iq.run_suite([2], 2, seed=5).to_dict()
+    for c in d["cases"]:
+        del c["numericalFailures"]
+    restored = iq.VerificationReport.from_dict(d)
+    assert restored.total_numerical_failures == 0
+
+
+def test_fuzz_rejects_unknown_parameter():
+    from meanforge.errors import UnknownParameterError
+    with pytest.raises(UnknownParameterError):
+        iq.fuzz(iq.get_case("eq1.2"), {"nuu": 0.1}, 10,
+                np.random.default_rng(0))
 
 
 def test_fuzz_out_of_range_finds_violation():

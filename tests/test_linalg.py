@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from meanforge.errors import NotHermitianError
-from meanforge.linalg import (HpdMatrix, hermitian_eig, hpd_power,
-                              random_complex, random_hpd, random_unitary,
-                              svd_values)
+from meanforge.linalg import (HpdMatrix, hermitian_eig, random_complex,
+                              random_hpd, random_unitary, svd_values)
 
 
 def test_eig_identity():
@@ -43,16 +42,34 @@ def test_svd_nilpotent():
                        [2.0, 0.0])
 
 
+def test_svd_accurate_on_graded_spectrum():
+    # sigma = 1, 1e-3, ..., 1e-11: going through eigvalsh(M* M) squares
+    # the condition number and loses the small values entirely
+    rng = np.random.default_rng(13)
+    sigma = np.array([1.0, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
+    u, w = random_unitary(6, rng), random_unitary(6, rng)
+    m = (u * sigma) @ w
+    err = np.abs(np.cumsum(svd_values(m)) - np.cumsum(sigma)).max()
+    assert err <= 1e-14 * sigma[0]
+
+
+def test_svd_values_of_a_stack_match_one_by_one():
+    rng = np.random.default_rng(14)
+    stack = random_complex(4, rng, 7)
+    assert np.array_equal(svd_values(stack),
+                          np.array([svd_values(m) for m in stack]))
+
+
 def test_hpd_power_endpoints():
     rng = np.random.default_rng(3)
     h = random_hpd(4, rng)
-    assert np.allclose(hpd_power(h, 0.0), np.eye(4))
-    assert np.allclose(hpd_power(h, 1.0), h.matrix, atol=1e-10)
+    assert np.allclose(h.power(0.0), np.eye(4))
+    assert np.allclose(h.power(1.0), h.matrix, atol=1e-10)
 
 
 def test_hpd_power_diagonal_sqrt():
     h = HpdMatrix.from_matrix(np.diag([4.0, 9.0]).astype(complex))
-    assert np.allclose(hpd_power(h, 0.5), np.diag([2.0, 3.0]))
+    assert np.allclose(h.power(0.5), np.diag([2.0, 3.0]))
 
 
 def test_hpd_power_addition():
@@ -60,15 +77,15 @@ def test_hpd_power_addition():
     for _ in range(20):
         h = random_hpd(5, rng, (0.1, 10.0))
         s, t = rng.uniform(-1, 1, size=2)
-        lhs = hpd_power(h, s + t)
-        rhs = hpd_power(h, s) @ hpd_power(h, t)
+        lhs = h.power(s + t)
+        rhs = h.power(s) @ h.power(t)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(lhs)
 
 
 def test_eig_of_power_is_powered_spectrum():
     rng = np.random.default_rng(5)
     h = random_hpd(6, rng)
-    w, _ = hermitian_eig(hpd_power(h, 0.3))
+    w, _ = hermitian_eig(h.power(0.3))
     expected = np.sort(h.eigenvalues ** 0.3)[::-1]
     assert np.allclose(w, expected, rtol=1e-9)
 

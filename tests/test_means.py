@@ -4,8 +4,10 @@ import pytest
 from meanforge.errors import BadIntervalError, DimMismatchError
 from meanforge.linalg import HpdMatrix, random_complex, random_hpd
 from meanforge.means import (heinz, heinz_nu_average, heinz_p_diff,
-                             heinz_p_sum, heron, integral_mean, log_mean)
-from meanforge.norms import fan_dominates, ky_fan
+                             heinz_p_sum, heron, integral_mean)
+from meanforge.norms import ky_fan
+
+import product_oracle as oracle
 
 
 def scalar_hpd(value: float) -> HpdMatrix:
@@ -17,16 +19,6 @@ A4 = scalar_hpd(4.0)
 B1 = scalar_hpd(1.0)
 
 
-def simpson(f, lo, hi, nodes=1001):
-    xs = np.linspace(lo, hi, nodes)
-    vals = np.array([f(x) for x in xs])
-    h = (hi - lo) / (nodes - 1)
-    weights = np.ones(nodes)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return h / 3.0 * np.tensordot(weights, vals, axes=(0, 0))
-
-
 def test_heinz_scalar_anchor():
     assert heinz(A4, ONE, B1, 0.25)[0, 0].real == pytest.approx(
         2.1213203436, abs=1e-10)
@@ -36,7 +28,7 @@ def test_heinz_symmetry_point_and_endpoint():
     rng = np.random.default_rng(0)
     a, b = random_hpd(3, rng), random_hpd(3, rng)
     x = random_complex(3, rng)
-    assert np.allclose(heinz(a, x, b, 0.5), a.power(0.5) @ x @ b.power(0.5))
+    assert np.allclose(heinz(a, x, b, 0.5), oracle.geo(a, x, b))
     assert np.allclose(heinz(a, x, b, 0.0),
                        0.5 * (x @ b.matrix + a.matrix @ x))
 
@@ -55,7 +47,7 @@ def test_heron_scalar_anchor_and_endpoints():
     rng = np.random.default_rng(2)
     a, b = random_hpd(3, rng), random_hpd(3, rng)
     x = random_complex(3, rng)
-    assert np.allclose(heron(a, x, b, 0.0), a.power(0.5) @ x @ b.power(0.5))
+    assert np.allclose(heron(a, x, b, 0.0), oracle.geo(a, x, b))
     assert np.allclose(heron(a, x, b, 1.0),
                        0.5 * (a.matrix @ x + x @ b.matrix))
 
@@ -82,6 +74,11 @@ def test_integral_mean_mixed_spectrum():
     assert np.allclose(result[1, :], expected, atol=1e-10)
 
 
+def log_mean(a: float, b: float) -> float:
+    """The scalar logarithmic mean, as the 1x1 integral mean."""
+    return integral_mean(scalar_hpd(a), ONE, scalar_hpd(b))[0, 0].real
+
+
 def test_log_mean_near_coincident():
     # series branch agrees with the exact formula across the switchover
     # eps a power of two so a*eps and b are exact; log1p keeps the
@@ -100,9 +97,31 @@ def test_integral_mean_matches_simpson():
         dim = int(rng.integers(1, 5))
         a, b = random_hpd(dim, rng), random_hpd(dim, rng)
         x = random_complex(dim, rng)
-        quad = simpson(lambda nu: a.power(nu) @ x @ b.power(1 - nu), 0, 1)
+        quad = oracle.integral_mean(a, x, b)
         closed = integral_mean(a, x, b)
         assert np.linalg.norm(quad - closed) <= 1e-8 * np.linalg.norm(closed)
+
+
+def test_means_match_direct_products():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        dim = int(rng.integers(1, 6))
+        a, b = random_hpd(dim, rng), random_hpd(dim, rng)
+        x = random_complex(dim, rng)
+        nu, alpha, p = rng.uniform(-1, 2), rng.uniform(0, 5), rng.uniform(0, 3)
+        pairs = [
+            (heinz(a, x, b, nu), oracle.heinz(a, x, b, nu)),
+            (heron(a, x, b, alpha), oracle.heron(a, x, b, alpha)),
+            (heinz_p_sum(a, x, b, nu, p),
+             oracle.product(a, x, b, nu, p - nu)
+             + oracle.product(a, x, b, p - nu, nu)),
+            (heinz_p_diff(a, x, b, nu, p),
+             oracle.product(a, x, b, nu, p - nu)
+             - oracle.product(a, x, b, p - nu, nu)),
+        ]
+        for got, want in pairs:
+            assert np.linalg.norm(got - want) <= 1e-10 * (
+                1.0 + np.linalg.norm(want))
 
 
 def test_heinz_p_sum_reduces_to_heinz():
@@ -159,7 +178,7 @@ def test_nu_average_matches_simpson():
         lo, hi = sorted(rng.uniform(0.0, 1.0, size=2))
         if hi - lo < 0.05:
             continue
-        quad = simpson(lambda nu: heinz(a, x, b, nu), lo, hi)
+        quad = oracle.simpson(lambda nu: oracle.heinz(a, x, b, nu), lo, hi)
         closed = heinz_nu_average(a, x, b, lo, hi)
         assert np.linalg.norm(quad - closed) <= 1e-8 * (
             1.0 + np.linalg.norm(closed))
@@ -185,10 +204,9 @@ def test_heinz_heron_chain_dominance():
         x = random_complex(dim, rng)
         nu = rng.uniform(0.25, 0.75)
         alpha = rng.uniform(0.5, 5.0)
-        geo = a.power(0.5) @ x @ b.power(0.5)
         h = heinz(a, x, b, nu)
-        assert fan_dominates(geo, h)
-        assert fan_dominates(h, heron(a, x, b, alpha))
+        assert oracle.fan_dominates(oracle.geo(a, x, b), h)
+        assert oracle.fan_dominates(h, heron(a, x, b, alpha))
 
 
 def test_p_sum_norm_profile_shape():

@@ -4,8 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanforge.errors import BadExponentError, BadOrderError, DimMismatchError
+from meanforge.inequalities import Step, step_margins
 from meanforge.linalg import random_complex, random_unitary
-from meanforge.norms import fan_dominates, fan_margins, ky_fan, schatten
+from meanforge.norms import ky_fan, schatten
+
+
+def fan_margins(lhs, rhs):
+    """Per-order Ky Fan margins of |||lhs||| <= |||rhs||| and the step's
+    normalization scale."""
+    margins, scales = step_margins([Step([(1.0, lhs)], [(1.0, rhs)])])
+    return margins[0], scales[0]
 
 
 def test_schatten_trace_norm():
@@ -60,14 +68,16 @@ def test_ky_fan_unitary_invariance():
 
 def test_fan_margins_reflexive():
     m = np.diag([2.0, 1.0])
-    assert np.allclose(fan_margins(m, m), 0.0)
+    margins, scale = fan_margins(m, m)
+    assert np.allclose(margins, 0.0)
+    assert scale == pytest.approx(4.0)
 
 
 def test_fan_margins_examples():
-    assert np.allclose(fan_margins(np.diag([1.0, 1.0]), np.diag([2.0, 0.0])),
-                       [1.0, 0.0])
-    assert np.allclose(fan_margins(np.diag([2.0, 0.0]), np.diag([1.0, 1.0])),
-                       [-1.0, 0.0])
+    assert np.allclose(fan_margins(np.diag([1.0, 1.0]),
+                                   np.diag([2.0, 0.0]))[0], [1.0, 0.0])
+    assert np.allclose(fan_margins(np.diag([2.0, 0.0]),
+                                   np.diag([1.0, 1.0]))[0], [-1.0, 0.0])
 
 
 def test_fan_margins_dim_mismatch():
@@ -76,10 +86,29 @@ def test_fan_margins_dim_mismatch():
 
 
 def test_fan_dominates():
-    assert fan_dominates(np.eye(2), np.eye(2), tol=0.0)
-    assert fan_dominates(np.diag([1.0, 1.0]), np.diag([2.0, 0.0]), tol=1e-12)
-    assert not fan_dominates(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]),
-                             tol=1e-12)
+    def dominates(lhs, rhs, tol):
+        margins, scale = fan_margins(lhs, rhs)
+        return np.min(margins) / scale >= -tol
+
+    assert dominates(np.eye(2), np.eye(2), tol=0.0)
+    assert dominates(np.diag([1.0, 1.0]), np.diag([2.0, 0.0]), tol=1e-12)
+    assert not dominates(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]),
+                         tol=1e-12)
+
+
+def test_step_margins_weigh_and_share_terms():
+    # one SVD per distinct term; weights and several right-hand terms
+    rng = np.random.default_rng(3)
+    a, b = random_complex(3, rng), random_complex(3, rng)
+    steps = [Step([(2.0, a)], [(1.0, b), (0.5, a)]),
+             Step([(1.0, b)], [(3.0, a)])]
+    margins, scales = step_margins(steps)
+    fa = np.array([ky_fan(a, k) for k in (1, 2, 3)])
+    fb = np.array([ky_fan(b, k) for k in (1, 2, 3)])
+    assert np.allclose(margins[0], fb + 0.5 * fa - 2.0 * fa)
+    assert np.allclose(margins[1], 3.0 * fa - fb)
+    assert scales[0] == pytest.approx(1.0 + fb[-1] + 0.5 * fa[-1])
+    assert scales[1] == pytest.approx(1.0 + 3.0 * fa[-1])
 
 
 def test_triangle_inequality_per_order():
@@ -100,6 +129,6 @@ def test_fan_margins_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
     lhs, rhs = random_complex(dim, rng), random_complex(dim, rng)
-    base = fan_margins(lhs, rhs)
-    scaled = fan_margins(scale * lhs, scale * rhs)
+    base = fan_margins(lhs, rhs)[0]
+    scaled = fan_margins(scale * lhs, scale * rhs)[0]
     assert np.allclose(scaled, scale * base, rtol=1e-9, atol=1e-12)
