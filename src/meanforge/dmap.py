@@ -18,22 +18,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import PoleError, UnknownParameterError
 from .linalg import (Frame, HpdMatrix, frame_apply, random_complex,
                      svd_values)
 # ky_fan is looked up here by benchmarks/tracer.py.
 from .norms import ky_fan  # noqa: F401
 
-KERNEL_KINDS = (
-    "constant",
-    "coshScaled",
-    "coshRatioT",
-    "coshComboRatio",
-    "sinhRatioT",
-    "sinhComboRatio",
-    "sinch",
-    "heinzAverage",
-)
+# Kernel kinds and the parameter names each one takes.
+KERNEL_PARAMS = {
+    "constant": ("value",),
+    "coshScaled": ("c",),
+    "coshRatioT": ("r", "s1", "s2", "t"),
+    "coshComboRatio": ("r", "rp", "s1", "s2", "alpha", "beta"),
+    "sinhRatioT": ("r", "s1", "s2", "t"),
+    "sinhComboRatio": ("r", "rp", "s1", "s2", "alpha", "beta"),
+    "sinch": (),
+    "heinzAverage": ("lo", "hi"),
+}
 
 # |x| below which sinh(x)/x switches to its Taylor series; truncation
 # error is ~x^8/10^4, far below working tolerances.
@@ -62,8 +63,13 @@ class KernelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
+        if self.kind not in KERNEL_PARAMS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        names = KERNEL_PARAMS[self.kind]
+        if set(self.params) != set(names):
+            raise UnknownParameterError(
+                f"kernel {self.kind} takes {', '.join(names) or 'none'}; "
+                f"got {', '.join(self.params) or 'none'}")
         for key, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"non-finite kernel parameter {key}={value}")
@@ -76,7 +82,7 @@ def kernel_eval(spec: KernelSpec, d):
     kind, p = spec.kind, spec.params
 
     if kind == "constant":
-        return np.full_like(d, p.get("value", 1.0))
+        return np.full_like(d, p["value"])
     if kind == "coshScaled":
         return np.cosh(p["c"] * d)
     if kind == "sinch":

@@ -42,4 +42,5 @@ class UnknownCaseError(MeanforgeError):
 
 
 class UnknownParameterError(MeanforgeError):
-    """Parameter name that the case's sampler does not produce."""
+    """Parameter name that a case or kernel does not take, or a kernel
+    parameter left out."""

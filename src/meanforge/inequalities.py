@@ -33,6 +33,8 @@ from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_CONDITION_RANGE = (0.05, 20.0)
+# the fuzzer's random restarts draw eigenvalues from a wider range
+FUZZ_CONDITION_RANGE = (1e-3, 1e3)
 
 # Unbounded alpha ranges are sampled on [1/2, ALPHA_CAP]; the Heron mean
 # grows linearly in alpha, so small alpha is the tight regime.
@@ -52,7 +54,6 @@ class InstanceTriple:
     a: HpdMatrix
     b: HpdMatrix
     x: np.ndarray
-    seed: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -472,7 +473,7 @@ def get_case(case_id: str) -> InequalityCase:
     try:
         return REGISTRY[case_id]
     except KeyError:
-        raise UnknownCaseError(case_id) from None
+        raise UnknownCaseError(f"unknown case {case_id!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +572,7 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
     (ea, ua, eb, ub, x), (rng,) = _draw_stack(seed, case_index, dim,
                                               [sample], condition_range)
     return InstanceTriple(HpdMatrix.from_spectrum(ea[0], ua[0]),
-                          HpdMatrix.from_spectrum(eb[0], ub[0]), x[0],
-                          seed=(case_index, dim, sample)), rng
+                          HpdMatrix.from_spectrum(eb[0], ub[0]), x[0]), rng
 
 
 # Samples evaluated together: the stacks of a block take memory linear in
@@ -677,10 +677,13 @@ def _instance_margin(case, inst, params) -> tuple[float, float]:
     return raw, normalized
 
 
+def _rank(raw: float) -> float:
+    return raw if np.isfinite(raw) else np.inf
+
+
 def fuzz(case: InequalityCase, overrides: dict, budget: int,
          rng: np.random.Generator, dim: int = 1,
-         tolerance: float = DEFAULT_TOLERANCE,
-         condition_range=(1e-3, 1e3)) -> FuzzFinding:
+         tolerance: float = DEFAULT_TOLERANCE) -> FuzzFinding:
     """Hunt for negative margins: random restarts followed by coordinate
     descent on log-eigenvalues and the entries of X.  Overrides must name
     parameters that the case's sampler produces."""
@@ -704,15 +707,16 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     n_random = max(1, budget // 3)
     while evals < n_random:
-        a = random_hpd(dim, rng, condition_range)
-        b = random_hpd(dim, rng, condition_range)
+        a = random_hpd(dim, rng, FUZZ_CONDITION_RANGE)
+        b = random_hpd(dim, rng, FUZZ_CONDITION_RANGE)
         x = random_complex(dim, rng)
         inst = InstanceTriple(a, b, x)
         raw, normalized = _instance_margin(case, inst, params)
         evals += 1
         state = (raw, normalized, np.log(a.eigenvalues),
                  np.log(b.eigenvalues), a.eigenvectors, b.eigenvectors, x)
-        if best is None or raw < best[0]:
+        # a NaN or infinite margin ranks as +inf, so a finite one replaces it
+        if best is None or _rank(raw) < _rank(best[0]):
             best = state
 
     raw, normalized, loga, logb, va, vb, x = best

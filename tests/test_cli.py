@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +33,71 @@ def test_verify_zero_samples():
     assert cli.main(["verify", "--samples", "0"]) == 2
 
 
-def test_verify_duplicate_dims():
-    assert cli.main(["verify", "--dims", "2,2", "--samples", "1"]) == 2
+PART1 = ["--kernel", "part1", "--set", "r=1/4", "--set", "s1=1/2",
+         "--set", "s2=1/4", "--set", "t=1"]
+FUZZ_NU_800 = ["fuzz", "--case", "eq1.2", "--set", "nu=800",
+               "--set", "alpha=0.5", "--expect-violation"]
+
+# argv -> exit code: 2 for a bad flag, 3 for a numerical failure
+EXIT_CODES = {
+    "verify-duplicate-dims": (["verify", "--dims", "2,2", "--samples", "1"],
+                              2),
+    "verify-workers-0": (["verify", "--workers", "0"], 2),
+    "verify-tol-nan": (["verify", "--tol", "nan"], 2),
+    "verify-cond-lo-0": (["verify", "--cond-lo", "0"], 2),
+    "verify-cond-lo-above-hi": (["verify", "--cond-lo", "3",
+                                 "--cond-hi", "2"], 2),
+    # eigenvalues up to 1e300 overflow the kernel grids: the SVD fails
+    "verify-cond-overflow": (["verify", "--cond-lo", "1e-300",
+                              "--cond-hi", "1e300", "--dims", "3",
+                              "--samples", "3"], 3),
+    "verify-seed-negative": (["verify", "--seed", "-1"], 2),
+    "fuzz-seed-negative": (["fuzz", "--case", "eq1.2", "--seed", "-1"], 2),
+    "gen-seed-negative": (["gen", "--dim", "2", "--seed", "-1",
+                           "--out", "i.json"], 2),
+    "contractivity-seed-negative": (["contractivity", "--kernel", "sinch",
+                                     "--seed", "-1"], 2),
+    "fuzz-unknown-parameter": (["fuzz", "--case", "eq1.2",
+                                "--set", "nuu=0.1", "--budget", "10"], 2),
+    "fuzz-set-nan": (["fuzz", "--case", "eq1.2", "--set", "nu=nan"], 2),
+    "fuzz-zero-dim": (["fuzz", "--case", "eq1.2", "--dim", "0",
+                       "--budget", "10"], 2),
+    # the one random restart overflows to a NaN margin
+    "fuzz-nan-margin": (FUZZ_NU_800 + ["--budget", "3"], 3),
+    # a later restart is finite and replaces the NaN ones: a violation
+    "fuzz-nan-restart-replaced": (FUZZ_NU_800 + ["--budget", "30"], 0),
+    "contractivity-unknown-parameter": (["contractivity", *PART1,
+                                         "--set", "tt=5"], 2),
+    "contractivity-unknown-kernel": (["contractivity", "--kernel", "nope"],
+                                     2),
+    "contractivity-pole": (["contractivity", "--kernel", "coshRatioT",
+                            "--set", "r=1", "--set", "s1=1",
+                            "--set", "s2=1", "--set", "t=-1"], 3),
+}
 
 
-def test_verify_bad_thread_count(monkeypatch):
-    monkeypatch.setenv("MEANFORGE_THREADS", "x")
-    assert cli.main(["verify", "--dims", "1", "--samples", "1"]) == 2
+@pytest.mark.parametrize("argv, code", EXIT_CODES.values(),
+                         ids=list(EXIT_CODES))
+def test_exit_code(argv, code, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--workers", "0"], 2),
+    (["verify", "--cond-lo", "1e-300", "--cond-hi", "1e300",
+      "--dims", "3", "--samples", "3"], 3),
+    (["verify", "--samples", "1", "--dims", "1"], 0),
+], ids=["bad-flag", "numerical-failure", "clean"])
+def test_process_exit_status(argv, code, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "meanforge.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):
@@ -79,16 +141,6 @@ def test_fuzz_unknown_case():
 
 def test_fuzz_bad_override():
     assert cli.main(["fuzz", "--case", "eq1.2", "--set", "nu",
-                     "--budget", "10"]) == 2
-
-
-def test_fuzz_unknown_parameter():
-    assert cli.main(["fuzz", "--case", "eq1.2", "--set", "nuu=0.1",
-                     "--budget", "10"]) == 2
-
-
-def test_fuzz_zero_dim():
-    assert cli.main(["fuzz", "--case", "eq1.2", "--dim", "0",
                      "--budget", "10"]) == 2
 
 

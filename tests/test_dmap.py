@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from meanforge import inequalities as iq
 from meanforge.dmap import (DMap, KernelSpec, apply_kernel,
                             contractivity_check, kernel_eval,
                             kernel_in_hypothesis)
-from meanforge.errors import DimMismatchError, PoleError
+from meanforge.errors import (DimMismatchError, PoleError,
+                              UnknownParameterError)
 from meanforge.linalg import random_complex, random_hpd
 
 import product_oracle as oracle
@@ -42,6 +44,17 @@ def test_pole_error_on_identically_zero_denominator():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         KernelSpec("noSuchKernel")
+
+
+def test_kernel_spec_checks_parameter_names():
+    part1 = {"r": 0.25, "s1": 0.5, "s2": 0.25, "t": 1.0}
+    with pytest.raises(UnknownParameterError):
+        KernelSpec("coshRatioT", {**part1, "tt": 5.0})
+    with pytest.raises(UnknownParameterError):
+        KernelSpec("coshRatioT", {k: part1[k] for k in ("r", "s1", "s2")})
+    rng = np.random.default_rng(0)
+    for case_id, kind in iq._PROP_KINDS.items():
+        KernelSpec(kind, iq.get_case(case_id).sampler(rng))
 
 
 def test_identity_kernel_gives_base():

@@ -225,6 +225,22 @@ def test_fuzz_out_of_range_finds_violation():
     assert finding.violation
 
 
+def test_fuzz_nan_restart_never_stays_best(monkeypatch):
+    # the first random restart evaluates to NaN; a finite one replaces it
+    margin, calls = iq._instance_margin, []
+
+    def first_nan(case, inst, params):
+        calls.append(None)
+        if len(calls) == 1:
+            return np.nan, np.nan
+        return margin(case, inst, params)
+
+    monkeypatch.setattr(iq, "_instance_margin", first_nan)
+    finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
+    assert np.isfinite(finding.margin)
+    assert np.isfinite(finding.normalized_margin)
+
+
 def test_fuzz_in_range_finds_nothing():
     rng = np.random.default_rng(1)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 400, rng, dim=2)
