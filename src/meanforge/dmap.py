@@ -15,6 +15,7 @@ arrays that broadcast against the d grid of a frame stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class KernelSpec:
 
 def kernel_eval(spec: KernelSpec, d):
     """Evaluate the kernel at d (scalar or array), removable
-    singularities filled by series."""
+    singularities filled in."""
     d = np.asarray(d, dtype=float)
     kind, p = spec.kind, spec.params
 
@@ -92,35 +93,52 @@ def kernel_eval(spec: KernelSpec, d):
         c2 = 2.0 * p["hi"] - 1.0
         return 0.5 * (c2 * sinch(c2 * d) - c1 * sinch(c1 * d))
 
+    # The four rational families: sums of c cosh(e d) terms, or of
+    # c sinh(e d)/(e d) terms (sinch, so that d = 0 and e = 0 are
+    # regular), over the same.  Both sides are scaled by e^-m with m the
+    # largest |e d|, so no term overflows where the ratio does not.
     if kind == "coshRatioT":
-        r, s1, s2, t = p["r"], p["s1"], p["s2"], p["t"]
-        num = (1.0 + t) * np.cosh(r * d)
-        den = np.cosh(s1 * d) + t * np.cosh(s2 * d)
+        term, t = _cosh_scaled, p["t"]
+        num = [(1.0 + t, p["r"])]
+        den = [(1.0, p["s1"]), (t, p["s2"])]
     elif kind == "coshComboRatio":
-        r, rp = p["r"], p["rp"]
-        s1, s2 = p["s1"], p["s2"]
-        alpha, beta = p["alpha"], p["beta"]
-        num = alpha * np.cosh(r * d) + (1.0 - alpha) * np.cosh(rp * d)
-        den = beta * np.cosh(s1 * d) + (1.0 - beta) * np.cosh(s2 * d)
+        term, alpha, beta = _cosh_scaled, p["alpha"], p["beta"]
+        num = [(alpha, p["r"]), (1.0 - alpha, p["rp"])]
+        den = [(beta, p["s1"]), (1.0 - beta, p["s2"])]
     elif kind == "sinhRatioT":
-        # (1+t) sinh(r d) / (r (sinh(s1 d) + t sinh(s2 d))) rewritten
-        # through sinch so d = 0 and r = 0 are regular.
-        r, s1, s2, t = p["r"], p["s1"], p["s2"], p["t"]
-        num = (1.0 + t) * sinch(r * d)
-        den = s1 * sinch(s1 * d) + t * s2 * sinch(s2 * d)
+        # (1+t) sinh(r d) / (r (sinh(s1 d) + t sinh(s2 d)))
+        term, t, s1, s2 = _sinch_scaled, p["t"], p["s1"], p["s2"]
+        num = [(1.0 + t, p["r"])]
+        den = [(s1, s1), (t * s2, s2)]
     elif kind == "sinhComboRatio":
-        r, rp = p["r"], p["rp"]
+        term, alpha, beta = _sinch_scaled, p["alpha"], p["beta"]
         s1, s2 = p["s1"], p["s2"]
-        alpha, beta = p["alpha"], p["beta"]
-        num = alpha * sinch(r * d) + (1.0 - alpha) * sinch(rp * d)
-        den = beta * s1 * sinch(s1 * d) + (1.0 - beta) * s2 * sinch(s2 * d)
+        num = [(alpha, p["r"]), (1.0 - alpha, p["rp"])]
+        den = [(beta * s1, s1), ((1.0 - beta) * s2, s2)]
     else:  # pragma: no cover - guarded by __post_init__
         raise ValueError(kind)
 
+    m = np.abs(d) * reduce(np.maximum, [np.abs(e) for _, e in num + den])
+    num, den = (sum(c * term(e * d, m) for c, e in side)
+                for side in (num, den))
     scale = np.maximum(np.abs(num), 1.0)
     if np.any(np.abs(den) <= _POLE_EPS * scale):
         raise PoleError(f"kernel {kind} denominator vanishes")
     return num / den
+
+
+def _cosh_scaled(x, m):
+    """cosh(x) e^-m for m >= |x|."""
+    u = np.abs(x)
+    return 0.5 * np.exp(u - m) * (1.0 + np.exp(-2.0 * u))
+
+
+def _sinch_scaled(x, m):
+    """sinh(x)/x e^-m for m >= |x|; expm1 keeps small |x| accurate."""
+    u = np.abs(x)
+    safe = np.where(u == 0.0, 1.0, u)
+    ratio = np.where(u == 0.0, 1.0, -np.expm1(-2.0 * safe) / (2.0 * safe))
+    return ratio * np.exp(u - m)
 
 
 def kernel_in_hypothesis(spec: KernelSpec) -> dict:

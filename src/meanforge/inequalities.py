@@ -23,8 +23,7 @@ from .dmap import KernelSpec, kernel_grid
 from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
-                     gaussian_unitary, log_range, random_complex, random_hpd,
-                     svd_values)
+                     descending, gaussian_unitary, log_range, svd_values)
 from .means import (geo_grid, heinz_grid, heron_grid, integral_grid,
                     nu_average_grid, p_diff_grid, p_sum_grid)
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
@@ -541,24 +540,33 @@ class VerificationReport:
                    d.get("elapsedSeconds", 0.0))
 
 
+def _draw(rng, dim: int, logs) -> tuple:
+    """One instance's draws from ``rng``, in this order: A log-eigenvalues,
+    A Gaussian, B log-eigenvalues, B Gaussian and X Gaussian."""
+    shape = (2, dim, dim)
+    return (rng.uniform(*logs, size=dim), rng.standard_normal(shape),
+            rng.uniform(*logs, size=dim), rng.standard_normal(shape),
+            rng.standard_normal(shape))
+
+
+def _stack(draws) -> tuple:
+    """(A eigenvalues, U_A, B eigenvalues, U_B, X) stacks of some
+    instances' draws, the unitaries from one batched QR."""
+    la, ga, lb, gb, gx = (np.array(z) for z in zip(*draws))
+    ua, ub = gaussian_unitary(complex_gaussian(np.stack([ga, gb])))
+    return np.exp(la), ua, np.exp(lb), ub, complex_gaussian(gx)
+
+
 def _draw_stack(seed: int, case_index: int, dim: int, samples,
                 condition_range):
     """Stacked instances (A eigenvalues, U_A, B eigenvalues, U_B, X) of
-    some samples of a (case, dim) cell.  Each sample draws A eigenvalues,
-    A Gaussian, B eigenvalues, B Gaussian and X from its own stream, which
-    is returned positioned for the case's parameter sampler."""
-    logs, shape = log_range(condition_range), (2, dim, dim)
-    draws, rngs = [], []
-    for sample in samples:
-        ss = np.random.SeedSequence(seed, spawn_key=(case_index, dim, sample))
-        rng = np.random.default_rng(ss)
-        draws.append((rng.uniform(*logs, size=dim), rng.standard_normal(shape),
-                      rng.uniform(*logs, size=dim), rng.standard_normal(shape),
-                      rng.standard_normal(shape)))
-        rngs.append(rng)
-    la, ga, lb, gb, gx = (np.array(z) for z in zip(*draws))
-    ua, ub = gaussian_unitary(complex_gaussian(np.stack([ga, gb])))
-    return (np.exp(la), ua, np.exp(lb), ub, complex_gaussian(gx)), rngs
+    some samples of a (case, dim) cell.  Each sample draws from its own
+    stream, which is returned positioned for the case's parameter
+    sampler."""
+    logs = log_range(condition_range)
+    rngs = [np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(case_index, dim, sample))) for sample in samples]
+    return _stack([_draw(rng, dim, logs) for rng in rngs]), rngs
 
 
 def make_instance(seed: int, case_index: int, dim: int, sample: int,
@@ -590,9 +598,14 @@ def _run_block(case: InequalityCase, case_index: int, dim: int, samples,
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
     frame = Frame(ea, eb, adjoint(ua) @ x @ ub)
-    margins, scales = step_margins(case.builder(frame, params), frame.xt)
-    normalized = np.array([np.min(m, axis=-1) / s
-                           for m, s in zip(margins, scales)])
+    steps = case.builder(frame, params)
+    try:
+        margins, scales = step_margins(steps, frame.xt)
+        normalized = np.array([np.min(m, axis=-1) / s
+                               for m, s in zip(margins, scales)])
+    except np.linalg.LinAlgError:
+        # an SVD that does not converge leaves the block without margins
+        normalized = np.full((len(steps), len(samples)), np.nan)
     # NaN or infinite margins count as numerical failures, neither a pass
     # nor a violation, and stay out of the minima
     finite = np.isfinite(normalized)
@@ -670,15 +683,19 @@ class FuzzFinding:
     evaluations: int
 
 
-def _instance_margin(case, inst, params) -> tuple[float, float]:
-    margins, scales = _margins(case, inst, params)
-    raw = min(float(np.min(m)) for m in margins)
-    normalized = min(float(np.min(m)) / s for m, s in zip(margins, scales))
-    return raw, normalized
+def _instance_margin(case, frame: Frame, params) -> tuple:
+    """Worst raw and normalized margins over all steps and Ky Fan orders
+    of a frame: numbers for one instance, arrays for a stack.  A NaN
+    margin makes the worst one NaN."""
+    margins, scales = step_margins(case.builder(frame, params), frame.xt)
+    worst = [np.min(m, axis=-1) for m in margins]
+    return (np.min(worst, axis=0),
+            np.min([w / s for w, s in zip(worst, scales)], axis=0))
 
 
-def _rank(raw: float) -> float:
-    return raw if np.isfinite(raw) else np.inf
+def _rank(raw):
+    """A NaN or infinite margin ranks as +inf, so a finite one beats it."""
+    return np.where(np.isfinite(raw), raw, np.inf)
 
 
 def fuzz(case: InequalityCase, overrides: dict, budget: int,
@@ -686,7 +703,11 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
          tolerance: float = DEFAULT_TOLERANCE) -> FuzzFinding:
     """Hunt for negative margins: random restarts followed by coordinate
     descent on log-eigenvalues and the entries of X.  Overrides must name
-    parameters that the case's sampler produces."""
+    parameters that the case's sampler produces.
+
+    The restarts are drawn one after another from ``rng`` and evaluated
+    as frame stacks, CELL_BLOCK at a time; the first with the lowest rank
+    starts the descent, whose candidates are each scored on a frame."""
     params = dict(case.sampler(rng))
     unknown = sorted(set(overrides) - set(params))
     if unknown:
@@ -695,32 +716,31 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
             f"it takes {', '.join(sorted(params)) or 'none'}")
     params.update(overrides)
 
-    evals = 0
+    logs = log_range(FUZZ_CONDITION_RANGE)
+    n_random = max(1, budget // 3)
     best = None  # (raw, normalized, loga, logb, va, vb, x)
+    for lo in range(0, n_random, CELL_BLOCK):
+        count = min(CELL_BLOCK, n_random - lo)
+        ea, ua, eb, ub, xs = _stack([_draw(rng, dim, logs)
+                                     for _ in range(count)])
+        (ea, ua), (eb, ub) = descending(ea, ua), descending(eb, ub)
+        raws, norms = _instance_margin(
+            case, Frame(ea, eb, adjoint(ua) @ xs @ ub), params)
+        i = int(np.argmin(_rank(raws)))
+        if best is None or _rank(raws[i]) < _rank(best[0]):
+            best = (raws[i], norms[i], np.log(ea[i]), np.log(eb[i]),
+                    ua[i], ub[i], xs[i])
+    raw, normalized, loga, logb, va, vb, x = best
+    evals = n_random
 
-    def score(loga, logb, va, vb, x):
+    def score(loga, logb, x):
         nonlocal evals
         evals += 1
-        inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(loga), va),
-                              HpdMatrix.from_spectrum(np.exp(logb), vb), x)
-        return _instance_margin(case, inst, params)
+        (a, ua), (b, ub) = (descending(np.exp(loga), va),
+                            descending(np.exp(logb), vb))
+        return _instance_margin(case, Frame(a, b, adjoint(ua) @ x @ ub),
+                                params)
 
-    n_random = max(1, budget // 3)
-    while evals < n_random:
-        a = random_hpd(dim, rng, FUZZ_CONDITION_RANGE)
-        b = random_hpd(dim, rng, FUZZ_CONDITION_RANGE)
-        x = random_complex(dim, rng)
-        inst = InstanceTriple(a, b, x)
-        raw, normalized = _instance_margin(case, inst, params)
-        evals += 1
-        state = (raw, normalized, np.log(a.eigenvalues),
-                 np.log(b.eigenvalues), a.eigenvectors, b.eigenvectors, x)
-        # a NaN or infinite margin ranks as +inf, so a finite one replaces it
-        if best is None or _rank(raw) < _rank(best[0]):
-            best = state
-
-    raw, normalized, loga, logb, va, vb, x = best
-    loga, logb, x = loga.copy(), logb.copy(), x.copy()
     step = 0.5
     x_scale = max(1.0, float(np.max(np.abs(x))))
     while evals < budget and step > 1e-6:
@@ -745,8 +765,9 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
                     xx[idx] += sign * step * x_scale
                 else:
                     xx[idx] += 1j * sign * step * x_scale
-                cand_raw, cand_norm = score(la, lb, va, vb, xx)
-                if cand_raw < raw - 1e-15:
+                cand_raw, cand_norm = score(la, lb, xx)
+                # against the rank, so any finite candidate beats a NaN
+                if cand_raw < _rank(raw) - 1e-15:
                     raw, normalized = cand_raw, cand_norm
                     loga, logb, x = la, lb, xx
                     improved = True
@@ -756,5 +777,5 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(loga), va),
                           HpdMatrix.from_spectrum(np.exp(logb), vb), x)
-    return FuzzFinding(case.id, params, raw, normalized,
-                       normalized < -tolerance, inst, evals)
+    return FuzzFinding(case.id, params, float(raw), float(normalized),
+                       bool(normalized < -tolerance), inst, evals)

@@ -110,6 +110,21 @@ def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["cases"][0]["numericalFailures"] == 6
 
 
+def test_verify_svd_failure_stops_only_its_cell(tmp_path):
+    # eigenvalues up to 1e300 overflow some cells so that their SVD fails;
+    # the other cells are still checked and the report is written
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--cond-lo", "1e-300", "--cond-hi", "1e300",
+                     "--dims", "3", "--samples", "3", "--out",
+                     str(out)]) == 3
+    cases = json.loads(out.read_text())["cases"]
+    assert [c["id"] for c in cases] == list(iq.CASE_IDS)
+    assert sum(c["numericalFailures"] for c in cases) > 0
+    # each case has a minimum, or failures in place of its margins
+    assert all(np.isfinite(c["minMargin"]) or c["numericalFailures"]
+               for c in cases)
+
+
 def test_verify_fraction_flags(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(["verify", "--dims", "2", "--samples", "3",

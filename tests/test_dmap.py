@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meanforge import inequalities as iq
+from meanforge import dmap, inequalities as iq
 from meanforge.dmap import (DMap, KernelSpec, apply_kernel,
                             contractivity_check, kernel_eval,
                             kernel_in_hypothesis)
@@ -39,6 +39,25 @@ def test_pole_error_on_identically_zero_denominator():
                                          "beta": 0.5})
     with pytest.raises(PoleError):
         kernel_eval(spec, 0.3)
+
+
+@pytest.mark.parametrize("kind", ["coshRatioT", "coshComboRatio",
+                                  "sinhRatioT", "sinhComboRatio"])
+def test_rational_kernels_do_not_overflow(kind):
+    # cosh and sinh overflow past |x| = 710; with every exponent 1 the
+    # ratio is identically 1
+    names = dmap.KERNEL_PARAMS[kind]
+    params = {n: 0.5 if n in ("alpha", "beta") else 1.0 for n in names}
+    values = kernel_eval(KernelSpec(kind, params), [-800.0, 700.0, 800.0])
+    assert values.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_cosh_ratio_far_out_matches_closed_form():
+    # 1.5 cosh(400) / (cosh(800) + 0.5 cosh(400)), about 2.9e-174
+    spec = KernelSpec("coshRatioT", {"r": 0.5, "s1": 1.0, "s2": 0.5,
+                                     "t": 0.5})
+    expected = 1.5 * np.exp(-400.0) / (1.0 + 0.5 * np.exp(-400.0))
+    assert kernel_eval(spec, 800.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_unknown_kind_rejected():

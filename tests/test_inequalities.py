@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -195,6 +196,21 @@ def test_non_finite_margins_are_counted_not_passed(monkeypatch):
     assert case.min_margin == case.steps[1]
 
 
+def test_svd_failure_counts_its_block(monkeypatch):
+    margins = iq.step_margins
+
+    def fail_at_dim_2(steps, xt=1.0):
+        if np.shape(xt)[-1] == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return margins(steps, xt)
+
+    monkeypatch.setattr(iq, "step_margins", fail_at_dim_2)
+    report = iq.run_suite([1, 2], 4, seed=3, case_ids=["eq1.3", "eq1.2"])
+    # every (step, sample) margin of the dim-2 cells fails; dim 1 is checked
+    assert [c.numerical_failures for c in report.cases] == [2 * 4, 1 * 4]
+    assert all(np.isfinite(c.min_margin) for c in report.cases)
+
+
 def test_report_round_trip():
     report = iq.run_suite([2], 3, seed=5)
     restored = iq.VerificationReport.from_dict(report.to_dict())
@@ -226,19 +242,107 @@ def test_fuzz_out_of_range_finds_violation():
 
 
 def test_fuzz_nan_restart_never_stays_best(monkeypatch):
-    # the first random restart evaluates to NaN; a finite one replaces it
-    margin, calls = iq._instance_margin, []
+    # the first random restart of the stack evaluates to NaN and so does
+    # every descent candidate: a finite restart must be the finding
+    margin = iq._instance_margin
 
-    def first_nan(case, inst, params):
-        calls.append(None)
-        if len(calls) == 1:
+    def first_nan(case, frame, params):
+        raw, normalized = margin(case, frame, params)
+        if not np.ndim(raw):  # a descent candidate
             return np.nan, np.nan
-        return margin(case, inst, params)
+        raw[0] = normalized[0] = np.nan
+        return raw, normalized
 
     monkeypatch.setattr(iq, "_instance_margin", first_nan)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
+
+
+def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
+    # every random restart is NaN; the first finite candidate replaces it
+    margin = iq._instance_margin
+
+    def nan_restarts(case, frame, params):
+        raw, normalized = margin(case, frame, params)
+        if np.ndim(raw):  # a restart stack
+            raw[:] = normalized[:] = np.nan
+        return raw, normalized
+
+    monkeypatch.setattr(iq, "_instance_margin", nan_restarts)
+    finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
+    assert np.isfinite(finding.margin)
+    assert np.isfinite(finding.normalized_margin)
+
+
+# Findings of the fuzzer before its restarts were evaluated as frame
+# stacks: (case, overrides, dim, budget, seed) -> float.hex of the raw and
+# normalized margins, evaluations and the first 16 hex digits of the
+# SHA-256 of the witness's eigenvalues, eigenvectors and X.  Budget 1000
+# has 333 restarts, more than one CELL_BLOCK.  The bits depend on LAPACK
+# QR and SVD rounding: they were recorded with numpy 2.4.6 on
+# scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on another BLAS
+# build a mismatch here need not mean that the search changed.
+FUZZ_GOLDEN = [
+    (("eq1.2", {"nu": 0.1, "alpha": 0.5}, 4, 300, 0),
+     ("-0x1.12410826d4140p+12", "-0x1.4c04115e42631p-4", 300,
+      "ecf707ef02330a09")),
+    (("eq2.9", {"nu": 0.05, "alpha": 0.5}, 4, 1000, 1),
+     ("-0x1.5b7117c431b2ep+23", "-0x1.2909b5c05295fp+1", 1000,
+      "99f9fe5a0d4aaa0b")),
+    (("eq1.4-chain", {"alpha": 0.2}, 2, 1000, 2),
+     ("-0x1.13fe607e39d2cp+40", "-0x1.7f29d6a357184p-3", 1000,
+      "d5a3a4187d9b9a66")),
+    (("eq1.4-chain", {"alpha": 0.5}, 3, 300, 3),
+     ("0x1.ae46567bb3000p-18", "0x1.a29a326958734p-18", 300,
+      "7ca665e9f66db0d1")),
+    (("eq1.2", {"nu": 0.3, "alpha": 0.5}, 2, 1000, 4),
+     ("0x1.4bb09f0100000p-28", "0x1.4a89a52fa163cp-28", 1000,
+      "e4d9245ef38690f6")),
+]
+
+
+@pytest.mark.parametrize("config, expected", FUZZ_GOLDEN,
+                         ids=[f"{c[0]}-dim{c[2]}-budget{c[3]}"
+                              for c, _ in FUZZ_GOLDEN])
+def test_fuzz_findings_unchanged(config, expected):
+    cid, overrides, dim, budget, seed = config
+    f = iq.fuzz(iq.get_case(cid), dict(overrides), budget,
+                np.random.default_rng(seed), dim=dim)
+    digest = hashlib.sha256()
+    for arr in (f.instance.a.eigenvalues, f.instance.a.eigenvectors,
+                f.instance.b.eigenvalues, f.instance.b.eigenvectors,
+                f.instance.x):
+        digest.update(arr.tobytes())
+    assert (f.margin.hex(), f.normalized_margin.hex(), f.evaluations,
+            digest.hexdigest()[:16]) == expected
+    assert f.violation == (f.normalized_margin < -iq.DEFAULT_TOLERANCE)
+
+
+def test_fuzz_scores_frames_not_matrices(monkeypatch):
+    # one evaluator call per restart block and per descent candidate; the
+    # witness is the only HpdMatrix built
+    calls, built = [], []
+    margin = iq._instance_margin
+    spectrum = iq.HpdMatrix.from_spectrum.__func__
+
+    def counted(case, frame, params):
+        calls.append(np.ndim(frame.xt) - 2)
+        return margin(case, frame, params)
+
+    def counted_spectrum(cls, *args):
+        built.append(None)
+        return spectrum(cls, *args)
+
+    monkeypatch.setattr(iq, "_instance_margin", counted)
+    monkeypatch.setattr(iq.HpdMatrix, "from_spectrum",
+                        classmethod(counted_spectrum))
+    f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 1000,
+                np.random.default_rng(0), dim=2)
+    assert f.evaluations == 1000
+    # 333 restarts as stacks of 256 and 77, then 667 single frames
+    assert calls == [1, 1] + [0] * 667
+    assert len(built) == 2
 
 
 def test_fuzz_in_range_finds_nothing():
