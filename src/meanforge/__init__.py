@@ -1,7 +1,7 @@
 """Heinz/Heron operator-mean norm inequality verification toolkit."""
 
-from .dmap import (DMap, KernelSpec, apply_kernel, contractivity_check,
-                   kernel_eval, kernel_in_hypothesis, sinch)
+from .dmap import (DMap, KernelSpec, contractivity_check, kernel_eval,
+                   kernel_in_hypothesis, sinch)
 from .inequalities import (CASE_IDS, REGISTRY, InequalityCase, InstanceTriple,
                            VerificationReport, evaluate, fuzz, get_case,
                            run_suite, step_margins)
@@ -14,7 +14,7 @@ from .norms import ky_fan, schatten
 __all__ = [
     "CASE_IDS", "DMap", "Frame", "HpdMatrix", "InequalityCase",
     "InstanceTriple", "KernelSpec", "REGISTRY", "VerificationReport",
-    "apply_kernel", "contractivity_check", "evaluate", "fuzz", "get_case",
+    "contractivity_check", "evaluate", "fuzz", "get_case",
     "heinz", "heinz_nu_average", "heinz_p_diff", "heinz_p_sum",
     "hermitian_eig", "heron", "integral_mean", "kernel_eval",
     "kernel_in_hypothesis", "ky_fan", "random_complex", "random_hpd",

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import inequalities, io
-from .dmap import (KERNEL_PARAMS, KernelSpec, contractivity_check,
-                   kernel_in_hypothesis)
+from .dmap import (KERNEL_PARAMS, RATIONAL_FAMILIES, KernelSpec,
+                   contractivity_check, kernel_in_hypothesis)
 from .errors import MeanforgeError, UnknownCaseError, UnknownParameterError
 from .linalg import random_complex, random_hpd
 
@@ -30,8 +30,7 @@ EXIT_VIOLATION = 1
 EXIT_BAD_FLAGS = 2
 EXIT_NUMERICAL = 3
 
-KERNEL_ALIASES = {"part1": "coshRatioT", "part2": "coshComboRatio",
-                  "part3": "sinhRatioT", "part4": "sinhComboRatio"}
+KERNEL_ALIASES = {f"part{i}": k for i, k in enumerate(RATIONAL_FAMILIES, 1)}
 
 
 def parse_number(text: str) -> float:

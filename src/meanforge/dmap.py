@@ -2,7 +2,7 @@
 
 With A = e^(2 X1), B = e^(2 Y1) and D the difference of the left and
 right multiplication maps by X1 and Y1, a scalar kernel f acts on
-T = A^e X B^e as entrywise multiplication by f(d_ij) in the joint
+T = A^(1/2) X B^(1/2) as entrywise multiplication by f(d_ij) in the joint
 eigenbases, where d_ij = (log a_i - log b_j)/2.
 
 The kernel catalog covers the four contractive rational families
@@ -25,14 +25,21 @@ from .linalg import (Frame, HpdMatrix, frame_apply, random_complex,
 # ky_fan is looked up here by benchmarks/tracer.py.
 from .norms import ky_fan  # noqa: F401
 
+# Proposition 2.1's rational families in order: name -> (sinh, combo).
+RATIONAL_FAMILIES = {
+    "coshRatioT": (False, False),
+    "coshComboRatio": (False, True),
+    "sinhRatioT": (True, False),
+    "sinhComboRatio": (True, True),
+}
+
 # Kernel kinds and the parameter names each one takes.
 KERNEL_PARAMS = {
     "constant": ("value",),
     "coshScaled": ("c",),
-    "coshRatioT": ("r", "s1", "s2", "t"),
-    "coshComboRatio": ("r", "rp", "s1", "s2", "alpha", "beta"),
-    "sinhRatioT": ("r", "s1", "s2", "t"),
-    "sinhComboRatio": ("r", "rp", "s1", "s2", "alpha", "beta"),
+    **{kind: (("r", "rp", "s1", "s2", "alpha", "beta") if combo
+              else ("r", "s1", "s2", "t"))
+       for kind, (_, combo) in RATIONAL_FAMILIES.items()},
     "sinch": (),
     "heinzAverage": ("lo", "hi"),
 }
@@ -97,26 +104,19 @@ def kernel_eval(spec: KernelSpec, d):
     # c sinh(e d)/(e d) terms (sinch, so that d = 0 and e = 0 are
     # regular), over the same.  Both sides are scaled by e^-m with m the
     # largest |e d|, so no term overflows where the ratio does not.
-    if kind == "coshRatioT":
-        term, t = _cosh_scaled, p["t"]
-        num = [(1.0 + t, p["r"])]
-        den = [(1.0, p["s1"]), (t, p["s2"])]
-    elif kind == "coshComboRatio":
-        term, alpha, beta = _cosh_scaled, p["alpha"], p["beta"]
+    sinh, combo = RATIONAL_FAMILIES[kind]
+    if combo:
+        alpha, beta = p["alpha"], p["beta"]
         num = [(alpha, p["r"]), (1.0 - alpha, p["rp"])]
         den = [(beta, p["s1"]), (1.0 - beta, p["s2"])]
-    elif kind == "sinhRatioT":
-        # (1+t) sinh(r d) / (r (sinh(s1 d) + t sinh(s2 d)))
-        term, t, s1, s2 = _sinch_scaled, p["t"], p["s1"], p["s2"]
+    else:
+        t = p["t"]
         num = [(1.0 + t, p["r"])]
-        den = [(s1, s1), (t * s2, s2)]
-    elif kind == "sinhComboRatio":
-        term, alpha, beta = _sinch_scaled, p["alpha"], p["beta"]
-        s1, s2 = p["s1"], p["s2"]
-        num = [(alpha, p["r"]), (1.0 - alpha, p["rp"])]
-        den = [(beta * s1, s1), ((1.0 - beta) * s2, s2)]
-    else:  # pragma: no cover - guarded by __post_init__
-        raise ValueError(kind)
+        den = [(1.0, p["s1"]), (t, p["s2"])]
+    if sinh:
+        # (1+t) sinh(r d) / (r (sinh(s1 d) + t sinh(s2 d))) and likewise
+        den = [(c * e, e) for c, e in den]
+    term = _sinch_scaled if sinh else _cosh_scaled
 
     m = np.abs(d) * reduce(np.maximum, [np.abs(e) for _, e in num + den])
     num, den = (sum(c * term(e * d, m) for c, e in side)
@@ -150,15 +150,12 @@ def kernel_in_hypothesis(spec: KernelSpec) -> dict:
     the reading the even/odd symmetry of the kernels actually needs).
     Non-rational kinds report True for both.
     """
-    kind, p = spec.kind, spec.params
-    if kind not in ("coshRatioT", "coshComboRatio",
-                    "sinhRatioT", "sinhComboRatio"):
+    if spec.kind not in RATIONAL_FAMILIES:
         return {"literal": True, "abs": True}
-
+    sinh, combo = RATIONAL_FAMILIES[spec.kind]
+    p = spec.params
     s1, s2 = p["s1"], p["s2"]
-    exponents = [p["r"]]
-    if kind in ("coshComboRatio", "sinhComboRatio"):
-        exponents.append(p["rp"])
+    exponents = [p["r"], p["rp"]] if combo else [p["r"]]
     mid = 0.5 * (s1 + s2)
 
     if 0.0 <= s2 <= s1:
@@ -170,27 +167,19 @@ def kernel_in_hypothesis(spec: KernelSpec) -> dict:
     in_abs = (0.0 <= s2 <= s1 or s1 <= s2 <= 0.0) and all(
         abs(r) <= abs(mid) for r in exponents)
 
-    if kind in ("coshRatioT", "sinhRatioT"):
-        t = p["t"]
-        ok_t = -1.0 < t <= 1.0
-        literal = literal and ok_t
-        in_abs = in_abs and ok_t
-    else:
+    if combo:
         ok = 0.0 <= p["alpha"] <= 1.0 and p["beta"] >= 0.5
-        literal = literal and ok
-        in_abs = in_abs and ok
-    if kind in ("sinhRatioT", "sinhComboRatio"):
-        ok = abs(s1 + s2) >= 2.0
-        literal = literal and ok
-        in_abs = in_abs and ok
-    return {"literal": literal, "abs": in_abs}
+    else:
+        ok = -1.0 < p["t"] <= 1.0
+    if sinh:
+        ok = ok and abs(s1 + s2) >= 2.0
+    return {"literal": literal and ok, "abs": in_abs and ok}
 
 
-def kernel_grid(frame: Frame, spec: KernelSpec,
-                base_exponent: float = 0.5) -> np.ndarray:
-    """The entrywise kernel of f(D) applied to A^e X B^e on a frame."""
-    return (kernel_eval(spec, frame.d)
-            * frame.power(base_exponent, base_exponent))
+def kernel_grid(frame: Frame, spec: KernelSpec) -> np.ndarray:
+    """The entrywise kernel of f(D) applied to A^(1/2) X B^(1/2) on a
+    frame."""
+    return kernel_eval(spec, frame.d) * frame.power(0.5, 0.5)
 
 
 class DMap:
@@ -201,21 +190,13 @@ class DMap:
         self.a = a
         self.b = b
 
-    def apply(self, spec: KernelSpec, x: np.ndarray,
-              base_exponent: float = 0.5) -> np.ndarray:
-        """f(D) applied to A^e X B^e."""
-        return frame_apply(kernel_grid, self.a, x, self.b, spec,
-                           base_exponent)
-
-
-def apply_kernel(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
-                 x: np.ndarray, base_exponent: float = 0.5) -> np.ndarray:
-    return DMap(a, b).apply(spec, x, base_exponent)
+    def apply(self, spec: KernelSpec, x: np.ndarray) -> np.ndarray:
+        """f(D) applied to A^(1/2) X B^(1/2)."""
+        return frame_apply(kernel_grid, self.a, x, self.b, spec)
 
 
 def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
-                        sample_count: int, rng: np.random.Generator,
-                        base_exponent: float = 0.5):
+                        sample_count: int, rng: np.random.Generator):
     """Sampled Ky Fan certificate of |||f(D) T||| <= |||T|||.
 
     Returns (max_ratio, worst_x) where max_ratio is the maximum over
@@ -227,7 +208,7 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
         raise ValueError("sample_count must be >= 1")
     xs = random_complex(a.dim, rng, sample_count)
     frame = Frame.of(a, xs, b)
-    base = frame.power(base_exponent, base_exponent) * frame.xt
+    base = frame.power(0.5, 0.5) * frame.xt
     mapped = kernel_eval(spec, frame.d) * base
     fans = np.cumsum(svd_values(np.stack([mapped, base])), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

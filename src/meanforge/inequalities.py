@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmap import KernelSpec, kernel_grid
+from .dmap import RATIONAL_FAMILIES, KernelSpec, kernel_grid
 from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
@@ -87,7 +87,16 @@ def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
     terms = {id(m): m for step in steps for _, m in step.lhs + step.rhs}
     if len({np.shape(m) for m in terms.values()}) > 1:
         raise DimMismatchError("step terms differ in shape")
-    fans = np.cumsum(svd_values(np.stack(list(terms.values())) * xt), -1)
+    stack = np.stack(list(terms.values())) * xt
+    if np.isfinite(stack).all():
+        fans = np.cumsum(svd_values(stack), -1)
+    else:
+        # LAPACK rejects NaN and inf: a term with such an entry gets NaN
+        # singular values, so that its margins count as numerical failures
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        values = np.full(stack.shape[:-1], np.nan)
+        values[finite] = svd_values(stack[finite])
+        fans = np.cumsum(values, -1)
     # cumulative sums as (..., 1, n), so that coefficients, numbers or
     # per-sample (..., 1, 1) arrays, weigh them by broadcasting
     cumulative = dict(zip(terms, fans[..., None, :]))
@@ -102,9 +111,16 @@ def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
     return margins, scales
 
 
-def _margins(case: InequalityCase, inst: InstanceTriple, params: dict):
-    frame = Frame.of(inst.a, inst.x, inst.b)
-    return step_margins(case.builder(frame, params), frame.xt)
+@np.errstate(over="ignore", invalid="ignore")
+def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
+    """step_margins of a case's steps on a frame, NaN if an SVD fails.
+    Overflow is not warned about: callers count or rank NaN and inf."""
+    steps = case.builder(frame, params)
+    try:
+        return step_margins(steps, frame.xt)
+    except np.linalg.LinAlgError:
+        nan = np.full(np.shape(frame.xt)[:-1], np.nan)
+        return [nan] * len(steps), [nan[..., 0]] * len(steps)
 
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
@@ -113,7 +129,7 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
-    return _margins(case, inst, params)[0]
+    return _margins(case, Frame.of(inst.a, inst.x, inst.b), params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,42 +290,13 @@ def _build_f_nu_shape(f, p):
     return steps
 
 
-_PROP_KINDS = {
-    "prop2.1-1": "coshRatioT",
-    "prop2.1-2": "coshComboRatio",
-    "prop2.1-3": "sinhRatioT",
-    "prop2.1-4": "sinhComboRatio",
-}
-
-
-def _make_prop_builder(kind):
-    # the samplers produce exactly the kernel family's parameters
-    def build(f, p):
-        spec = KernelSpec(kind, p)
-        return [Step([(1.0, kernel_grid(f, spec))], [(1.0, geo_grid(f))])]
-    return build
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 
-def _sample_prop_cosh(rng, combo):
-    s2 = float(rng.uniform(0.0, 1.0))
-    s1 = float(rng.uniform(s2, s2 + 1.0))
-    m = 0.5 * (s1 + s2)
-    p = {"s1": s1, "s2": s2, "r": float(rng.uniform(-m, m))}
-    if combo:
-        p["rp"] = float(rng.uniform(-m, m))
-        p["alpha"] = float(rng.uniform(0.0, 1.0))
-        p["beta"] = float(rng.uniform(0.5, 1.0))
-    else:
-        p["t"] = float(rng.uniform(-0.999, 1.0))
-    return p
-
-
-def _sample_prop_sinh(rng, combo):
-    s2 = float(rng.uniform(0.0, 2.0))
-    lo = max(s2, 2.0 - s2)
+def _sample_prop(rng, kind):
+    sinh, combo = RATIONAL_FAMILIES[kind]
+    s2 = float(rng.uniform(0.0, 2.0 if sinh else 1.0))
+    lo = max(s2, 2.0 - s2) if sinh else s2
     s1 = float(rng.uniform(lo, lo + 1.0))
     m = 0.5 * (s1 + s2)
     p = {"s1": s1, "s2": s2, "r": float(rng.uniform(-m, m))}
@@ -357,6 +344,18 @@ def _window_sampler(nu_lo, nu_hi, beta=False, gamma=False):
 
 # ---------------------------------------------------------------------------
 # Registry
+
+_PROP_KINDS = {f"prop2.1-{i}": k for i, k in enumerate(RATIONAL_FAMILIES, 1)}
+
+
+def _prop_case(cid, kind) -> InequalityCase:
+    # the sampler produces exactly the kernel family's parameters
+    def build(f, p):
+        spec = KernelSpec(kind, p)
+        return [Step([(1.0, kernel_grid(f, spec))], [(1.0, geo_grid(f))])]
+    return InequalityCase(cid, {}, lambda rng: _sample_prop(rng, kind), build,
+                          f"sampled contractivity of the {kind} kernel family")
+
 
 def _build_registry() -> dict[str, InequalityCase]:
     cases = [
@@ -453,14 +452,7 @@ def _build_registry() -> dict[str, InequalityCase]:
             _build_f_nu_shape,
             "nu profile of the p-Heinz sum norm: V-shape and convexity"),
     ]
-    for cid, kind in _PROP_KINDS.items():
-        combo = kind.endswith("ComboRatio")
-        sampler = ((lambda rng, c=combo: _sample_prop_sinh(rng, c))
-                   if kind.startswith("sinh")
-                   else (lambda rng, c=combo: _sample_prop_cosh(rng, c)))
-        cases.append(InequalityCase(
-            cid, {}, sampler, _make_prop_builder(kind),
-            f"sampled contractivity of the {kind} kernel family"))
+    cases += [_prop_case(cid, kind) for cid, kind in _PROP_KINDS.items()]
     return {c.id: c for c in cases}
 
 
@@ -597,15 +589,10 @@ def _run_block(case: InequalityCase, case_index: int, dim: int, samples,
     params = [case.sampler(rng) for rng in rngs]
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
-    frame = Frame(ea, eb, adjoint(ua) @ x @ ub)
-    steps = case.builder(frame, params)
-    try:
-        margins, scales = step_margins(steps, frame.xt)
-        normalized = np.array([np.min(m, axis=-1) / s
-                               for m, s in zip(margins, scales)])
-    except np.linalg.LinAlgError:
-        # an SVD that does not converge leaves the block without margins
-        normalized = np.full((len(steps), len(samples)), np.nan)
+    margins, scales = _margins(
+        case, Frame(ea, eb, adjoint(ua) @ x @ ub), params)
+    normalized = np.array([np.min(m, axis=-1) / s
+                           for m, s in zip(margins, scales)])
     # NaN or infinite margins count as numerical failures, neither a pass
     # nor a violation, and stay out of the minima
     finite = np.isfinite(normalized)
@@ -687,7 +674,7 @@ def _instance_margin(case, frame: Frame, params) -> tuple:
     """Worst raw and normalized margins over all steps and Ky Fan orders
     of a frame: numbers for one instance, arrays for a stack.  A NaN
     margin makes the worst one NaN."""
-    margins, scales = step_margins(case.builder(frame, params), frame.xt)
+    margins, scales = _margins(case, frame, params)
     worst = [np.min(m, axis=-1) for m in margins]
     return (np.min(worst, axis=0),
             np.min([w / s for w, s in zip(worst, scales)], axis=0))

@@ -92,15 +92,11 @@ def test_criterion_3_oracle_equivalences():
 
 def test_criterion_4_proposition_contractivity():
     from meanforge.dmap import contractivity_check
-    families = {
-        "coshRatioT": lambda rng: iq._sample_prop_cosh(rng, False),
-        "coshComboRatio": lambda rng: iq._sample_prop_cosh(rng, True),
-        "sinhRatioT": lambda rng: iq._sample_prop_sinh(rng, False),
-        "sinhComboRatio": lambda rng: iq._sample_prop_sinh(rng, True),
-    }
     worst = -np.inf
     dims = [2, 3, 4, 5, 6]
-    for fi, (kind, sampler) in enumerate(families.items()):
+    # the registry's sampled-contractivity cases and their kernel families
+    for fi, (cid, kind) in enumerate(iq._PROP_KINDS.items()):
+        sampler = iq.get_case(cid).sampler
         for draw in range(50):
             ss = np.random.SeedSequence(MASTER_SEED + 2, spawn_key=(fi, draw))
             rng = np.random.default_rng(ss)

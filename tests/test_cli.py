@@ -47,7 +47,7 @@ EXIT_CODES = {
     "verify-cond-lo-0": (["verify", "--cond-lo", "0"], 2),
     "verify-cond-lo-above-hi": (["verify", "--cond-lo", "3",
                                  "--cond-hi", "2"], 2),
-    # eigenvalues up to 1e300 overflow the kernel grids: the SVD fails
+    # eigenvalues up to 1e300 overflow the kernel grids to inf or NaN
     "verify-cond-overflow": (["verify", "--cond-lo", "1e-300",
                               "--cond-hi", "1e300", "--dims", "3",
                               "--samples", "3"], 3),
@@ -98,6 +98,8 @@ def test_process_exit_status(argv, code, tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    # non-finite grids never reach LAPACK, whose complaints go to stdout
+    assert "DLASCL" not in proc.stdout
 
 
 def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):
@@ -111,7 +113,7 @@ def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):
 
 
 def test_verify_svd_failure_stops_only_its_cell(tmp_path):
-    # eigenvalues up to 1e300 overflow some cells so that their SVD fails;
+    # eigenvalues up to 1e300 overflow some cells, whose margins fail;
     # the other cells are still checked and the report is written
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--cond-lo", "1e-300", "--cond-hi", "1e300",
@@ -170,6 +172,25 @@ def test_contractivity_in_hypothesis():
                      "--set", "r=1/4", "--set", "s1=1/2", "--set", "s2=1/4",
                      "--set", "t=1", "--dim", "4", "--samples", "50"])
     assert code == 0
+
+
+@pytest.mark.parametrize("alias, kind, sets", [
+    ("part1", "coshRatioT", "r=1/4 s1=1/2 s2=1/4 t=1"),
+    ("part2", "coshComboRatio", "r=0.2 rp=-0.3 s1=0.9 s2=0.4 alpha=0.3 "
+                                "beta=0.7"),
+    ("part3", "sinhRatioT", "r=0.7 s1=1.5 s2=0.8 t=0.4"),
+    ("part4", "sinhComboRatio", "r=0.5 rp=-0.6 s1=1.5 s2=0.8 alpha=0.3 "
+                                "beta=0.6"),
+])
+def test_contractivity_alias_names_its_family(alias, kind, sets, capsys):
+    flags = [f for item in sets.split() for f in ("--set", item)]
+    lines = []
+    for name in (alias, kind):
+        assert cli.main(["contractivity", "--kernel", name, *flags,
+                         "--dim", "3", "--samples", "10"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0].startswith("maxRatio = ")
+    assert lines[0] == lines[1]
 
 
 def test_contractivity_identity_kernel():

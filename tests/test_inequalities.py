@@ -8,7 +8,7 @@ import pytest
 
 from meanforge import inequalities as iq
 from meanforge.errors import RangeViolationError, UnknownCaseError
-from meanforge.linalg import HpdMatrix
+from meanforge.linalg import Frame, HpdMatrix
 
 from scalar_oracle import oracle_margins
 
@@ -162,7 +162,8 @@ def test_worst_margins_replay_from_their_seeds():
         inst, rng = iq.make_instance(seed, iq.CASE_IDS.index(case.id), dim,
                                      sample)
         params = iq.get_case(case.id).sampler(rng)
-        margins, scales = iq._margins(iq.get_case(case.id), inst, params)
+        margins, scales = iq._margins(iq.get_case(case.id),
+                                      Frame.of(inst.a, inst.x, inst.b), params)
         replayed = min(float(np.min(m)) / s for m, s in zip(margins, scales))
         assert replayed == pytest.approx(case.min_margin, abs=1e-13), case.id
 
