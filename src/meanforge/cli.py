@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +65,23 @@ def parse_dims(text: str) -> list[int]:
     return dims
 
 
+def parse_cases(text: str) -> list[str]:
+    cases = [c for c in text.split(",") if c]
+    if not cases or len(set(cases)) < len(cases):
+        raise argparse.ArgumentTypeError(f"bad cases {text!r}")
+    for cid in cases:
+        inequalities.get_case(cid)  # an unknown id exits 2 from main
+    return cases
+
+
+def parse_out(text: str) -> str:
+    """A file path in a directory that exists."""
+    if Path(text).is_dir() or not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is a directory or is in one that does not exist")
+    return text
+
+
 def parse_override(text: str) -> tuple[str, float]:
     """NAME=VALUE with a finite value."""
     name, sep, value = text.partition("=")
@@ -84,13 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--tol", type=parse_number,
                    default=inequalities.DEFAULT_TOLERANCE)
-    p.add_argument("--cases", type=str, default=None,
+    p.add_argument("--cases", type=parse_cases, default=None,
                    help="comma separated case ids (default: all)")
     p.add_argument("--cond-lo", type=parse_number, default=0.05)
     p.add_argument("--cond-hi", type=parse_number, default=20.0)
     p.add_argument("--workers", type=parse_count, default=1,
                    help="worker processes (default: 1)")
-    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--out", type=parse_out, default=None)
 
     p = sub.add_parser("fuzz", help="search for inequality violations")
     p.add_argument("--case", required=True)
@@ -103,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=parse_number,
                    default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--expect-violation", action="store_true")
-    p.add_argument("--out", type=str, default=None,
+    p.add_argument("--out", type=parse_out, default=None,
                    help="write the worst instance to this file")
 
     p = sub.add_parser("contractivity", help="sampled kernel contractivity")
@@ -124,14 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--cond-lo", type=parse_number, default=0.05)
     p.add_argument("--cond-hi", type=parse_number, default=20.0)
-    p.add_argument("--out", type=str, required=True)
+    p.add_argument("--out", type=parse_out, required=True)
     return parser
 
 
 def cmd_verify(args) -> int:
     report = inequalities.run_suite(
         args.dims, args.samples, args.seed, tolerance=args.tol,
-        case_ids=args.cases.split(",") if args.cases else None,
+        case_ids=args.cases,
         condition_range=(args.cond_lo, args.cond_hi), workers=args.workers)
     if args.out:
         io.save_report(report, args.out)

@@ -7,9 +7,11 @@ eigenbases, where d_ij = (log a_i - log b_j)/2.
 
 The kernel catalog covers the four contractive rational families
 (cosh/sinh ratios and convex combinations), plus the plain cosh kernel
-behind the Heinz mean, sinch behind the integral mean, and the finite
-nu-average kernel.  Kernel parameters may be numbers or per-sample
-arrays that broadcast against the d grid of a frame stack.
+behind the Heinz mean, sinch behind the integral mean, and
+``heinzAverage``, the integral of the Heinz kernel over nu in [lo, hi]
+(not its average: the ``avg-*`` cases compare it with (hi - lo) times
+the Heron mean).  Kernel parameters may be numbers or per-sample arrays
+that broadcast against the d grid of a frame stack.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def sinch(x):
     return np.where(small, series, exact)
 
 
+def heinz_average(d, lo, hi):
+    """The integral of the Heinz kernel cosh((2 nu - 1) d) over nu in
+    [lo, hi]: (c2 sinch(c2 d) - c1 sinch(c1 d))/2 with c = 2 nu - 1."""
+    c1 = 2.0 * lo - 1.0
+    c2 = 2.0 * hi - 1.0
+    return 0.5 * (c2 * sinch(c2 * d) - c1 * sinch(c1 * d))
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A scalar function of the d variable: kernel kind plus parameters."""
@@ -96,9 +106,7 @@ def kernel_eval(spec: KernelSpec, d):
     if kind == "sinch":
         return sinch(d)
     if kind == "heinzAverage":
-        c1 = 2.0 * p["lo"] - 1.0
-        c2 = 2.0 * p["hi"] - 1.0
-        return 0.5 * (c2 * sinch(c2 * d) - c1 * sinch(c1 * d))
+        return heinz_average(d, p["lo"], p["hi"])
 
     # The four rational families: sums of c cosh(e d) terms, or of
     # c sinh(e d)/(e d) terms (sinch, so that d = 0 and e = 0 are
@@ -176,12 +184,6 @@ def kernel_in_hypothesis(spec: KernelSpec) -> dict:
     return {"literal": literal and ok, "abs": in_abs and ok}
 
 
-def kernel_grid(frame: Frame, spec: KernelSpec) -> np.ndarray:
-    """The entrywise kernel of f(D) applied to A^(1/2) X B^(1/2) on a
-    frame."""
-    return kernel_eval(spec, frame.d) * frame.power(0.5, 0.5)
-
-
 class DMap:
     """Joint-eigenbasis frame of an (A, B) pair, applying kernels to
     single matrices X."""
@@ -192,7 +194,8 @@ class DMap:
 
     def apply(self, spec: KernelSpec, x: np.ndarray) -> np.ndarray:
         """f(D) applied to A^(1/2) X B^(1/2)."""
-        return frame_apply(kernel_grid, self.a, x, self.b, spec)
+        return frame_apply(lambda d: kernel_eval(spec, d), 1.0,
+                           self.a, x, self.b)
 
 
 def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
@@ -208,7 +211,7 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
         raise ValueError("sample_count must be >= 1")
     xs = random_complex(a.dim, rng, sample_count)
     frame = Frame.of(a, xs, b)
-    base = frame.power(0.5, 0.5) * frame.xt
+    base = frame.scaled(1.0)
     mapped = kernel_eval(spec, frame.d) * base
     fans = np.cumsum(svd_values(np.stack([mapped, base])), axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,9 +7,11 @@ one on the right; its margins (right minus left, one per Ky Fan order)
 must all be nonnegative up to a relative tolerance whenever the case
 parameters lie inside the registered validity ranges.
 
-Builders write steps on a :class:`Frame`, a single instance or a stack:
-each term is the kernel grid of a mean, whose Ky Fan norms are those of
-the grid times the frame's Xt.
+Builders write steps as kernels g(d) of d = (log a - log b)/2, on the d
+grid of a :class:`Frame`, a single instance or a stack.  All terms of a
+case have one degree p, the case's ``p`` parameter or 1 when it has
+none: a term's Ky Fan norms are those of g(d) o (ab)^(p/2) o Xt, with
+the frame's Xt scaled once per case by :meth:`Frame.scaled`.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmap import RATIONAL_FAMILIES, KernelSpec, kernel_grid
+from .dmap import (RATIONAL_FAMILIES, KernelSpec, heinz_average,
+                   kernel_eval, sinch)
 from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
                      descending, gaussian_unitary, log_range, svd_values)
-from .means import (geo_grid, heinz_grid, heron_grid, integral_grid,
-                    nu_average_grid, p_diff_grid, p_sum_grid)
+from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
                     heinz_p_sum, heron, integral_mean)
@@ -64,7 +66,7 @@ class InequalityCase:
     id: str
     ranges: dict
     sampler: object  # rng -> params dict
-    builder: object  # (Frame, params) -> list[Step] of kernel grids
+    builder: object  # (d, params) -> list[Step] of kernels of d
     description: str = ""
 
     def in_range(self, params: dict) -> bool:
@@ -113,11 +115,12 @@ def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
-    """step_margins of a case's steps on a frame, NaN if an SVD fails.
-    Overflow is not warned about: callers count or rank NaN and inf."""
-    steps = case.builder(frame, params)
+    """step_margins of a case's steps on a frame, whose Xt is scaled to
+    the case's degree; NaN if an SVD fails.  Overflow is not warned
+    about: callers count or rank NaN and inf."""
+    steps = case.builder(frame.d, params)
     try:
-        return step_margins(steps, frame.xt)
+        return step_margins(steps, frame.scaled(params.get("p", 1.0)))
     except np.linalg.LinAlgError:
         nan = np.full(np.shape(frame.xt)[:-1], np.nan)
         return [nan] * len(steps), [nan[..., 0]] * len(steps)
@@ -133,7 +136,7 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
 
 
 # ---------------------------------------------------------------------------
-# Builders: (Frame, params) -> steps whose terms are kernel grids
+# Builders: (d, params) -> steps whose terms are kernels of d
 
 def _sample_alpha(rng) -> float:
     # boundary point alpha = 1/2 drawn with positive probability
@@ -142,46 +145,45 @@ def _sample_alpha(rng) -> float:
     return float(rng.uniform(0.5, ALPHA_CAP))
 
 
-def _build_eq11(f, p):
+def _build_eq11(d, p):
     t = p["t"]
-    lhs = p_sum_grid(f, p["nu"], 1.0)
-    rhs = f.a + f.b + t * geo_grid(f)  # AX + XB + t A^(1/2) X B^(1/2)
+    lhs = p_sum_kernel(d, p["nu"], 1.0)
+    rhs = 2.0 * np.cosh(d) + t  # AX + XB + t A^(1/2) X B^(1/2)
     return [Step([(1.0, lhs)], [(2.0 / (2.0 + t), rhs)])]
 
 
-def _build_eq12(f, p):
-    h = heinz_grid(f, p["nu"])
-    return [Step([(1.0, h)], [(1.0, heron_grid(f, p["alpha"]))])]
+def _build_eq12(d, p):
+    h = heinz_kernel(d, p["nu"])
+    return [Step([(1.0, h)], [(1.0, heron_kernel(d, p["alpha"]))])]
 
 
-def _build_eq13(f, p):
-    g = geo_grid(f)
-    h = heinz_grid(f, p["nu"])
-    return [Step([(1.0, g)], [(1.0, h)]),
-            Step([(1.0, h)], [(1.0, heron_grid(f, p["alpha"]))])]
+def _build_eq13(d, p):
+    h = heinz_kernel(d, p["nu"])
+    return [Step([(1.0, np.ones(np.shape(d)))], [(1.0, h)]),
+            Step([(1.0, h)], [(1.0, heron_kernel(d, p["alpha"]))])]
 
 
-def _build_ref_ali(f, p):
+def _build_ref_ali(d, p):
     nu = p["nu"]
     r0 = np.minimum(nu, 1.0 - nu)
-    h = heinz_grid(f, nu)
+    h = heinz_kernel(d, nu)
     return [Step([(1.0, h)],
-                 [(4.0 * r0 - 1.0, geo_grid(f)),
-                  (2.0 * (1.0 - 2.0 * r0), heron_grid(f, p["alpha"]))])]
+                 [(4.0 * r0 - 1.0, np.ones(np.shape(d))),
+                  (2.0 * (1.0 - 2.0 * r0), heron_kernel(d, p["alpha"]))])]
 
 
-def _build_eq14_chain(f, p):
-    im = integral_grid(f)
-    return [Step([(1.0, geo_grid(f))], [(1.0, im)]),
-            Step([(1.0, im)], [(1.0, heron_grid(f, p["alpha"]))])]
+def _build_eq14_chain(d, p):
+    im = sinch(d)
+    return [Step([(1.0, np.ones(np.shape(d)))], [(1.0, im)]),
+            Step([(1.0, im)], [(1.0, heron_kernel(d, p["alpha"]))])]
 
 
 ALPHA_MONO_GRID = tuple(np.round(np.arange(0.5, 10.01, 0.5), 10))
 ALPHA_SMALL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
-def _build_alpha_mono(f, p):
-    herons = {alpha: heron_grid(f, alpha)
+def _build_alpha_mono(d, p):
+    herons = {alpha: heron_kernel(d, alpha)
               for alpha in ALPHA_MONO_GRID + ALPHA_SMALL_GRID}
     steps = [Step([(1.0, herons[a1])], [(1.0, herons[a2])])
              for a1, a2 in zip(ALPHA_MONO_GRID, ALPHA_MONO_GRID[1:])]
@@ -191,80 +193,72 @@ def _build_alpha_mono(f, p):
     return steps
 
 
-def _convex_chain(f, p, mids):
+def _convex_chain(d, p, mids):
     """H_nu <= mid_1 <= ... <= mid_k <= F_alpha as successive steps."""
-    chain = [heinz_grid(f, p["nu"])] + mids + [heron_grid(f, p["alpha"])]
+    chain = [heinz_kernel(d, p["nu"])] + mids + [heron_kernel(d, p["alpha"])]
     return [Step([(1.0, lo)], [(1.0, hi)])
             for lo, hi in zip(chain, chain[1:])]
 
 
-def _build_eq22(f, p):
-    beta = p["beta"]
-    mid = (1.0 - beta) * geo_grid(f) + beta * heinz_grid(f, 0.25)
-    return _convex_chain(f, p, [mid])
-
-
-def _build_eq23(f, p):
-    beta = p["beta"]
-    mid = (1.0 - beta) * heinz_grid(f, 3 / 8) + beta * heinz_grid(f, 0.25)
-    return _convex_chain(f, p, [mid])
-
-
-def _build_eq27(f, p):
-    beta = p["beta"]
-    mid = (1.0 - beta) * heinz_grid(f, 5 / 16) + beta * heinz_grid(f, 0.25)
-    return _convex_chain(f, p, [mid])
-
-
-def _build_eq28(f, p):
-    beta, gamma = p["beta"], p["gamma"]
-    h38 = heinz_grid(f, 3 / 8)
-    mid1 = (1.0 - gamma) * h38 + gamma * heinz_grid(f, 5 / 16)
-    mid2 = (1.0 - beta) * h38 + beta * heinz_grid(f, 0.25)
-    return _convex_chain(f, p, [mid1, mid2])
-
-
-def _build_eq29(f, p):
-    m1 = 0.5 * (heinz_grid(f, 1 / 8) + heinz_grid(f, 3 / 8))
-    m2 = 0.5 * (heinz_grid(f, 0.25) + heron_grid(f, 0.5))
-    return _convex_chain(f, p, [m1, integral_grid(f), m2])
-
-
-def _make_avg_builder(lo, hi, factor):
-    def build(f, p):
-        avg = nu_average_grid(f, lo, hi)
-        return [Step([(1.0, avg)], [(factor, heron_grid(f, p["alpha"]))])]
+def _interpolant_builder(nu0):
+    """H_nu <= (1-beta) H_nu0 + beta H_{1/4} <= F_alpha; H_{1/2} is the
+    geometric mean."""
+    def build(d, p):
+        beta = p["beta"]
+        h0, h14 = heinz_kernel(d, nu0), heinz_kernel(d, 0.25)
+        return _convex_chain(d, p, [(1.0 - beta) * h0 + beta * h14])
     return build
 
 
-def _build_eq210(f, p):
+def _build_eq28(d, p):
+    beta, gamma = p["beta"], p["gamma"]
+    h38 = heinz_kernel(d, 3 / 8)
+    mid1 = (1.0 - gamma) * h38 + gamma * heinz_kernel(d, 5 / 16)
+    mid2 = (1.0 - beta) * h38 + beta * heinz_kernel(d, 0.25)
+    return _convex_chain(d, p, [mid1, mid2])
+
+
+def _build_eq29(d, p):
+    m1 = 0.5 * (heinz_kernel(d, 1 / 8) + heinz_kernel(d, 3 / 8))
+    m2 = 0.5 * (heinz_kernel(d, 0.25) + heron_kernel(d, 0.5))
+    return _convex_chain(d, p, [m1, sinch(d), m2])
+
+
+def _make_avg_builder(lo, hi, factor):
+    def build(d, p):
+        avg = heinz_average(d, lo, hi)
+        return [Step([(1.0, avg)], [(factor, heron_kernel(d, p["alpha"]))])]
+    return build
+
+
+def _build_eq210(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    lhs = p_sum_grid(f, r, pw)
+    lhs = p_sum_kernel(d, r, pw)
     # A^p X + X B^p + t (A^nu X B^(p-nu) + A^(p-nu) X B^nu)
-    rhs = p_sum_grid(f, pw, pw) + t * p_sum_grid(f, nu, pw)
+    rhs = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
     return [Step([(1.0 + t, lhs)], [(1.0, rhs)])]
 
 
-def _build_eq211(f, p):
+def _build_eq211(d, p):
     # perturbation written as t (A^(p-nu) X B^nu - A^nu X B^(p-nu)) so the
     # underlying kernel is sinh(pD) + t sinh((p-2 nu)D) for nu <= p/2
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    lhs = p_diff_grid(f, r, pw)
-    rhs = p_diff_grid(f, pw, pw) + t * p_diff_grid(f, pw - nu, pw)
+    lhs = p_diff_kernel(d, r, pw)
+    rhs = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, pw - nu, pw)
     return [Step([(1.0 + t, lhs)], [(abs(pw - 2.0 * r), rhs)])]
 
 
-def _build_eq212(f, p):
+def _build_eq212(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    big = p_sum_grid(f, r, pw)
-    small = p_sum_grid(f, pw, pw) + t * p_sum_grid(f, nu, pw)
+    big = p_sum_kernel(d, r, pw)
+    small = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
     return [Step([(1.0, small)], [(1.0 + t, big)])]
 
 
-def _build_eq213(f, p):
+def _build_eq213(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    big = p_diff_grid(f, r, pw)
-    small = p_diff_grid(f, pw, pw) + t * p_diff_grid(f, nu, pw)
+    big = p_diff_kernel(d, r, pw)
+    small = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, nu, pw)
     factor = ((1.0 + t) * pw - 2.0 * t * nu) / (pw - 2.0 * r)
     return [Step([(1.0, small)], [(factor, big)])]
 
@@ -272,10 +266,10 @@ def _build_eq213(f, p):
 F_NU_GRID_POINTS = 41
 
 
-def _build_f_nu_shape(f, p):
+def _build_f_nu_shape(d, p):
     pw = p["p"]
     grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, F_NU_GRID_POINTS)
-    mats = [p_sum_grid(f, nu, pw) for nu in grid]
+    mats = [p_sum_kernel(d, nu, pw) for nu in grid]
     center = F_NU_GRID_POINTS // 2
     steps = []
     # nonincreasing left of p/2, nondecreasing right of it
@@ -350,9 +344,9 @@ _PROP_KINDS = {f"prop2.1-{i}": k for i, k in enumerate(RATIONAL_FAMILIES, 1)}
 
 def _prop_case(cid, kind) -> InequalityCase:
     # the sampler produces exactly the kernel family's parameters
-    def build(f, p):
-        spec = KernelSpec(kind, p)
-        return [Step([(1.0, kernel_grid(f, spec))], [(1.0, geo_grid(f))])]
+    def build(d, p):
+        kernel = kernel_eval(KernelSpec(kind, p), d)
+        return [Step([(1.0, kernel)], [(1.0, np.ones(np.shape(d)))])]
     return InequalityCase(cid, {}, lambda rng: _sample_prop(rng, kind), build,
                           f"sampled contractivity of the {kind} kernel family")
 
@@ -388,17 +382,20 @@ def _build_registry() -> dict[str, InequalityCase]:
         InequalityCase(
             "eq2.2", {"nu": (3 / 8, 5 / 8), "beta": (0.5, 1.0),
                       "alpha": (0.5, np.inf)},
-            _window_sampler(3 / 8, 5 / 8, beta=True), _build_eq22,
+            _window_sampler(3 / 8, 5 / 8, beta=True),
+            _interpolant_builder(0.5),
             "interpolant (1-b) geometric + b H_{1/4}"),
         InequalityCase(
             "eq2.3", {"nu": (5 / 16, 11 / 16), "beta": (0.5, 1.0),
                       "alpha": (0.5, np.inf)},
-            _window_sampler(5 / 16, 11 / 16, beta=True), _build_eq23,
+            _window_sampler(5 / 16, 11 / 16, beta=True),
+            _interpolant_builder(3 / 8),
             "interpolant (1-b) H_{3/8} + b H_{1/4}"),
         InequalityCase(
             "eq2.7", {"nu": (9 / 32, 23 / 32), "beta": (0.5, 1.0),
                       "alpha": (0.5, np.inf)},
-            _window_sampler(9 / 32, 23 / 32, beta=True), _build_eq27,
+            _window_sampler(9 / 32, 23 / 32, beta=True),
+            _interpolant_builder(5 / 16),
             "interpolant (1-b) H_{5/16} + b H_{1/4}"),
         InequalityCase(
             "eq2.8", {"nu": (11 / 32, 21 / 32), "beta": (0.5, 1.0),

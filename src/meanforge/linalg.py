@@ -136,19 +136,18 @@ class Frame:
     """(A, X, B) triples, one or a stack, in their joint eigenframes.
 
     Every mean in the package is U_A (K o Xt) U_B* for Xt = U_A* X U_B
-    and an entrywise kernel grid K(a_i, b_j); Ky Fan norms are unitarily
-    invariant, so margins need K o Xt only.  ``a`` has shape (..., n, 1)
-    and ``b`` (..., 1, n), so expressions in them broadcast to grids of
-    the shape (..., n, n) of ``xt``.
+    and an entrywise kernel grid K = (a_i b_j)^(p/2) g(d_ij) of degree p,
+    with d = (log a - log b)/2; Ky Fan norms are unitarily invariant, so
+    margins need K o Xt only.  ``d`` and ``log_geo`` = (log a + log b)/2
+    have the shape (..., n, n) of ``xt``.
     """
 
     def __init__(self, a, b, xt):
-        self.a = np.asarray(a, dtype=float)[..., :, None]
-        self.b = np.asarray(b, dtype=float)[..., None, :]
-        self.la = np.log(self.a)
-        self.lb = np.log(self.b)
+        la = np.log(np.asarray(a, dtype=float))[..., :, None]
+        lb = np.log(np.asarray(b, dtype=float))[..., None, :]
         # the difference variable of the hyperbolic kernel calculus
-        self.d = 0.5 * (self.la - self.lb)
+        self.d = 0.5 * (la - lb)
+        self.log_geo = 0.5 * (la + lb)
         self.xt = xt
 
     @classmethod
@@ -160,17 +159,18 @@ class Frame:
         return cls(a.eigenvalues, b.eigenvalues,
                    adjoint(a.eigenvectors) @ x @ b.eigenvectors)
 
-    def power(self, s, t) -> np.ndarray:
-        """The grid a_i^s b_j^t, the kernel of A^s X B^t."""
-        return np.exp(s * self.la + t * self.lb)
+    def scaled(self, p) -> np.ndarray:
+        """(a_i b_j)^(p/2) o Xt, on which the kernels of degree p act."""
+        return np.exp(p * self.log_geo) * self.xt
 
 
-def frame_apply(grid, a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
+def frame_apply(kernel, degree, a: HpdMatrix, x: np.ndarray, b: HpdMatrix,
                 *params) -> np.ndarray:
-    """U_A (K o Xt) U_B* for the kernel grid K = grid(frame, *params) on
-    the frame of (A, x, B)."""
+    """U_A (kernel(d, *params) o scaled(degree)) U_B* on the frame of
+    (A, x, B)."""
     f = Frame.of(a, x, b)
-    return a.eigenvectors @ (grid(f, *params) * f.xt) @ adjoint(b.eigenvectors)
+    return (a.eigenvectors @ (kernel(f.d, *params) * f.scaled(degree))
+            @ adjoint(b.eigenvectors))
 
 
 def gaussian_unitary(g: np.ndarray) -> np.ndarray:

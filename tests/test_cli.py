@@ -42,6 +42,8 @@ FUZZ_NU_800 = ["fuzz", "--case", "eq1.2", "--set", "nu=800",
 EXIT_CODES = {
     "verify-duplicate-dims": (["verify", "--dims", "2,2", "--samples", "1"],
                               2),
+    "verify-duplicate-cases": (["verify", "--cases", "eq1.2,eq1.2",
+                                "--samples", "1"], 2),
     "verify-workers-0": (["verify", "--workers", "0"], 2),
     "verify-tol-nan": (["verify", "--tol", "nan"], 2),
     "verify-cond-lo-0": (["verify", "--cond-lo", "0"], 2),
@@ -52,6 +54,14 @@ EXIT_CODES = {
                               "--cond-hi", "1e300", "--dims", "3",
                               "--samples", "3"], 3),
     "verify-seed-negative": (["verify", "--seed", "-1"], 2),
+    # an --out directory that does not exist is a bad flag, found before
+    # any work is done
+    "verify-out-missing-dir": (["verify", "--dims", "1", "--samples", "1",
+                                "--out", "missing/r.json"], 2),
+    "fuzz-out-missing-dir": (["fuzz", "--case", "eq1.2", "--budget", "10",
+                              "--out", "missing/w.json"], 2),
+    "gen-out-missing-dir": (["gen", "--dim", "2", "--out", "missing/i.json"],
+                            2),
     "fuzz-seed-negative": (["fuzz", "--case", "eq1.2", "--seed", "-1"], 2),
     "gen-seed-negative": (["gen", "--dim", "2", "--seed", "-1",
                            "--out", "i.json"], 2),
@@ -88,7 +98,9 @@ def test_exit_code(argv, code, monkeypatch, tmp_path):
     (["verify", "--cond-lo", "1e-300", "--cond-hi", "1e300",
       "--dims", "3", "--samples", "3"], 3),
     (["verify", "--samples", "1", "--dims", "1"], 0),
-], ids=["bad-flag", "numerical-failure", "clean"])
+    (["fuzz", "--case", "eq1.2", "--budget", "10",
+      "--out", "missing/w.json"], 2),
+], ids=["bad-flag", "numerical-failure", "clean", "out-missing-dir"])
 def test_process_exit_status(argv, code, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
