@@ -45,6 +45,15 @@ def parse_number(text: str) -> float:
     raise argparse.ArgumentTypeError(f"bad number {text!r}")
 
 
+def parse_tolerance(text: str) -> float:
+    """Finite number >= 0: a negative tolerance would count positive
+    margins as violations."""
+    value = parse_number(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
+    return value
+
+
 def _int_at_least(least: int):
     def integer(text: str) -> int:
         value = int(text)
@@ -100,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=parse_dims, default=[1, 2, 3, 4, 5, 6])
     p.add_argument("--samples", type=parse_count, default=200)
     p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--tol", type=parse_number,
+    p.add_argument("--tol", type=parse_tolerance,
                    default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--cases", type=parse_cases, default=None,
                    help="comma separated case ids (default: all)")
@@ -118,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=parse_count, default=1000)
     p.add_argument("--dim", type=parse_count, default=1)
     p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--tol", type=parse_number,
+    p.add_argument("--tol", type=parse_tolerance,
                    default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--expect-violation", action="store_true")
     p.add_argument("--out", type=parse_out, default=None,
@@ -134,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=parse_count, default=4)
     p.add_argument("--samples", type=parse_count, default=100)
     p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--tol", type=parse_number, default=1e-9)
+    p.add_argument("--tol", type=parse_tolerance, default=1e-9)
     p.add_argument("--report-only", action="store_true")
 
     p = sub.add_parser("gen", help="generate a random instance file")

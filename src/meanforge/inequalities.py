@@ -682,16 +682,60 @@ def _rank(raw):
     return np.where(np.isfinite(raw), raw, np.inf)
 
 
+def _pack(ea, eb, x) -> np.ndarray:
+    """Points z = (log a, log b, Re X, Im X) of stacked instances, one row
+    of 2n + 2n^2 reals each."""
+    k = len(x)
+    return np.concatenate([np.log(ea), np.log(eb), x.real.reshape(k, -1),
+                           x.imag.reshape(k, -1)], axis=1)
+
+
+def _unpack(z, n: int) -> tuple:
+    """(log a, log b, X) stacks of the points z, as _pack wrote them."""
+    k = n * n
+    x = z[:, 2 * n:2 * n + k] + 1j * z[:, 2 * n + k:]
+    return z[:, :n], z[:, n:2 * n], x.reshape(-1, n, n)
+
+
+def _score(case, params, z, va, vb) -> tuple:
+    """Worst raw and normalized margins of the stacked points z, with the
+    eigenvector columns va and vb of each; every instance sorts its
+    eigenpairs as ``HpdMatrix.from_spectrum`` does."""
+    loga, logb, x = _unpack(z, va.shape[-1])
+    (ea, ua), (eb, ub) = (descending(np.exp(loga), va),
+                          descending(np.exp(logb), vb))
+    return _instance_margin(case, Frame(ea, eb, adjoint(ua) @ x @ ub),
+                            params)
+
+
+def _lowest(case, params, blocks) -> tuple:
+    """(raw, normalized, z, va, vb) of the first lowest-ranked point among
+    blocks (z, va, vb) of at most CELL_BLOCK points, scored one block per
+    engine call."""
+    best = None
+    for z, va, vb in blocks:
+        raws, norms = _score(case, params, z, va, vb)
+        i = int(np.argmin(_rank(raws)))
+        if best is None or _rank(raws[i]) < _rank(best[0]):
+            best = (raws[i], norms[i], z[i], va[i], vb[i])
+    return best
+
+
 def fuzz(case: InequalityCase, overrides: dict, budget: int,
          rng: np.random.Generator, dim: int = 1,
          tolerance: float = DEFAULT_TOLERANCE) -> FuzzFinding:
-    """Hunt for negative margins: random restarts followed by coordinate
-    descent on log-eigenvalues and the entries of X.  Overrides must name
-    parameters that the case's sampler produces.
+    """Hunt for negative margins: random restarts followed by steepest
+    coordinate descent on log-eigenvalues and the entries of X.  Overrides
+    must name parameters that the case's sampler produces.
 
-    The restarts are drawn one after another from ``rng`` and evaluated
-    as frame stacks, CELL_BLOCK at a time; the first with the lowest rank
-    starts the descent, whose candidates are each scored on a frame."""
+    The restarts are drawn one after another from ``rng``; the first with
+    the lowest rank starts the descent.  Each sweep of the descent moves
+    the point z = (log a, log b, Re X, Im X) by +-step along each of its
+    coordinates in turn, scaled by max(1, max |X_ij|) for X, and takes the
+    first lowest-ranked of these 2 len(z) moves if it lowers the raw
+    margin, else halves the step.  Restarts and moves alike are scored as
+    frame stacks of up to CELL_BLOCK points, and the last sweep is cut so
+    that the evaluations never exceed the budget."""
     params = dict(case.sampler(rng))
     unknown = sorted(set(overrides) - set(params))
     if unknown:
@@ -702,63 +746,46 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     logs = log_range(FUZZ_CONDITION_RANGE)
     n_random = max(1, budget // 3)
-    best = None  # (raw, normalized, loga, logb, va, vb, x)
-    for lo in range(0, n_random, CELL_BLOCK):
-        count = min(CELL_BLOCK, n_random - lo)
-        ea, ua, eb, ub, xs = _stack([_draw(rng, dim, logs)
-                                     for _ in range(count)])
-        (ea, ua), (eb, ub) = descending(ea, ua), descending(eb, ub)
-        raws, norms = _instance_margin(
-            case, Frame(ea, eb, adjoint(ua) @ xs @ ub), params)
-        i = int(np.argmin(_rank(raws)))
-        if best is None or _rank(raws[i]) < _rank(best[0]):
-            best = (raws[i], norms[i], np.log(ea[i]), np.log(eb[i]),
-                    ua[i], ub[i], xs[i])
-    raw, normalized, loga, logb, va, vb, x = best
+
+    def restarts():
+        for lo in range(0, n_random, CELL_BLOCK):
+            count = min(CELL_BLOCK, n_random - lo)
+            ea, ua, eb, ub, xs = _stack([_draw(rng, dim, logs)
+                                         for _ in range(count)])
+            yield _pack(ea, eb, xs), ua, ub
+
+    raw, normalized, z, va, vb = _lowest(case, params, restarts())
     evals = n_random
 
-    def score(loga, logb, x):
-        nonlocal evals
-        evals += 1
-        (a, ua), (b, ub) = (descending(np.exp(loga), va),
-                            descending(np.exp(logb), vb))
-        return _instance_margin(case, Frame(a, b, adjoint(ua) @ x @ ub),
-                                params)
+    m = len(z)
+    x_scale = max(1.0, float(np.max(np.abs(_unpack(z[None], dim)[2]))))
+    scale = np.where(np.arange(m) < 2 * dim, 1.0, x_scale)
+
+    def moves(z, step, count):
+        # move r of a sweep is coordinate r // 2, + for even r, - for odd
+        for lo in range(0, count, CELL_BLOCK):
+            r = np.arange(lo, min(lo + CELL_BLOCK, count))
+            j = r // 2
+            cand = np.tile(z, (len(r), 1))
+            cand[r - lo, j] += np.where(r % 2, -step, step) * scale[j]
+            # eigenvalues kept inside e^+-80 so powers never overflow
+            cand[:, :2 * dim] = np.clip(cand[:, :2 * dim], -80.0, 80.0)
+            shape = (len(r), dim, dim)
+            yield cand, np.broadcast_to(va, shape), np.broadcast_to(vb, shape)
 
     step = 0.5
-    x_scale = max(1.0, float(np.max(np.abs(x))))
     while evals < budget and step > 1e-6:
-        improved = False
-        coords = ([("a", i) for i in range(dim)]
-                  + [("b", i) for i in range(dim)]
-                  + [("xr", ij) for ij in np.ndindex(dim, dim)]
-                  + [("xi", ij) for ij in np.ndindex(dim, dim)])
-        for kind, idx in coords:
-            if evals >= budget:
-                break
-            for sign in (1.0, -1.0):
-                if evals >= budget:
-                    break
-                la, lb, xx = loga.copy(), logb.copy(), x.copy()
-                # eigenvalues kept inside e^+-80 so powers never overflow
-                if kind == "a":
-                    la[idx] = np.clip(la[idx] + sign * step, -80.0, 80.0)
-                elif kind == "b":
-                    lb[idx] = np.clip(lb[idx] + sign * step, -80.0, 80.0)
-                elif kind == "xr":
-                    xx[idx] += sign * step * x_scale
-                else:
-                    xx[idx] += 1j * sign * step * x_scale
-                cand_raw, cand_norm = score(la, lb, xx)
-                # against the rank, so any finite candidate beats a NaN
-                if cand_raw < _rank(raw) - 1e-15:
-                    raw, normalized = cand_raw, cand_norm
-                    loga, logb, x = la, lb, xx
-                    improved = True
-                    break
-        if not improved:
+        count = min(2 * m, budget - evals)
+        evals += count
+        cand_raw, cand_norm, cand, _, _ = _lowest(case, params,
+                                                 moves(z, step, count))
+        # against the rank, so any finite candidate beats a NaN
+        if cand_raw < _rank(raw) - 1e-15:
+            raw, normalized, z = cand_raw, cand_norm, cand
+        else:
             step *= 0.5
 
+    (loga,), (logb,), (x,) = _unpack(z[None], dim)
     inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(loga), va),
                           HpdMatrix.from_spectrum(np.exp(logb), vb), x)
     return FuzzFinding(case.id, params, float(raw), float(normalized),

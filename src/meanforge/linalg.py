@@ -65,11 +65,6 @@ def descending(w: np.ndarray, v: np.ndarray) -> tuple:
     """Eigenvalues (..., n) in descending order, by a stable sort, with
     their eigenvector columns (..., n, n) in the same order."""
     order = np.argsort(-w, axis=-1, kind="stable")
-    if w.ndim == 1:
-        # Same bits as the stack path, but 3.6 us against 13.1 us at
-        # n = 4; each fuzz descent candidate sorts twice, and the stack
-        # path alone took 12% off fuzz ops/s (6 alternating runs).
-        return w[order], v[:, order]
     return (np.take_along_axis(w, order, -1),
             np.take_along_axis(v, order[..., None, :], -1))
 

@@ -46,6 +46,13 @@ EXIT_CODES = {
                                 "--samples", "1"], 2),
     "verify-workers-0": (["verify", "--workers", "0"], 2),
     "verify-tol-nan": (["verify", "--tol", "nan"], 2),
+    # a negative tolerance would turn positive margins into violations
+    "verify-tol-negative": (["verify", "--tol", "-1", "--samples", "2",
+                             "--dims", "1", "--cases", "eq1.2"], 2),
+    "fuzz-tol-negative": (["fuzz", "--case", "eq1.2", "--tol", "-1",
+                           "--budget", "10"], 2),
+    "contractivity-tol-negative": (["contractivity", *PART1, "--tol", "-1"],
+                                   2),
     "verify-cond-lo-0": (["verify", "--cond-lo", "0"], 2),
     "verify-cond-lo-above-hi": (["verify", "--cond-lo", "3",
                                  "--cond-hi", "2"], 2),

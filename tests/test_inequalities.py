@@ -244,64 +244,74 @@ def test_fuzz_out_of_range_finds_violation():
 
 def test_fuzz_nan_restart_never_stays_best(monkeypatch):
     # the first random restart of the stack evaluates to NaN and so does
-    # every descent candidate: a finite restart must be the finding
-    margin = iq._instance_margin
+    # every descent candidate: a finite restart must be the finding.
+    # Budget 30 has 10 restarts, one stack and so the first call.
+    margin, calls = iq._instance_margin, []
 
     def first_nan(case, frame, params):
         raw, normalized = margin(case, frame, params)
-        if not np.ndim(raw):  # a descent candidate
-            return np.nan, np.nan
-        raw[0] = normalized[0] = np.nan
+        calls.append(len(raw))
+        if len(calls) > 1:  # a descent sweep
+            raw[:] = normalized[:] = np.nan
+        else:
+            raw[0] = normalized[0] = np.nan
         return raw, normalized
 
     monkeypatch.setattr(iq, "_instance_margin", first_nan)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
+    assert calls[0] == 10 and len(calls) > 1
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
 
 
 def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
     # every random restart is NaN; the first finite candidate replaces it
-    margin = iq._instance_margin
+    margin, calls = iq._instance_margin, []
 
     def nan_restarts(case, frame, params):
         raw, normalized = margin(case, frame, params)
-        if np.ndim(raw):  # a restart stack
+        calls.append(len(raw))
+        if len(calls) == 1:  # the one restart stack of budget 30
             raw[:] = normalized[:] = np.nan
         return raw, normalized
 
     monkeypatch.setattr(iq, "_instance_margin", nan_restarts)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
+    assert calls[0] == 10 and len(calls) > 1
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
 
 
-# Findings of the fuzzer before its restarts were evaluated as frame
-# stacks: (case, overrides, dim, budget, seed) -> float.hex of the raw and
-# normalized margins, evaluations and the first 16 hex digits of the
-# SHA-256 of the witness's eigenvalues, eigenvectors and X.  Budget 1000
-# has 333 restarts, more than one CELL_BLOCK.  The margins were recorded
-# again, in the last bits only, when the builders became kernels of d;
-# evaluations and witnesses did not change.  The bits depend on LAPACK
-# QR and SVD rounding: they were recorded with numpy 2.4.6 on
-# scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on another BLAS
-# build a mismatch here need not mean that the search changed.
+# Findings of the steepest-descent fuzzer: (case, overrides, dim, budget,
+# seed) -> float.hex of the raw and normalized margins, evaluations and
+# the first 16 hex digits of the SHA-256 of the witness's eigenvalues,
+# eigenvectors and X.  Budget 1000 has 333 restarts, more than one
+# CELL_BLOCK.  They were recorded anew when the descent became steepest
+# (it scores each sweep's moves as one stack and takes the best), after
+# the evidence that the new search loses nothing: no missed violation
+# on the 12 violating benchmark probes x 20 seeds at budgets 150 and
+# 300, the 12 in-range controls clean, and lower median final margins
+# than the first-improvement descent at equal wall time.  The bits
+# depend on LAPACK QR and SVD rounding: they were recorded with numpy
+# 2.4.6 on scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on
+# another BLAS build a mismatch here need not mean that the search
+# changed.
 FUZZ_GOLDEN = [
     (("eq1.2", {"nu": 0.1, "alpha": 0.5}, 4, 300, 0),
-     ("-0x1.12410826d4120p+12", "-0x1.4c04115e42609p-4", 300,
-      "ecf707ef02330a09")),
+     ("-0x1.2be3a027849f0p+7", "-0x1.49294cb41a7dbp-5", 300,
+      "11a86cde64d467f8")),
     (("eq2.9", {"nu": 0.05, "alpha": 0.5}, 4, 1000, 1),
-     ("-0x1.5b7117c431b39p+23", "-0x1.2909b5c052969p+1", 1000,
-      "99f9fe5a0d4aaa0b")),
+     ("-0x1.6d23f909d3ecbp+15", "-0x1.75b4079efa514p+1", 1000,
+      "a75b0ca4e7cac804")),
     (("eq1.4-chain", {"alpha": 0.2}, 2, 1000, 2),
-     ("-0x1.13fe607e39d2cp+40", "-0x1.7f29d6a357184p-3", 1000,
-      "d5a3a4187d9b9a66")),
+     ("-0x1.163e69094ae30p+16", "-0x1.ba6e3bdf4c407p-4", 1000,
+      "84caaad342b0a593")),
     (("eq1.4-chain", {"alpha": 0.5}, 3, 300, 3),
-     ("0x1.ae46567bb1000p-18", "0x1.a29a326956812p-18", 300,
-      "7ca665e9f66db0d1")),
+     ("0x1.07303767cac20p-10", "0x1.0037ac36c2dd5p-10", 300,
+      "ecce2a72159397b4")),
     (("eq1.2", {"nu": 0.3, "alpha": 0.5}, 2, 1000, 4),
-     ("0x1.4bb09f0100000p-28", "0x1.4a89a52fa163cp-28", 1000,
-      "e4d9245ef38690f6")),
+     ("0x1.2b700ff440000p-27", "0x1.2a13671497dbcp-27", 1000,
+      "300a1a9245276443")),
 ]
 
 
@@ -323,14 +333,15 @@ def test_fuzz_findings_unchanged(config, expected):
 
 
 def test_fuzz_scores_frames_not_matrices(monkeypatch):
-    # one evaluator call per restart block and per descent candidate; the
+    # one evaluator call per stack of restarts or of descent moves; the
     # witness is the only HpdMatrix built
-    calls, built = [], []
+    sizes, built = [], []
     margin = iq._instance_margin
     spectrum = iq.HpdMatrix.from_spectrum.__func__
 
     def counted(case, frame, params):
-        calls.append(np.ndim(frame.xt) - 2)
+        assert np.ndim(frame.xt) == 3
+        sizes.append(len(frame.xt))
         return margin(case, frame, params)
 
     def counted_spectrum(cls, *args):
@@ -343,9 +354,143 @@ def test_fuzz_scores_frames_not_matrices(monkeypatch):
     f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 1000,
                 np.random.default_rng(0), dim=2)
     assert f.evaluations == 1000
-    # 333 restarts as stacks of 256 and 77, then 667 single frames
-    assert calls == [1, 1] + [0] * 667
+    # 333 restarts as stacks of 256 and 77, then sweeps of 2 (2n + 2n^2)
+    # = 24 moves, the last one cut to what is left of the budget
+    assert sizes[:2] == [256, 77]
+    assert sizes[2:-1] == [24] * (len(sizes) - 3) and 0 < sizes[-1] <= 24
+    assert sum(sizes) == 1000
     assert len(built) == 2
+
+
+def _sweep(z, dim, step, x_scale):
+    """A sweep's candidate stack around the point z, written as a loop:
+    coordinate j moved by +step, then -step, times 1 for the logs
+    (clipped to +-80) and x_scale for X."""
+    cands = []
+    for j in range(len(z)):
+        for sign in (1.0, -1.0):
+            c = z.copy()
+            if j < 2 * dim:
+                c[j] = np.clip(c[j] + sign * step, -80.0, 80.0)
+            else:
+                c[j] += sign * step * x_scale
+            cands.append(c)
+    return np.array(cands)
+
+
+def _restart(dim, seed):
+    """(z, va, vb) of one random point drawn as the fuzzer draws."""
+    rng = np.random.default_rng(seed)
+    ea, ua, eb, ub, x = iq._stack(
+        [iq._draw(rng, dim, iq.log_range(iq.FUZZ_CONDITION_RANGE))])
+    return iq._pack(ea, eb, x)[0], ua[0], ub[0]
+
+
+def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
+    # the stacks the fuzzer scores are the restart's best point, then
+    # the loop-built sweeps around each accepted point
+    scored = []
+    score = iq._score
+
+    def kept(case, params, z, va, vb):
+        raws, norms = score(case, params, z, va, vb)
+        scored.append((z.copy(), raws))
+        return raws, norms
+
+    monkeypatch.setattr(iq, "_score", kept)
+    dim = 2
+    iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 300,
+            np.random.default_rng(7), dim=dim)
+    (zs, raws), sweeps = scored[0], scored[1:]
+    z, raw = zs[int(np.argmin(raws))], np.min(raws)
+    x_scale = max(1.0, np.max(np.abs(iq._unpack(z[None], dim)[2])))
+    step = 0.5
+    for cands, cand_raws in sweeps:
+        want = _sweep(z, dim, step, x_scale)[:len(cands)]
+        assert np.array_equal(cands, want)
+        i = int(np.argmin(cand_raws))
+        if cand_raws[i] < raw - 1e-15:
+            z, raw = cands[i], cand_raws[i]
+        else:
+            step /= 2
+    assert len(sweeps) > 3
+
+
+@pytest.mark.parametrize("cid, overrides, dim", [
+    ("eq1.2", {"nu": 0.1, "alpha": 0.5}, 1),
+    ("eq2.9", {"nu": 0.05, "alpha": 0.5}, 3),
+    ("f-nu-shape", {}, 4),
+])
+def test_sweep_stack_scores_as_single_frames(cid, overrides, dim):
+    # a sweep scored as one stack gives each candidate the bits it gets
+    # on its own frame, built from HpdMatrix operands as evaluate does
+    case = iq.get_case(cid)
+    params = {**case.sampler(np.random.default_rng(dim)), **overrides}
+    z, va, vb = _restart(dim, seed=dim)
+    cands = _sweep(z, dim, 0.5, 1.5)
+    shape = (len(cands), dim, dim)
+    raws, norms = iq._score(case, params, cands, np.broadcast_to(va, shape),
+                            np.broadcast_to(vb, shape))
+    for c, r, s in zip(cands, raws, norms):
+        (la,), (lb,), (x,) = iq._unpack(c[None], dim)
+        frame = iq.Frame.of(HpdMatrix.from_spectrum(np.exp(la), va), x,
+                            HpdMatrix.from_spectrum(np.exp(lb), vb))
+        one_raw, one_norm = iq._instance_margin(case, frame, params)
+        assert (r.hex(), s.hex()) == (float(one_raw).hex(),
+                                       float(one_norm).hex())
+
+
+def test_fuzz_budget_not_a_multiple_of_the_sweep(monkeypatch):
+    # dim 2: 83 restarts, then sweeps of 24 moves and a last one of 23
+    sizes = []
+    margin = iq._instance_margin
+
+    def counted(case, frame, params):
+        sizes.append(len(frame.xt))
+        return margin(case, frame, params)
+
+    monkeypatch.setattr(iq, "_instance_margin", counted)
+    f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 250,
+                np.random.default_rng(5), dim=2)
+    assert f.evaluations == 250
+    assert sizes == [83] + [24] * 6 + [23]
+
+
+@pytest.mark.parametrize("rigged, accepted", [
+    # move 3 (first block) ties with moves 270 and 280 (second block)
+    ({3: (-1.0, -0.125), 270: (-1.0, -0.25), 280: (-1.0, -0.5)},
+     (-1.0, -0.125)),
+    # moves 270 and 280 tie below the first block's best
+    ({3: (-0.5, -0.125), 270: (-1.0, -0.25), 280: (-1.0, -0.5)},
+     (-1.0, -0.25)),
+], ids=["tie-across-blocks", "best-in-second-block"])
+def test_sweep_across_blocks_accepts_the_first_global_best(
+        monkeypatch, rigged, accepted):
+    # dim 8: a sweep has 2 (16 + 128) = 288 moves, scored as blocks of 256
+    # and 32; the rigged moves get the given (raw, normalized) margins,
+    # every other move 1, and the normalized margin tells which was taken
+    assert iq.CELL_BLOCK == 256
+    calls = []
+    margin = iq._instance_margin
+
+    def rig(case, frame, params):
+        raw, normalized = margin(case, frame, params)
+        calls.append(len(raw))
+        if len(calls) > 1:  # the blocks of the sweep
+            lo = 256 * (len(calls) - 2)
+            raw[:], normalized[:] = 1.0, 1.0
+            for move, (r, s) in rigged.items():
+                if lo <= move < lo + len(raw):
+                    raw[move - lo], normalized[move - lo] = r, s
+        return raw, normalized
+
+    monkeypatch.setattr(iq, "_instance_margin", rig)
+    # budget 432: 144 restarts in one stack, then exactly one sweep
+    f = iq.fuzz(iq.get_case("eq1.3"), {}, 432, np.random.default_rng(3),
+                dim=8)
+    assert calls == [144, 256, 32]
+    assert f.evaluations == 432
+    assert (f.margin, f.normalized_margin) == accepted
 
 
 def test_fuzz_in_range_finds_nothing():
