@@ -23,7 +23,8 @@ import numpy as np
 from . import inequalities, io
 from .dmap import (KERNEL_PARAMS, RATIONAL_FAMILIES, KernelSpec,
                    contractivity_check, kernel_in_hypothesis)
-from .errors import MeanforgeError, UnknownCaseError, UnknownParameterError
+from .errors import (BadIntervalError, MeanforgeError, UnknownCaseError,
+                     UnknownParameterError)
 from .linalg import random_complex, random_hpd
 
 EXIT_OK = 0
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_FLAGS
-    except (UnknownCaseError, UnknownParameterError) as exc:
+    except (BadIntervalError, UnknownCaseError, UnknownParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
     except (MeanforgeError, np.linalg.LinAlgError) as exc:

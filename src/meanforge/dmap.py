@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import PoleError, UnknownParameterError
+from .errors import BadIntervalError, PoleError, UnknownParameterError
 from .linalg import (Frame, HpdMatrix, frame_apply, random_complex,
                      svd_values)
 # ky_fan is looked up here by benchmarks/tracer.py.
@@ -91,6 +91,10 @@ class KernelSpec:
         for key, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"non-finite kernel parameter {key}={value}")
+        if self.kind == "heinzAverage":
+            lo, hi = self.params["lo"], self.params["hi"]
+            if not np.all(np.less(lo, hi)):
+                raise BadIntervalError(f"need lo < hi, got [{lo}, {hi}]")
 
 
 def kernel_eval(spec: KernelSpec, d):

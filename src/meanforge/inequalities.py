@@ -26,7 +26,7 @@ from .dmap import (RATIONAL_FAMILIES, KernelSpec, heinz_average,
 from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
-                     descending, gaussian_unitary, log_range, svd_values)
+                     gaussian_unitary, log_range, svd_values)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
@@ -529,19 +529,20 @@ class VerificationReport:
                    d.get("elapsedSeconds", 0.0))
 
 
-def _draw(rng, dim: int, logs) -> tuple:
-    """One instance's draws from ``rng``, in this order: A log-eigenvalues,
+def _draw(rng, dim: int, logs, count=None) -> tuple:
+    """One instance's draws from ``rng``, or ``count`` instances' as
+    arrays with a leading count axis, in this order: A log-eigenvalues,
     A Gaussian, B log-eigenvalues, B Gaussian and X Gaussian."""
-    shape = (2, dim, dim)
-    return (rng.uniform(*logs, size=dim), rng.standard_normal(shape),
-            rng.uniform(*logs, size=dim), rng.standard_normal(shape),
+    lead = () if count is None else (count,)
+    eigs, shape = (*lead, dim), (*lead, 2, dim, dim)
+    return (rng.uniform(*logs, size=eigs), rng.standard_normal(shape),
+            rng.uniform(*logs, size=eigs), rng.standard_normal(shape),
             rng.standard_normal(shape))
 
 
-def _stack(draws) -> tuple:
-    """(A eigenvalues, U_A, B eigenvalues, U_B, X) stacks of some
-    instances' draws, the unitaries from one batched QR."""
-    la, ga, lb, gb, gx = (np.array(z) for z in zip(*draws))
+def _stack(la, ga, lb, gb, gx) -> tuple:
+    """(A eigenvalues, U_A, B eigenvalues, U_B, X) stacks of stacked
+    draws, the unitaries from one batched QR."""
     ua, ub = gaussian_unitary(complex_gaussian(np.stack([ga, gb])))
     return np.exp(la), ua, np.exp(lb), ub, complex_gaussian(gx)
 
@@ -555,7 +556,8 @@ def _draw_stack(seed: int, case_index: int, dim: int, samples,
     logs = log_range(condition_range)
     rngs = [np.random.default_rng(np.random.SeedSequence(
         seed, spawn_key=(case_index, dim, sample))) for sample in samples]
-    return _stack([_draw(rng, dim, logs) for rng in rngs]), rngs
+    draws = zip(*(_draw(rng, dim, logs) for rng in rngs))
+    return _stack(*map(np.array, draws)), rngs
 
 
 def make_instance(seed: int, case_index: int, dim: int, sample: int,
@@ -682,42 +684,37 @@ def _rank(raw):
     return np.where(np.isfinite(raw), raw, np.inf)
 
 
-def _pack(ea, eb, x) -> np.ndarray:
-    """Points z = (log a, log b, Re X, Im X) of stacked instances, one row
-    of 2n + 2n^2 reals each."""
-    k = len(x)
-    return np.concatenate([np.log(ea), np.log(eb), x.real.reshape(k, -1),
-                           x.imag.reshape(k, -1)], axis=1)
+def _pack(ea, eb, xt) -> np.ndarray:
+    """Frame points z = (log a, log b, Re Xt, Im Xt) of stacked instances,
+    one row of 2n + 2n^2 reals each."""
+    k = len(xt)
+    return np.concatenate([np.log(ea), np.log(eb), xt.real.reshape(k, -1),
+                           xt.imag.reshape(k, -1)], axis=1)
 
 
 def _unpack(z, n: int) -> tuple:
-    """(log a, log b, X) stacks of the points z, as _pack wrote them."""
+    """(log a, log b, Xt) of the frame points z, as _pack wrote them."""
     k = n * n
-    x = z[:, 2 * n:2 * n + k] + 1j * z[:, 2 * n + k:]
-    return z[:, :n], z[:, n:2 * n], x.reshape(-1, n, n)
+    xt = z[..., 2 * n:2 * n + k] + 1j * z[..., 2 * n + k:]
+    return z[..., :n], z[..., n:2 * n], xt.reshape(*z.shape[:-1], n, n)
 
 
-def _score(case, params, z, va, vb) -> tuple:
-    """Worst raw and normalized margins of the stacked points z, with the
-    eigenvector columns va and vb of each; every instance sorts its
-    eigenpairs as ``HpdMatrix.from_spectrum`` does."""
-    loga, logb, x = _unpack(z, va.shape[-1])
-    (ea, ua), (eb, ub) = (descending(np.exp(loga), va),
-                          descending(np.exp(logb), vb))
-    return _instance_margin(case, Frame(ea, eb, adjoint(ua) @ x @ ub),
-                            params)
+def _score(case, params, z, n: int) -> tuple:
+    """Worst raw and normalized margins of the stacked frame points z."""
+    la, lb, xt = _unpack(z, n)
+    return _instance_margin(case, Frame(np.exp(la), np.exp(lb), xt), params)
 
 
-def _lowest(case, params, blocks) -> tuple:
-    """(raw, normalized, z, va, vb) of the first lowest-ranked point among
-    blocks (z, va, vb) of at most CELL_BLOCK points, scored one block per
-    engine call."""
+def _lowest(case, params, n: int, blocks) -> tuple:
+    """(raw, normalized, z, *rest) of the first lowest-ranked point among
+    blocks (z, *rest) of at most CELL_BLOCK frame points z and arrays
+    rest of per-point data, scored one block per engine call."""
     best = None
-    for z, va, vb in blocks:
-        raws, norms = _score(case, params, z, va, vb)
+    for block in blocks:
+        raws, norms = _score(case, params, block[0], n)
         i = int(np.argmin(_rank(raws)))
         if best is None or _rank(raws[i]) < _rank(best[0]):
-            best = (raws[i], norms[i], z[i], va[i], vb[i])
+            best = (raws[i], norms[i], *(a[i] for a in block))
     return best
 
 
@@ -725,17 +722,22 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
          rng: np.random.Generator, dim: int = 1,
          tolerance: float = DEFAULT_TOLERANCE) -> FuzzFinding:
     """Hunt for negative margins: random restarts followed by steepest
-    coordinate descent on log-eigenvalues and the entries of X.  Overrides
-    must name parameters that the case's sampler produces.
+    coordinate descent in the joint eigenframe.  Overrides must name
+    parameters that the case's sampler produces.
 
-    The restarts are drawn one after another from ``rng``; the first with
-    the lowest rank starts the descent.  Each sweep of the descent moves
-    the point z = (log a, log b, Re X, Im X) by +-step along each of its
-    coordinates in turn, scaled by max(1, max |X_ij|) for X, and takes the
-    first lowest-ranked of these 2 len(z) moves if it lowers the raw
+    The restarts are drawn from ``rng`` as block arrays of up to
+    CELL_BLOCK instances; the first with the lowest rank starts the
+    descent, its eigenvectors U_A and U_B held fixed.  A margin depends
+    only on (a, b, Xt) with Xt = U_A* X U_B, so each sweep moves the
+    point z = (log a, log b, Re Xt, Im Xt) by +-step along each of its
+    coordinates in turn, scaled by max(1, max |Xt_ij|) for Xt, and takes
+    the first lowest-ranked of these 2 len(z) moves if it lowers the raw
     margin, else halves the step.  Restarts and moves alike are scored as
     frame stacks of up to CELL_BLOCK points, and the last sweep is cut so
-    that the evaluations never exceed the budget."""
+    that the evaluations never exceed the budget.  The witness is
+    A = U_A diag(a) U_A*, B likewise and X = U_A Xt U_B*; its margins
+    are scored once more as ``evaluate`` scores it (not counted as an
+    evaluation), so that a replay gives the finding's bits."""
     params = dict(case.sampler(rng))
     unknown = sorted(set(overrides) - set(params))
     if unknown:
@@ -749,16 +751,15 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     def restarts():
         for lo in range(0, n_random, CELL_BLOCK):
-            count = min(CELL_BLOCK, n_random - lo)
-            ea, ua, eb, ub, xs = _stack([_draw(rng, dim, logs)
-                                         for _ in range(count)])
-            yield _pack(ea, eb, xs), ua, ub
+            ea, ua, eb, ub, x = _stack(*_draw(
+                rng, dim, logs, min(CELL_BLOCK, n_random - lo)))
+            yield _pack(ea, eb, adjoint(ua) @ x @ ub), ua, ub
 
-    raw, normalized, z, va, vb = _lowest(case, params, restarts())
+    raw, _, z, ua, ub = _lowest(case, params, dim, restarts())
     evals = n_random
 
     m = len(z)
-    x_scale = max(1.0, float(np.max(np.abs(_unpack(z[None], dim)[2]))))
+    x_scale = max(1.0, float(np.max(np.abs(_unpack(z, dim)[2]))))
     scale = np.where(np.arange(m) < 2 * dim, 1.0, x_scale)
 
     def moves(z, step, count):
@@ -770,23 +771,24 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
             cand[r - lo, j] += np.where(r % 2, -step, step) * scale[j]
             # eigenvalues kept inside e^+-80 so powers never overflow
             cand[:, :2 * dim] = np.clip(cand[:, :2 * dim], -80.0, 80.0)
-            shape = (len(r), dim, dim)
-            yield cand, np.broadcast_to(va, shape), np.broadcast_to(vb, shape)
+            yield (cand,)
 
     step = 0.5
     while evals < budget and step > 1e-6:
         count = min(2 * m, budget - evals)
         evals += count
-        cand_raw, cand_norm, cand, _, _ = _lowest(case, params,
-                                                 moves(z, step, count))
+        cand_raw, _, cand = _lowest(case, params, dim, moves(z, step, count))
         # against the rank, so any finite candidate beats a NaN
         if cand_raw < _rank(raw) - 1e-15:
-            raw, normalized, z = cand_raw, cand_norm, cand
+            raw, z = cand_raw, cand
         else:
             step *= 0.5
 
-    (loga,), (logb,), (x,) = _unpack(z[None], dim)
-    inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(loga), va),
-                          HpdMatrix.from_spectrum(np.exp(logb), vb), x)
+    la, lb, xt = _unpack(z, dim)
+    inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(la), ua),
+                          HpdMatrix.from_spectrum(np.exp(lb), ub),
+                          ua @ xt @ adjoint(ub))
+    raw, normalized = _instance_margin(
+        case, Frame.of(inst.a, inst.x, inst.b), params)
     return FuzzFinding(case.id, params, float(raw), float(normalized),
                        bool(normalized < -tolerance), inst, evals)

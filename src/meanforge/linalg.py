@@ -61,14 +61,6 @@ def svd_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def descending(w: np.ndarray, v: np.ndarray) -> tuple:
-    """Eigenvalues (..., n) in descending order, by a stable sort, with
-    their eigenvector columns (..., n, n) in the same order."""
-    order = np.argsort(-w, axis=-1, kind="stable")
-    return (np.take_along_axis(w, order, -1),
-            np.take_along_axis(v, order[..., None, :], -1))
-
-
 @dataclass(frozen=True)
 class HpdMatrix:
     """Hermitian positive definite matrix with its spectral data.
@@ -105,8 +97,8 @@ class HpdMatrix:
         v = np.asarray(eigenvectors, dtype=complex)
         if np.any(w <= 0.0):
             raise ValueError("eigenvalues must be strictly positive")
-        w, v = descending(w, v)
-        return cls(eigenvalues=w, eigenvectors=v)
+        order = np.argsort(-w, kind="stable")
+        return cls(eigenvalues=w[order], eigenvectors=v[:, order])
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "HpdMatrix":

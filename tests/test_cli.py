@@ -81,8 +81,9 @@ EXIT_CODES = {
                        "--budget", "10"], 2),
     # the one random restart overflows to a NaN margin
     "fuzz-nan-margin": (FUZZ_NU_800 + ["--budget", "3"], 3),
-    # a later restart is finite and replaces the NaN ones: a violation
-    "fuzz-nan-restart-replaced": (FUZZ_NU_800 + ["--budget", "30"], 0),
+    # a later restart (the 17th of 20) is finite and replaces the NaN
+    # ones: a violation
+    "fuzz-nan-restart-replaced": (FUZZ_NU_800 + ["--budget", "60"], 0),
     "contractivity-unknown-parameter": (["contractivity", *PART1,
                                          "--set", "tt=5"], 2),
     "contractivity-unknown-kernel": (["contractivity", "--kernel", "nope"],
@@ -90,6 +91,13 @@ EXIT_CODES = {
     "contractivity-pole": (["contractivity", "--kernel", "coshRatioT",
                             "--set", "r=1", "--set", "s1=1",
                             "--set", "s2=1", "--set", "t=-1"], 3),
+    # the integral over an empty or reversed nu interval is not defined
+    "contractivity-reversed-interval": (["contractivity", "--kernel",
+                                         "heinzAverage", "--set", "lo=0.6",
+                                         "--set", "hi=0.4"], 2),
+    "contractivity-empty-interval": (["contractivity", "--kernel",
+                                      "heinzAverage", "--set", "lo=1/2",
+                                      "--set", "hi=1/2"], 2),
 }
 
 

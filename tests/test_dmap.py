@@ -4,8 +4,8 @@ import pytest
 from meanforge import dmap, inequalities as iq
 from meanforge.dmap import (DMap, KernelSpec, contractivity_check,
                             kernel_eval, kernel_in_hypothesis)
-from meanforge.errors import (DimMismatchError, PoleError,
-                              UnknownParameterError)
+from meanforge.errors import (BadIntervalError, DimMismatchError,
+                              PoleError, UnknownParameterError)
 from meanforge.linalg import random_complex, random_hpd
 
 import product_oracle as oracle
@@ -73,6 +73,14 @@ def test_kernel_spec_checks_parameter_names():
     rng = np.random.default_rng(0)
     for case_id, kind in iq._PROP_KINDS.items():
         KernelSpec(kind, iq.get_case(case_id).sampler(rng))
+
+
+def test_heinz_average_spec_needs_lo_below_hi():
+    # as heinz_nu_average does; per-sample arrays are checked entrywise
+    for lo, hi in [(0.6, 0.4), (0.5, 0.5), (0.2, np.array([0.3, 0.1]))]:
+        with pytest.raises(BadIntervalError):
+            KernelSpec("heinzAverage", {"lo": lo, "hi": hi})
+    KernelSpec("heinzAverage", {"lo": 0.2, "hi": np.array([0.3, 0.4])})
 
 
 def test_identity_kernel_gives_base():

@@ -242,83 +242,120 @@ def test_fuzz_out_of_range_finds_violation():
     assert finding.violation
 
 
+def hook_stacks(monkeypatch, rig=None) -> list:
+    """Wrap inequalities._instance_margin: the size of each frame stack it
+    scores goes to the returned list, and rig(call, raw, normalized) may
+    change the stack's margins in place.  A single frame, the witness's
+    re-score, passes through."""
+    sizes, margin = [], iq._instance_margin
+
+    def hooked(case, frame, params):
+        raw, normalized = margin(case, frame, params)
+        if np.ndim(frame.xt) == 3:
+            sizes.append(len(raw))
+            if rig is not None:
+                rig(len(sizes) - 1, raw, normalized)
+        return raw, normalized
+
+    monkeypatch.setattr(iq, "_instance_margin", hooked)
+    return sizes
+
+
+def hook_lowest(monkeypatch) -> list:
+    """Record every (raw, normalized, z, ...) that inequalities._lowest
+    returns: the best restart first, then each sweep's best move."""
+    found, lowest = [], iq._lowest
+
+    def hooked(*args):
+        found.append(lowest(*args))
+        return found[-1]
+
+    monkeypatch.setattr(iq, "_lowest", hooked)
+    return found
+
+
+def lands_at(inst, z, ua, ub) -> bool:
+    """Whether the witness inst is the frame point z, eigenvectors ua and
+    ub, up to the witness's sort of the eigenpairs."""
+    la, lb, xt = iq._unpack(z, inst.dim)
+    return bool(np.allclose(np.log(inst.a.eigenvalues), np.sort(la)[::-1])
+                and np.allclose(np.log(inst.b.eigenvalues), np.sort(lb)[::-1])
+                and np.allclose(iq.adjoint(ua) @ inst.x @ ub, xt))
+
+
 def test_fuzz_nan_restart_never_stays_best(monkeypatch):
     # the first random restart of the stack evaluates to NaN and so does
     # every descent candidate: a finite restart must be the finding.
     # Budget 30 has 10 restarts, one stack and so the first call.
-    margin, calls = iq._instance_margin, []
-
-    def first_nan(case, frame, params):
-        raw, normalized = margin(case, frame, params)
-        calls.append(len(raw))
-        if len(calls) > 1:  # a descent sweep
+    def first_nan(call, raw, normalized):
+        if call:  # a descent sweep
             raw[:] = normalized[:] = np.nan
         else:
             raw[0] = normalized[0] = np.nan
-        return raw, normalized
 
-    monkeypatch.setattr(iq, "_instance_margin", first_nan)
+    sizes = hook_stacks(monkeypatch, first_nan)
+    found = hook_lowest(monkeypatch)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
-    assert calls[0] == 10 and len(calls) > 1
+    assert sizes[0] == 10 and len(sizes) > 1
+    raw, _, z, ua, ub = found[0]
+    assert np.isfinite(raw)
+    assert lands_at(finding.instance, z, ua, ub)
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
 
 
 def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
     # every random restart is NaN; the first finite candidate replaces it
-    margin, calls = iq._instance_margin, []
-
-    def nan_restarts(case, frame, params):
-        raw, normalized = margin(case, frame, params)
-        calls.append(len(raw))
-        if len(calls) == 1:  # the one restart stack of budget 30
+    def nan_restarts(call, raw, normalized):
+        if call == 0:  # the one restart stack of budget 30
             raw[:] = normalized[:] = np.nan
-        return raw, normalized
 
-    monkeypatch.setattr(iq, "_instance_margin", nan_restarts)
+    sizes = hook_stacks(monkeypatch, nan_restarts)
+    found = hook_lowest(monkeypatch)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
-    assert calls[0] == 10 and len(calls) > 1
+    assert sizes[0] == 10 and len(sizes) > 1
+    raw, _, z, ua, ub = found[0]
+    assert np.isnan(raw)
+    assert not lands_at(finding.instance, z, ua, ub)
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
 
 
-# Findings of the steepest-descent fuzzer: (case, overrides, dim, budget,
-# seed) -> float.hex of the raw and normalized margins, evaluations and
-# the first 16 hex digits of the SHA-256 of the witness's eigenvalues,
+# Findings of the eigenframe fuzzer: (case, overrides, dim, budget, seed)
+# -> float.hex of the raw and normalized margins, evaluations and the
+# first 16 hex digits of the SHA-256 of the witness's eigenvalues,
 # eigenvectors and X.  Budget 1000 has 333 restarts, more than one
-# CELL_BLOCK.  They were recorded anew when the descent became steepest
-# (it scores each sweep's moves as one stack and takes the best), after
+# CELL_BLOCK.  They were recorded anew when the search moved to the
+# joint eigenframe (restarts drawn as block arrays, moves on Xt), after
 # the evidence that the new search loses nothing: no missed violation
 # on the 12 violating benchmark probes x 20 seeds at budgets 150 and
-# 300, the 12 in-range controls clean, and lower median final margins
-# than the first-improvement descent at equal wall time.  The bits
-# depend on LAPACK QR and SVD rounding: they were recorded with numpy
-# 2.4.6 on scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on
-# another BLAS build a mismatch here need not mean that the search
-# changed.
+# 300, and the 12 in-range controls clean.  The bits depend on LAPACK
+# QR and SVD rounding: they were recorded with numpy 2.4.6 on
+# scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on another BLAS
+# build a mismatch here need not mean that the search changed.
+# ``PYTHONPATH=src python tests/test_inequalities.py`` prints the list
+# as this setup finds it.
 FUZZ_GOLDEN = [
     (("eq1.2", {"nu": 0.1, "alpha": 0.5}, 4, 300, 0),
-     ("-0x1.2be3a027849f0p+7", "-0x1.49294cb41a7dbp-5", 300,
-      "11a86cde64d467f8")),
+     ("-0x1.76b2a9972a4d0p+7", "-0x1.02249c3e443f2p-4", 300,
+      "66da2135012fc0c4")),
     (("eq2.9", {"nu": 0.05, "alpha": 0.5}, 4, 1000, 1),
-     ("-0x1.6d23f909d3ecbp+15", "-0x1.75b4079efa514p+1", 1000,
-      "a75b0ca4e7cac804")),
+     ("-0x1.4fd6cbc394a13p+15", "-0x1.d26bc425b8ef5p+1", 1000,
+      "cf4c90bc28c3f9ca")),
     (("eq1.4-chain", {"alpha": 0.2}, 2, 1000, 2),
-     ("-0x1.163e69094ae30p+16", "-0x1.ba6e3bdf4c407p-4", 1000,
-      "84caaad342b0a593")),
+     ("-0x1.1e9d1fbfcc740p+18", "-0x1.efbc73dd5265cp-4", 1000,
+      "26e3ecad2e543fef")),
     (("eq1.4-chain", {"alpha": 0.5}, 3, 300, 3),
-     ("0x1.07303767cac20p-10", "0x1.0037ac36c2dd5p-10", 300,
-      "ecce2a72159397b4")),
+     ("0x1.3cf216fef2800p-11", "0x1.08682804ae21fp-11", 300,
+      "910b801f35978d81")),
     (("eq1.2", {"nu": 0.3, "alpha": 0.5}, 2, 1000, 4),
-     ("0x1.2b700ff440000p-27", "0x1.2a13671497dbcp-27", 1000,
-      "300a1a9245276443")),
+     ("0x1.9baeedc800000p-28", "0x1.6e4b241103c24p-28", 1000,
+      "b8430d31a6398f48")),
 ]
 
 
-@pytest.mark.parametrize("config, expected", FUZZ_GOLDEN,
-                         ids=[f"{c[0]}-dim{c[2]}-budget{c[3]}"
-                              for c, _ in FUZZ_GOLDEN])
-def test_fuzz_findings_unchanged(config, expected):
+def golden_of(config) -> tuple:
+    """(FUZZ_GOLDEN entry, finding) of a fresh fuzz run of config."""
     cid, overrides, dim, budget, seed = config
     f = iq.fuzz(iq.get_case(cid), dict(overrides), budget,
                 np.random.default_rng(seed), dim=dim)
@@ -327,21 +364,28 @@ def test_fuzz_findings_unchanged(config, expected):
                 f.instance.b.eigenvalues, f.instance.b.eigenvectors,
                 f.instance.x):
         digest.update(arr.tobytes())
-    assert (f.margin.hex(), f.normalized_margin.hex(), f.evaluations,
-            digest.hexdigest()[:16]) == expected
+    return (f.margin.hex(), f.normalized_margin.hex(), f.evaluations,
+            digest.hexdigest()[:16]), f
+
+
+@pytest.mark.parametrize("config, expected", FUZZ_GOLDEN,
+                         ids=[f"{c[0]}-dim{c[2]}-budget{c[3]}"
+                              for c, _ in FUZZ_GOLDEN])
+def test_fuzz_findings_unchanged(config, expected):
+    got, f = golden_of(config)
+    assert got == expected
     assert f.violation == (f.normalized_margin < -iq.DEFAULT_TOLERANCE)
 
 
 def test_fuzz_scores_frames_not_matrices(monkeypatch):
-    # one evaluator call per stack of restarts or of descent moves; the
-    # witness is the only HpdMatrix built
+    # one evaluator call per stack of restarts or of descent moves, and
+    # one on the witness's frame; the witness is the only HpdMatrix built
     sizes, built = [], []
     margin = iq._instance_margin
     spectrum = iq.HpdMatrix.from_spectrum.__func__
 
     def counted(case, frame, params):
-        assert np.ndim(frame.xt) == 3
-        sizes.append(len(frame.xt))
+        sizes.append(np.shape(frame.xt)[:-2])
         return margin(case, frame, params)
 
     def counted_spectrum(cls, *args):
@@ -355,17 +399,20 @@ def test_fuzz_scores_frames_not_matrices(monkeypatch):
                 np.random.default_rng(0), dim=2)
     assert f.evaluations == 1000
     # 333 restarts as stacks of 256 and 77, then sweeps of 2 (2n + 2n^2)
-    # = 24 moves, the last one cut to what is left of the budget
-    assert sizes[:2] == [256, 77]
-    assert sizes[2:-1] == [24] * (len(sizes) - 3) and 0 < sizes[-1] <= 24
-    assert sum(sizes) == 1000
+    # = 24 moves, the last one cut to what is left of the budget, then
+    # the witness's single frame
+    stacks = [s[0] for s in sizes[:-1]]
+    assert stacks[:2] == [256, 77]
+    assert stacks[2:-1] == [24] * (len(stacks) - 3) and 0 < stacks[-1] <= 24
+    assert sum(stacks) == 1000
+    assert sizes[-1] == ()
     assert len(built) == 2
 
 
 def _sweep(z, dim, step, x_scale):
     """A sweep's candidate stack around the point z, written as a loop:
     coordinate j moved by +step, then -step, times 1 for the logs
-    (clipped to +-80) and x_scale for X."""
+    (clipped to +-80) and x_scale for Xt."""
     cands = []
     for j in range(len(z)):
         for sign in (1.0, -1.0):
@@ -379,21 +426,22 @@ def _sweep(z, dim, step, x_scale):
 
 
 def _restart(dim, seed):
-    """(z, va, vb) of one random point drawn as the fuzzer draws."""
+    """The frame point z of one random restart drawn as the fuzzer
+    draws."""
     rng = np.random.default_rng(seed)
-    ea, ua, eb, ub, x = iq._stack(
-        [iq._draw(rng, dim, iq.log_range(iq.FUZZ_CONDITION_RANGE))])
-    return iq._pack(ea, eb, x)[0], ua[0], ub[0]
+    ea, ua, eb, ub, x = iq._stack(*iq._draw(
+        rng, dim, iq.log_range(iq.FUZZ_CONDITION_RANGE), 1))
+    return iq._pack(ea, eb, iq.adjoint(ua) @ x @ ub)[0]
 
 
 def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
-    # the stacks the fuzzer scores are the restart's best point, then
-    # the loop-built sweeps around each accepted point
+    # the stacks the fuzzer scores are the restarts, then the loop-built
+    # sweeps around each accepted point
     scored = []
     score = iq._score
 
-    def kept(case, params, z, va, vb):
-        raws, norms = score(case, params, z, va, vb)
+    def kept(case, params, z, n):
+        raws, norms = score(case, params, z, n)
         scored.append((z.copy(), raws))
         return raws, norms
 
@@ -403,7 +451,7 @@ def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
             np.random.default_rng(7), dim=dim)
     (zs, raws), sweeps = scored[0], scored[1:]
     z, raw = zs[int(np.argmin(raws))], np.min(raws)
-    x_scale = max(1.0, np.max(np.abs(iq._unpack(z[None], dim)[2])))
+    x_scale = max(1.0, np.max(np.abs(iq._unpack(z, dim)[2])))
     step = 0.5
     for cands, cand_raws in sweeps:
         want = _sweep(z, dim, step, x_scale)[:len(cands)]
@@ -422,34 +470,23 @@ def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
     ("f-nu-shape", {}, 4),
 ])
 def test_sweep_stack_scores_as_single_frames(cid, overrides, dim):
-    # a sweep scored as one stack gives each candidate the bits it gets
-    # on its own frame, built from HpdMatrix operands as evaluate does
+    # a sweep scored as one stack gives each frame point the bits it gets
+    # on its own single frame
     case = iq.get_case(cid)
     params = {**case.sampler(np.random.default_rng(dim)), **overrides}
-    z, va, vb = _restart(dim, seed=dim)
-    cands = _sweep(z, dim, 0.5, 1.5)
-    shape = (len(cands), dim, dim)
-    raws, norms = iq._score(case, params, cands, np.broadcast_to(va, shape),
-                            np.broadcast_to(vb, shape))
+    cands = _sweep(_restart(dim, seed=dim), dim, 0.5, 1.5)
+    raws, norms = iq._score(case, params, cands, dim)
     for c, r, s in zip(cands, raws, norms):
-        (la,), (lb,), (x,) = iq._unpack(c[None], dim)
-        frame = iq.Frame.of(HpdMatrix.from_spectrum(np.exp(la), va), x,
-                            HpdMatrix.from_spectrum(np.exp(lb), vb))
-        one_raw, one_norm = iq._instance_margin(case, frame, params)
+        la, lb, xt = iq._unpack(c, dim)
+        one_raw, one_norm = iq._instance_margin(
+            case, Frame(np.exp(la), np.exp(lb), xt), params)
         assert (r.hex(), s.hex()) == (float(one_raw).hex(),
                                        float(one_norm).hex())
 
 
 def test_fuzz_budget_not_a_multiple_of_the_sweep(monkeypatch):
     # dim 2: 83 restarts, then sweeps of 24 moves and a last one of 23
-    sizes = []
-    margin = iq._instance_margin
-
-    def counted(case, frame, params):
-        sizes.append(len(frame.xt))
-        return margin(case, frame, params)
-
-    monkeypatch.setattr(iq, "_instance_margin", counted)
+    sizes = hook_stacks(monkeypatch)
     f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 250,
                 np.random.default_rng(5), dim=2)
     assert f.evaluations == 250
@@ -468,29 +505,97 @@ def test_sweep_across_blocks_accepts_the_first_global_best(
         monkeypatch, rigged, accepted):
     # dim 8: a sweep has 2 (16 + 128) = 288 moves, scored as blocks of 256
     # and 32; the rigged moves get the given (raw, normalized) margins,
-    # every other move 1, and the normalized margin tells which was taken
+    # every other move 1, and the normalized margin tells which was the
+    # sweep's best; the witness is that move's point
     assert iq.CELL_BLOCK == 256
-    calls = []
-    margin = iq._instance_margin
 
-    def rig(case, frame, params):
-        raw, normalized = margin(case, frame, params)
-        calls.append(len(raw))
-        if len(calls) > 1:  # the blocks of the sweep
-            lo = 256 * (len(calls) - 2)
+    def rig(call, raw, normalized):
+        if call:  # the blocks of the sweep
+            lo = 256 * (call - 1)
             raw[:], normalized[:] = 1.0, 1.0
             for move, (r, s) in rigged.items():
                 if lo <= move < lo + len(raw):
                     raw[move - lo], normalized[move - lo] = r, s
-        return raw, normalized
 
-    monkeypatch.setattr(iq, "_instance_margin", rig)
+    sizes = hook_stacks(monkeypatch, rig)
+    found = hook_lowest(monkeypatch)
     # budget 432: 144 restarts in one stack, then exactly one sweep
     f = iq.fuzz(iq.get_case("eq1.3"), {}, 432, np.random.default_rng(3),
                 dim=8)
-    assert calls == [144, 256, 32]
+    assert sizes == [144, 256, 32]
     assert f.evaluations == 432
-    assert (f.margin, f.normalized_margin) == accepted
+    (_, _, _, ua, ub), (raw, normalized, z) = found
+    assert (raw, normalized) == accepted
+    assert lands_at(f.instance, z, ua, ub)
+
+
+# The fuzz workload's probes: out-of-range parameters for which a
+# violation exists, and in-range controls for which none may be found.
+VIOLATING = [("eq1.2", {"nu": 0.1, "alpha": 0.5}),
+             ("eq1.4-chain", {"alpha": 0.2}),
+             ("eq2.9", {"nu": 0.05, "alpha": 0.5})]
+CONTROLS = [("eq1.2", {"nu": 0.3, "alpha": 0.5}),
+            ("eq1.4-chain", {"alpha": 0.5}),
+            ("eq2.9", {"nu": 0.3, "alpha": 0.5})]
+
+
+def _probe_id(probe):
+    cid, overrides = probe
+    return "-".join([cid, *(f"{k}={v}" for k, v in overrides.items())])
+
+
+@pytest.mark.parametrize("cid, overrides", VIOLATING,
+                         ids=map(_probe_id, VIOLATING))
+def test_descent_lowers_the_best_restart(monkeypatch, cid, overrides):
+    # the restarts alone find these violations, so a descent that never
+    # moved would pass every sharpness check: the final raw margin must
+    # be strictly below the best restart's (budget 300: one restart stack)
+    restart_best = []
+
+    def keep(call, raw, normalized):
+        if call == 0:
+            restart_best.append(np.min(iq._rank(raw)))
+
+    hook_stacks(monkeypatch, keep)
+    for dim in (1, 2, 3, 4):
+        for seed in (0, 1):
+            f = iq.fuzz(iq.get_case(cid), dict(overrides), 300,
+                        np.random.default_rng(seed), dim=dim)
+            assert f.margin < restart_best[-1], (dim, seed)
+
+
+@pytest.mark.parametrize("cid, overrides", VIOLATING + CONTROLS,
+                         ids=map(_probe_id, VIOLATING + CONTROLS))
+def test_fuzz_witness_replays_bit_for_bit(cid, overrides):
+    # evaluate on the finding's witness gives back its margins exactly
+    case = iq.get_case(cid)
+    for dim in (1, 2, 3, 4):
+        for seed in (0, 1):
+            f = iq.fuzz(case, dict(overrides), 300,
+                        np.random.default_rng(seed), dim=dim)
+            replay = iq.evaluate(case, f.instance, f.params, override=True)
+            _, scales = iq._margins(
+                case, Frame.of(f.instance.a, f.instance.x, f.instance.b),
+                f.params)
+            raw = min(float(np.min(m)) for m in replay)
+            normalized = min(float(np.min(m) / s)
+                             for m, s in zip(replay, scales))
+            assert (raw.hex(), normalized.hex()) == (
+                f.margin.hex(), f.normalized_margin.hex()), (dim, seed)
+
+
+@pytest.mark.parametrize("cid, overrides, expect",
+                         [(*p, True) for p in VIOLATING]
+                         + [(*p, False) for p in CONTROLS],
+                         ids=map(_probe_id, VIOLATING + CONTROLS))
+def test_fuzz_probes_at_a_small_budget(cid, overrides, expect):
+    # budget 150, dims 1-4, five seeds: every violating probe finds its
+    # violation and no control reports one
+    for dim in (1, 2, 3, 4):
+        for seed in range(5):
+            f = iq.fuzz(iq.get_case(cid), dict(overrides), 150,
+                        np.random.default_rng(seed), dim=dim)
+            assert f.violation == expect, (dim, seed)
 
 
 def test_fuzz_in_range_finds_nothing():
@@ -530,3 +635,16 @@ def test_cases_are_homogeneous_of_their_degree():
                                  iq.evaluate(case, inst, params)):
                 assert np.max(np.abs(got - factor * base)) <= 1e-11 * (
                     factor * np.max(np.abs(base))), (cid, dim)
+
+
+if __name__ == "__main__":
+    # FUZZ_GOLDEN as this setup finds it, in the form written above
+    print("FUZZ_GOLDEN = [")
+    for config, _ in FUZZ_GOLDEN:
+        cid, overrides, *ints = config
+        raw, normalized, evals, digest = golden_of(config)[0]
+        print(f"    (({json.dumps(cid)}, {json.dumps(overrides)}, "
+              f"{', '.join(map(str, ints))}),")
+        print(f'     ("{raw}", "{normalized}", {evals},')
+        print(f'      "{digest}")),')
+    print("]")

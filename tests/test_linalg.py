@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from meanforge.errors import NotHermitianError
-from meanforge.linalg import (HpdMatrix, descending, hermitian_eig,
-                              random_complex, random_hpd, random_unitary,
-                              svd_values)
+from meanforge.linalg import (HpdMatrix, hermitian_eig, random_complex,
+                              random_hpd, random_unitary, svd_values)
 
 
 def test_eig_identity():
@@ -91,19 +90,15 @@ def test_eig_of_power_is_powered_spectrum():
     assert np.allclose(w, expected, rtol=1e-9)
 
 
-def test_descending_sorts_a_stack_as_from_spectrum_sorts_one():
+def test_from_spectrum_sorts_descending_keeping_tie_order():
     rng = np.random.default_rng(3)
-    w = rng.uniform(0.5, 2.0, (5, 4))
-    w[0, 1] = w[0, 3]  # a tie keeps its column order
-    v = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    ws, vs = descending(w, v)
-    for k in range(5):
-        one = HpdMatrix.from_spectrum(w[k], v[k])
-        assert np.array_equal(ws[k], one.eigenvalues)
-        assert np.array_equal(vs[k], one.eigenvectors)
-        order = np.argsort(-w[k], kind="stable")
-        assert np.array_equal(one.eigenvalues, w[k][order])
-        assert np.array_equal(one.eigenvectors, v[k][:, order])
+    w = np.array([1.0, 3.0, 2.0, 3.0, 0.5, 2.0])
+    v = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m = HpdMatrix.from_spectrum(w, v)
+    # a stable sort: tied eigenvalues keep the order of their columns
+    order = [1, 3, 2, 5, 0, 4]
+    assert np.array_equal(m.eigenvalues, w[order])
+    assert np.array_equal(m.eigenvectors, v[:, order])
 
 
 def test_random_hpd_forced_spectrum():
