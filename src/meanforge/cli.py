@@ -207,6 +207,10 @@ def cmd_contractivity(args) -> int:
     ratio, _ = contractivity_check(spec, a, b, args.samples, rng)
     print(f"maxRatio = {ratio:.12g} "
           f"(hypothesis: literal={flags['literal']} abs={flags['abs']})")
+    if not math.isfinite(ratio):
+        print("error: numerical failure: maxRatio is not finite",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     return (EXIT_OK if args.report_only or ratio <= 1.0 + args.tol
             else EXIT_VIOLATION)
 

@@ -26,7 +26,8 @@ from .dmap import (RATIONAL_FAMILIES, KernelSpec, heinz_average,
 from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
-                     gaussian_unitary, log_range, svd_values)
+                     gaussian_unitary, log_range, spawned_streams,
+                     svd_values)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
@@ -89,16 +90,9 @@ def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
     terms = {id(m): m for step in steps for _, m in step.lhs + step.rhs}
     if len({np.shape(m) for m in terms.values()}) > 1:
         raise DimMismatchError("step terms differ in shape")
-    stack = np.stack(list(terms.values())) * xt
-    if np.isfinite(stack).all():
-        fans = np.cumsum(svd_values(stack), -1)
-    else:
-        # LAPACK rejects NaN and inf: a term with such an entry gets NaN
-        # singular values, so that its margins count as numerical failures
-        finite = np.isfinite(stack).all(axis=(-2, -1))
-        values = np.full(stack.shape[:-1], np.nan)
-        values[finite] = svd_values(stack[finite])
-        fans = np.cumsum(values, -1)
+    # a term with a NaN or inf entry gets NaN singular values, so that
+    # its margins count as numerical failures
+    fans = np.cumsum(svd_values(np.stack(list(terms.values())) * xt), -1)
     # cumulative sums as (..., 1, n), so that coefficients, numbers or
     # per-sample (..., 1, 1) arrays, weigh them by broadcasting
     cumulative = dict(zip(terms, fans[..., None, :]))
@@ -547,49 +541,63 @@ def _stack(la, ga, lb, gb, gx) -> tuple:
     return np.exp(la), ua, np.exp(lb), ub, complex_gaussian(gx)
 
 
-def _draw_stack(seed: int, case_index: int, dim: int, samples,
-                condition_range):
-    """Stacked instances (A eigenvalues, U_A, B eigenvalues, U_B, X) of
-    some samples of a (case, dim) cell.  Each sample draws from its own
-    stream, which is returned positioned for the case's parameter
-    sampler."""
-    logs = log_range(condition_range)
-    rngs = [np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(case_index, dim, sample))) for sample in samples]
-    draws = zip(*(_draw(rng, dim, logs) for rng in rngs))
-    return _stack(*map(np.array, draws)), rngs
-
-
 def make_instance(seed: int, case_index: int, dim: int, sample: int,
                   condition_range=DEFAULT_CONDITION_RANGE
                   ) -> tuple[InstanceTriple, np.random.Generator]:
     """Instance and parameter stream for one (case, dim, sample) cell.
 
     Counter-derived from the master seed, so any subset of the suite
-    reproduces exactly the same instances.
+    reproduces exactly the same instances: the stream, draws and QR are
+    those of the suite's draw passes.
     """
-    (ea, ua, eb, ub, x), (rng,) = _draw_stack(seed, case_index, dim,
-                                              [sample], condition_range)
+    rng = next(spawned_streams(seed, [(case_index, dim, sample)]))
+    ea, ua, eb, ub, x = _stack(*_draw(rng, dim, log_range(condition_range),
+                                      1))
     return InstanceTriple(HpdMatrix.from_spectrum(ea[0], ua[0]),
                           HpdMatrix.from_spectrum(eb[0], ub[0]), x[0]), rng
 
 
-# Samples evaluated together: the stacks of a block take memory linear in
-# its size (f-nu-shape holds 41 grids), so a cell goes block by block.
+# Instances drawn and evaluated together: the stacks of a block take
+# memory linear in its size (f-nu-shape holds 41 grids), so a cell goes
+# block by block, and a draw pass holds as many whole cells as fit.
 CELL_BLOCK = 256
 
 
-def _run_block(case: InequalityCase, case_index: int, dim: int, samples,
-               seed: int, tolerance: float, condition_range) -> CaseResult:
+def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
+    """Blocks (samples, frame, params) of some (case id, samples) cells of
+    one dim, drawn in one pass.  Every sample's stream state is derived
+    at once and replayed on one Generator, the instance draws and then
+    the case's sampler; the pass ends with one batched QR and one
+    rotation U_A* X U_B."""
+    streams = spawned_streams(seed, [(CASE_IDS.index(cid), dim, sample)
+                                     for cid, samples in cells
+                                     for sample in samples])
+    logs = log_range(condition_range)
+    draws, params = [], []
+    for cid, samples in cells:
+        sampler = REGISTRY[cid].sampler
+        params.append([])
+        # samples first, so that zip takes no stream past the cell's last
+        for _, rng in zip(samples, streams):
+            draws.append(_draw(rng, dim, logs))
+            params[-1].append(sampler(rng))
+    ea, ua, eb, ub, x = _stack(*map(np.array, zip(*draws)))
+    xt = adjoint(ua) @ x @ ub
+    blocks, lo = [], 0
+    for (_, samples), p in zip(cells, params):
+        hi = lo + len(samples)
+        blocks.append((samples, Frame(ea[lo:hi], eb[lo:hi], xt[lo:hi]), p))
+        lo = hi
+    return blocks
+
+
+def _run_block(case: InequalityCase, dim: int, samples, frame: Frame,
+               params: list, tolerance: float) -> CaseResult:
     """Some samples of one (case, dim) cell, evaluated as one frame stack
     with per-sample parameters as (samples, 1, 1) arrays."""
-    (ea, ua, eb, ub, x), rngs = _draw_stack(seed, case_index, dim, samples,
-                                            condition_range)
-    params = [case.sampler(rng) for rng in rngs]
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
-    margins, scales = _margins(
-        case, Frame(ea, eb, adjoint(ua) @ x @ ub), params)
+    margins, scales = _margins(case, frame, params)
     normalized = np.array([np.min(m, axis=-1) / s
                            for m, s in zip(margins, scales)])
     # NaN or infinite margins count as numerical failures, neither a pass
@@ -605,16 +613,34 @@ def _run_block(case: InequalityCase, case_index: int, dim: int, samples,
                       int(np.count_nonzero(~finite)))
 
 
-def _run_case_dim(args) -> CaseResult:
-    """All samples of one (case, dim) cell, CELL_BLOCK at a time."""
-    case_id, case_index, dim, samples, *rest = args
-    result, *others = (_run_block(REGISTRY[case_id], case_index, dim,
-                                  range(lo, min(lo + CELL_BLOCK, samples)),
-                                  *rest)
-                       for lo in range(0, samples, CELL_BLOCK))
+def _run_case_dim(task) -> CaseResult:
+    """One (case, dim) cell from task (case id, tolerance, dim, blocks),
+    its drawn blocks of up to CELL_BLOCK samples merged in order."""
+    # benchmarks/ times this call per cell and reads task[0] and task[2]
+    case_id, tolerance, dim, blocks = task
+    result, *others = (_run_block(REGISTRY[case_id], dim, *block, tolerance)
+                       for block in blocks)
     for other in others:
         result.merge(other)
     return result
+
+
+def _run_pass(task) -> list[CaseResult]:
+    """The cells of some cases at one dim: drawn in one pass when they fit
+    in CELL_BLOCK instances, else one cell drawn block by block."""
+    case_ids, dim, samples, seed, tolerance, condition_range = task
+    if samples > CELL_BLOCK:
+        (cid,) = case_ids
+        ranges = (range(lo, min(lo + CELL_BLOCK, samples))
+                  for lo in range(0, samples, CELL_BLOCK))
+        cells = [(_draw_pass(seed, dim, [(cid, r)], condition_range)[0]
+                  for r in ranges)]
+    else:
+        cells = [[block] for block in _draw_pass(
+            seed, dim, [(cid, range(samples)) for cid in case_ids],
+            condition_range)]
+    return [_run_case_dim((cid, tolerance, dim, blocks))
+            for cid, blocks in zip(case_ids, cells)]
 
 
 def run_suite(dims, samples: int, seed: int,
@@ -633,23 +659,25 @@ def run_suite(dims, samples: int, seed: int,
         get_case(cid)
 
     start = time.perf_counter()
-    tasks = [(cid, CASE_IDS.index(cid), dim, samples, seed, tolerance,
+    per_pass = max(1, CELL_BLOCK // samples)
+    tasks = [(case_ids[lo:lo + per_pass], dim, samples, seed, tolerance,
               tuple(condition_range))
-             for cid in case_ids for dim in dims]
+             for dim in dims for lo in range(0, len(case_ids), per_pass)]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_case_dim, tasks))
+            passes = list(pool.map(_run_pass, tasks))
     else:
-        partials = [_run_case_dim(t) for t in tasks]
+        passes = [_run_pass(t) for t in tasks]
 
-    by_case: dict[str, CaseResult] = {}
-    for partial in partials:
-        if partial.id in by_case:
-            by_case[partial.id].merge(partial)
-        else:
-            by_case[partial.id] = partial
-    cases = [by_case[cid] for cid in case_ids]
+    # cells come dim by dim; each case merges its cells in dim order
+    cells = [cell for results in passes for cell in results]
+    cases = []
+    for result, *others in (cells[i::len(case_ids)]
+                            for i in range(len(case_ids))):
+        for other in others:
+            result.merge(other)
+        cases.append(result)
     elapsed = time.perf_counter() - start
     return VerificationReport(seed, list(dims), samples, tolerance,
                               cases, elapsed)

@@ -53,12 +53,18 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def svd_values(m: np.ndarray) -> np.ndarray:
     """Singular values of a matrix or of each matrix in a stack,
-    descending along the last axis.
+    descending along the last axis; NaN for a matrix with a NaN or inf
+    entry, which LAPACK rejects.
 
     Taken from the SVD itself: going through the eigenvalues of m* m
     would square the condition number and lose the small values.
     """
-    return np.linalg.svd(m, compute_uv=False)
+    if np.isfinite(m).all():
+        return np.linalg.svd(m, compute_uv=False)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    values = np.full(np.shape(m)[:-1], np.nan)
+    values[finite] = np.linalg.svd(m[finite], compute_uv=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,80 @@ def random_hpd(dim: int, rng: np.random.Generator,
     """Random HPD matrix with eigenvalues log-uniform in condition_range."""
     eigs = np.exp(rng.uniform(*log_range(condition_range), size=dim))
     return HpdMatrix.from_spectrum(eigs, random_unitary(dim, rng))
+
+
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# SeedSequence's hash and mix constants, and PCG64's 128-bit multiplier
+_HASH_A, _HASH_A_MULT = 0x43B0D7E5, 0x931E8875
+_HASH_B, _HASH_B_MULT = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash of uint32 arrays: each call moves the
+    constant on, whatever the values."""
+    def hash_(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+    return hash_
+
+
+def _mix(x, y):
+    v = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return v ^ (v >> np.uint32(16))
+
+
+def spawned_states(seed: int, keys) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence(seed, spawn_key=key))`` for
+    every key, tuples of ints in [0, 2^32) of one length, hashed for all
+    keys at once."""
+    keys = np.asarray(keys)
+    if (seed < 0 or keys.dtype.kind not in "iu"
+            or np.any((keys < 0) | (keys > _MASK32))):
+        raise ValueError("need a seed >= 0 and spawn keys of ints in "
+                         "[0, 2^32)")
+    run = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
+    # the run entropy is zero-padded to the pool size when a key is given
+    words = [np.full(len(keys), w, np.uint32)
+             for w in run + [0] * (4 - len(run))]
+    words += list(keys.astype(np.uint32).T)
+    hashmix = _hasher(_HASH_A, _HASH_A_MULT)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    # generate_state(4, uint64): eight words, the low half of each first
+    hash_out = _hasher(_HASH_B, _HASH_B_MULT)
+    out = [hash_out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    out = [out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.stack(out, 1).tolist():
+        # PCG64's srandom: one LCG step, add the seed, one more step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc)
+                       & _MASK128, inc))
+    return states
+
+
+def spawned_streams(seed: int, keys):
+    """One Generator, set to the stream of
+    ``default_rng(SeedSequence(seed, spawn_key=key))`` for each key in
+    turn and yielded: a stream is done with when the next is asked for."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for state, inc in spawned_states(seed, keys):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def complex_gaussian(g: np.ndarray) -> np.ndarray:

@@ -37,6 +37,8 @@ PART1 = ["--kernel", "part1", "--set", "r=1/4", "--set", "s1=1/2",
          "--set", "s2=1/4", "--set", "t=1"]
 FUZZ_NU_800 = ["fuzz", "--case", "eq1.2", "--set", "nu=800",
                "--set", "alpha=0.5", "--expect-violation"]
+CONTRACTIVITY_OVERFLOW = ["contractivity", "--kernel", "coshScaled",
+                          "--set", "c=800", "--dim", "3"]
 
 # argv -> exit code: 2 for a bad flag, 3 for a numerical failure
 EXIT_CODES = {
@@ -91,6 +93,11 @@ EXIT_CODES = {
     "contractivity-pole": (["contractivity", "--kernel", "coshRatioT",
                             "--set", "r=1", "--set", "s1=1",
                             "--set", "s2=1", "--set", "t=-1"], 3),
+    # cosh(800 d) overflows the kernel grid: maxRatio is NaN, with or
+    # without --report-only
+    "contractivity-overflow": (CONTRACTIVITY_OVERFLOW, 3),
+    "contractivity-overflow-report-only": (CONTRACTIVITY_OVERFLOW
+                                           + ["--report-only"], 3),
     # the integral over an empty or reversed nu interval is not defined
     "contractivity-reversed-interval": (["contractivity", "--kernel",
                                          "heinzAverage", "--set", "lo=0.6",
@@ -115,7 +122,9 @@ def test_exit_code(argv, code, monkeypatch, tmp_path):
     (["verify", "--samples", "1", "--dims", "1"], 0),
     (["fuzz", "--case", "eq1.2", "--budget", "10",
       "--out", "missing/w.json"], 2),
-], ids=["bad-flag", "numerical-failure", "clean", "out-missing-dir"])
+    (CONTRACTIVITY_OVERFLOW + ["--report-only"], 3),
+], ids=["bad-flag", "numerical-failure", "clean", "out-missing-dir",
+        "contractivity-overflow"])
 def test_process_exit_status(argv, code, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -125,6 +134,7 @@ def test_process_exit_status(argv, code, tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     # non-finite grids never reach LAPACK, whose complaints go to stdout
     assert "DLASCL" not in proc.stdout
 

@@ -129,14 +129,28 @@ def test_suite_parallel_matches_serial():
             == parallel.to_dict(include_timing=False))
 
 
-def test_blocked_cells_match_one_block(monkeypatch):
-    # cells evaluated three samples at a time give the same report, bit for
-    # bit, as each cell in one block
+@pytest.mark.parametrize("block, passes", [
+    (3, [3, 3, 3, 1] * 48),  # each cell drawn in blocks of three samples
+    (25, [20] * 24),  # two cells of ten samples to a pass
+], ids=["cells-in-blocks", "two-cells-a-pass"])
+def test_blocked_cells_match_one_block(monkeypatch, block, passes):
+    # the same report, bit for bit, as with CELL_BLOCK 256, where all 24
+    # cells of a dim are drawn in one pass
+    sizes, draw = [], iq._draw_pass
+
+    def draw_pass(seed, dim, cells, condition_range):
+        sizes.append(sum(len(samples) for _, samples in cells))
+        return draw(seed, dim, cells, condition_range)
+
+    monkeypatch.setattr(iq, "_draw_pass", draw_pass)
     whole = iq.run_suite([1, 3], 10, seed=29).to_dict(include_timing=False)
-    monkeypatch.setattr(iq, "CELL_BLOCK", 3)
+    assert sizes == [240, 240]
+    sizes.clear()
+    monkeypatch.setattr(iq, "CELL_BLOCK", block)
     blocked = iq.run_suite([1, 3], 10, seed=29).to_dict(include_timing=False)
+    assert sizes == passes
     assert blocked == whole
-    # some worst samples sit past the first block
+    # some worst samples sit past the first block of three
     assert any(c["worstSeed"][1] >= 3 for c in blocked["cases"])
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from meanforge.errors import NotHermitianError
 from meanforge.linalg import (HpdMatrix, hermitian_eig, random_complex,
-                              random_hpd, random_unitary, svd_values)
+                              random_hpd, random_unitary, spawned_states,
+                              spawned_streams, svd_values)
 
 
 def test_eig_identity():
@@ -58,6 +59,14 @@ def test_svd_values_of_a_stack_match_one_by_one():
     stack = random_complex(4, rng, 7)
     assert np.array_equal(svd_values(stack),
                           np.array([svd_values(m) for m in stack]))
+
+
+def test_svd_values_of_non_finite_matrices_are_nan():
+    stack = np.stack([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]],
+                      [[1.0, np.nan], [0.0, 1.0]]])
+    values = svd_values(stack)
+    assert np.array_equal(values[0], [1.0, 1.0])
+    assert np.isnan(values[1:]).all()
 
 
 def test_hpd_power_endpoints():
@@ -150,3 +159,34 @@ def test_svd_unitary_invariance():
         w = random_unitary(dim, rng)
         assert np.allclose(svd_values(u @ m @ w), svd_values(m),
                            rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 20240801, 2**40 + 7, 2**130 + 12345])
+def test_spawned_states_match_seed_sequence(seed):
+    # (case, dim, sample) keys, with the edges 0 and 2^32 - 1 of a word
+    draw = np.random.default_rng(seed % 1000)
+    keys = np.stack([draw.integers(0, 24, 60), draw.integers(1, 7, 60),
+                     draw.integers(0, 2**32, 60)], axis=1)
+    keys[:2] = [(0, 0, 0), (2**32 - 1,) * 3]
+    for key, (state, inc) in zip(keys.tolist(), spawned_states(seed, keys)):
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+        assert want.state["state"] == {"state": state, "inc": inc}, key
+
+
+@pytest.mark.parametrize("key", [(2**32, 1, 0), (3, 1, 2**40),
+                                 (0, 2**70, 1), (-1, 1, 0)])
+def test_spawned_states_reject_keys_outside_a_word(key):
+    # SeedSequence would split such a value into 32-bit words
+    with pytest.raises(ValueError):
+        spawned_states(7, [key])
+
+
+def test_spawned_streams_replay_default_rng():
+    keys = [(5, 2, 0), (5, 2, 1), (23, 6, 199)]
+    for key, rng in zip(keys, spawned_streams(20240801, keys)):
+        want = np.random.default_rng(np.random.SeedSequence(
+            20240801, spawn_key=key))
+        assert np.array_equal(rng.uniform(size=3), want.uniform(size=3))
+        assert np.array_equal(rng.standard_normal((2, 4, 4)),
+                              want.standard_normal((2, 4, 4)))
+        assert rng.integers(0, 2**31) == want.integers(0, 2**31)
