@@ -27,7 +27,7 @@ from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
                      gaussian_unitary, log_range, spawned_streams,
-                     svd_values)
+                     svd_values, to_interval, uniform)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
@@ -107,17 +107,27 @@ def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
     return margins, scales
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
     """step_margins of a case's steps on a frame, whose Xt is scaled to
-    the case's degree; NaN if an SVD fails.  Overflow is not warned
-    about: callers count or rank NaN and inf."""
+    the case's degree; NaN if an SVD fails.  Overflow and division by
+    zero are not warned about: callers count or rank NaN and inf."""
     steps = case.builder(frame.d, params)
     try:
         return step_margins(steps, frame.scaled(params.get("p", 1.0)))
     except np.linalg.LinAlgError:
         nan = np.full(np.shape(frame.xt)[:-1], np.nan)
         return [nan] * len(steps), [nan[..., 0]] * len(steps)
+
+
+@np.errstate(invalid="ignore")
+def _worst_margins(case: InequalityCase, frame: Frame, params) -> tuple:
+    """Per step, the worst margin over the Ky Fan orders, raw and over
+    the step's scale, as (steps, ...) arrays.  An infinite margin over
+    an infinite scale is NaN, not warned about."""
+    margins, scales = _margins(case, frame, params)
+    raw = np.array([m.min(axis=-1) for m in margins])
+    return raw, raw / np.array(scales)
 
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
@@ -134,16 +144,17 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
 
 def _sample_alpha(rng) -> float:
     # boundary point alpha = 1/2 drawn with positive probability
-    if rng.uniform() < 0.1:
+    if uniform(rng, 0.0, 1.0) < 0.1:
         return 0.5
-    return float(rng.uniform(0.5, ALPHA_CAP))
+    return uniform(rng, 0.5, ALPHA_CAP)
 
 
 def _build_eq11(d, p):
     t = p["t"]
     lhs = p_sum_kernel(d, p["nu"], 1.0)
     rhs = 2.0 * np.cosh(d) + t  # AX + XB + t A^(1/2) X B^(1/2)
-    return [Step([(1.0, lhs)], [(2.0 / (2.0 + t), rhs)])]
+    # inf at t = -2, where the weight's pole makes the margins non-finite
+    return [Step([(1.0, lhs)], [(np.divide(2.0, 2.0 + t), rhs)])]
 
 
 def _build_eq12(d, p):
@@ -253,7 +264,8 @@ def _build_eq213(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
     big = p_diff_kernel(d, r, pw)
     small = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, nu, pw)
-    factor = ((1.0 + t) * pw - 2.0 * t * nu) / (pw - 2.0 * r)
+    # +-inf or NaN at p = 2r: non-finite margins, as for any pole
+    factor = np.divide((1.0 + t) * pw - 2.0 * t * nu, pw - 2.0 * r)
     return [Step([(1.0, small)], [(factor, big)])]
 
 
@@ -283,49 +295,49 @@ def _build_f_nu_shape(d, p):
 
 def _sample_prop(rng, kind):
     sinh, combo = RATIONAL_FAMILIES[kind]
-    s2 = float(rng.uniform(0.0, 2.0 if sinh else 1.0))
+    s2 = uniform(rng, 0.0, 2.0 if sinh else 1.0)
     lo = max(s2, 2.0 - s2) if sinh else s2
-    s1 = float(rng.uniform(lo, lo + 1.0))
+    s1 = uniform(rng, lo, lo + 1.0)
     m = 0.5 * (s1 + s2)
-    p = {"s1": s1, "s2": s2, "r": float(rng.uniform(-m, m))}
+    p = {"s1": s1, "s2": s2, "r": uniform(rng, -m, m)}
     if combo:
-        p["rp"] = float(rng.uniform(-m, m))
-        p["alpha"] = float(rng.uniform(0.0, 1.0))
-        p["beta"] = float(rng.uniform(0.5, 1.0))
+        p["rp"] = uniform(rng, -m, m)
+        p["alpha"] = uniform(rng, 0.0, 1.0)
+        p["beta"] = uniform(rng, 0.5, 1.0)
     else:
-        p["t"] = float(rng.uniform(-0.999, 1.0))
+        p["t"] = uniform(rng, -0.999, 1.0)
     return p
 
 
 def _sample_eq210(rng):
-    pw = float(rng.uniform(0.05, 2.0))
-    nu = float(rng.uniform(0.0, pw))
-    r = float(rng.uniform(nu / 2.0, pw / 2.0))
-    return {"p": pw, "nu": nu, "r": r, "t": float(rng.uniform(-1.0, 1.0))}
+    pw = uniform(rng, 0.05, 2.0)
+    nu = uniform(rng, 0.0, pw)
+    r = uniform(rng, nu / 2.0, pw / 2.0)
+    return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
 
 
 def _sample_eq211(rng):
-    pw = float(rng.uniform(1.0, 3.0))
-    nu = float(rng.uniform(0.0, min(pw / 2.0, pw - 1.0)))
-    r = float(rng.uniform(nu / 2.0, pw / 2.0))
-    return {"p": pw, "nu": nu, "r": r, "t": float(rng.uniform(-1.0, 1.0))}
+    pw = uniform(rng, 1.0, 3.0)
+    nu = uniform(rng, 0.0, min(pw / 2.0, pw - 1.0))
+    r = uniform(rng, nu / 2.0, pw / 2.0)
+    return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
 
 
 def _sample_eq212(rng):
-    r = float(rng.uniform(-1.5, 0.0))
-    pw = float(rng.uniform(0.05, 2.0))
-    nu = float(rng.uniform(r, pw / 2.0))
-    return {"p": pw, "nu": nu, "r": r, "t": float(rng.uniform(0.0, 8.0))}
+    r = uniform(rng, -1.5, 0.0)
+    pw = uniform(rng, 0.05, 2.0)
+    nu = uniform(rng, r, pw / 2.0)
+    return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, 0.0, 8.0)}
 
 
 def _window_sampler(nu_lo, nu_hi, beta=False, gamma=False):
     def sample(rng):
-        p = {"nu": float(rng.uniform(nu_lo, nu_hi)),
+        p = {"nu": uniform(rng, nu_lo, nu_hi),
              "alpha": _sample_alpha(rng)}
         if beta:
-            p["beta"] = float(rng.uniform(0.5, 1.0))
+            p["beta"] = uniform(rng, 0.5, 1.0)
         if gamma:
-            p["gamma"] = float(rng.uniform(0.5, 1.0))
+            p["gamma"] = uniform(rng, 0.5, 1.0)
         return p
     return sample
 
@@ -349,8 +361,8 @@ def _build_registry() -> dict[str, InequalityCase]:
     cases = [
         InequalityCase(
             "eq1.1", {"nu": (0.25, 0.75), "t": (-2.0, 2.0)},
-            lambda rng: {"nu": float(rng.uniform(0.25, 0.75)),
-                         "t": float(rng.uniform(-1.999, 2.0))},
+            lambda rng: {"nu": uniform(rng, 0.25, 0.75),
+                         "t": uniform(rng, -1.999, 2.0)},
             _build_eq11,
             "un-halved Heinz sum vs weighted arithmetic/geometric mix"),
         InequalityCase(
@@ -439,7 +451,7 @@ def _build_registry() -> dict[str, InequalityCase]:
             "reversed difference inequality with the (p, nu, r) factor"),
         InequalityCase(
             "f-nu-shape", {"p": (0.5, 2.0)},
-            lambda rng: {"p": float(rng.uniform(0.5, 2.0))},
+            lambda rng: {"p": uniform(rng, 0.5, 2.0)},
             _build_f_nu_shape,
             "nu profile of the p-Heinz sum norm: V-shape and convexity"),
     ]
@@ -523,15 +535,27 @@ class VerificationReport:
                    d.get("elapsedSeconds", 0.0))
 
 
-def _draw(rng, dim: int, logs, count=None) -> tuple:
-    """One instance's draws from ``rng``, or ``count`` instances' as
-    arrays with a leading count axis, in this order: A log-eigenvalues,
-    A Gaussian, B log-eigenvalues, B Gaussian and X Gaussian."""
-    lead = () if count is None else (count,)
-    eigs, shape = (*lead, dim), (*lead, 2, dim, dim)
-    return (rng.uniform(*logs, size=eigs), rng.standard_normal(shape),
-            rng.uniform(*logs, size=eigs), rng.standard_normal(shape),
-            rng.standard_normal(shape))
+def _draw(rng, ua, ga, ub, gbx) -> None:
+    """Fill the given arrays with the draws of one stream, in its order:
+    A's log-eigenvalues as ``random()`` draws u, A's Gaussians, B's u,
+    then B's and X's Gaussians, adjacent in the stream, in one call.  u
+    maps to a log range by ``to_interval``, as ``Generator.uniform``
+    would map it."""
+    rng.random(out=ua)
+    rng.standard_normal(out=ga)
+    rng.random(out=ub)
+    rng.standard_normal(out=gbx)
+
+
+def _draw_block(rng, dim: int, logs, count: int) -> tuple:
+    """``count`` instances drawn from ``rng`` one after another, as
+    arrays with a leading count axis in the order ``_stack`` takes."""
+    u = np.empty((2, count, dim))
+    ga = np.empty((count, 2, dim, dim))
+    gbx = np.empty((2, count, 2, dim, dim))
+    _draw(rng, u[0], ga, u[1], gbx)
+    la, lb = to_interval(u, *logs)
+    return la, ga, lb, *gbx
 
 
 def _stack(la, ga, lb, gb, gx) -> tuple:
@@ -551,8 +575,8 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
     those of the suite's draw passes.
     """
     rng = next(spawned_streams(seed, [(case_index, dim, sample)]))
-    ea, ua, eb, ub, x = _stack(*_draw(rng, dim, log_range(condition_range),
-                                      1))
+    ea, ua, eb, ub, x = _stack(*_draw_block(
+        rng, dim, log_range(condition_range), 1))
     return InstanceTriple(HpdMatrix.from_spectrum(ea[0], ua[0]),
                           HpdMatrix.from_spectrum(eb[0], ub[0]), x[0]), rng
 
@@ -566,22 +590,29 @@ CELL_BLOCK = 256
 def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
     """Blocks (samples, frame, params) of some (case id, samples) cells of
     one dim, drawn in one pass.  Every sample's stream state is derived
-    at once and replayed on one Generator, the instance draws and then
-    the case's sampler; the pass ends with one batched QR and one
-    rotation U_A* X U_B."""
+    at once and replayed on one Generator, the instance draws into rows
+    of the pass arrays and then the case's sampler; the pass ends with
+    one map of u to the log range, one batched QR and one rotation
+    U_A* X U_B."""
+    logs = log_range(condition_range)
     streams = spawned_streams(seed, [(CASE_IDS.index(cid), dim, sample)
                                      for cid, samples in cells
                                      for sample in samples])
-    logs = log_range(condition_range)
-    draws, params = [], []
+    k = sum(len(samples) for _, samples in cells)
+    u = np.empty((2, k, dim))
+    ga = np.empty((k, 2, dim, dim))
+    gbx = np.empty((k, 2, 2, dim, dim))
+    rows = zip(streams, u[0], ga, u[1], gbx)
+    params = []
     for cid, samples in cells:
         sampler = REGISTRY[cid].sampler
         params.append([])
         # samples first, so that zip takes no stream past the cell's last
-        for _, rng in zip(samples, streams):
-            draws.append(_draw(rng, dim, logs))
-            params[-1].append(sampler(rng))
-    ea, ua, eb, ub, x = _stack(*map(np.array, zip(*draws)))
+        for _, row in zip(samples, rows):
+            _draw(*row)
+            params[-1].append(sampler(row[0]))
+    la, lb = to_interval(u, *logs)
+    ea, ua, eb, ub, x = _stack(la, ga, lb, gbx[:, 0], gbx[:, 1])
     xt = adjoint(ua) @ x @ ub
     blocks, lo = [], 0
     for (_, samples), p in zip(cells, params):
@@ -597,9 +628,7 @@ def _run_block(case: InequalityCase, dim: int, samples, frame: Frame,
     with per-sample parameters as (samples, 1, 1) arrays."""
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
-    margins, scales = _margins(case, frame, params)
-    normalized = np.array([np.min(m, axis=-1) / s
-                           for m, s in zip(margins, scales)])
+    normalized = _worst_margins(case, frame, params)[1]
     # NaN or infinite margins count as numerical failures, neither a pass
     # nor a violation, and stay out of the minima
     finite = np.isfinite(normalized)
@@ -665,7 +694,8 @@ def run_suite(dims, samples: int, seed: int,
              for dim in dims for lo in range(0, len(case_ids), per_pass)]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             passes = list(pool.map(_run_pass, tasks))
     else:
         passes = [_run_pass(t) for t in tasks]
@@ -701,10 +731,8 @@ def _instance_margin(case, frame: Frame, params) -> tuple:
     """Worst raw and normalized margins over all steps and Ky Fan orders
     of a frame: numbers for one instance, arrays for a stack.  A NaN
     margin makes the worst one NaN."""
-    margins, scales = _margins(case, frame, params)
-    worst = [np.min(m, axis=-1) for m in margins]
-    return (np.min(worst, axis=0),
-            np.min([w / s for w, s in zip(worst, scales)], axis=0))
+    raw, normalized = _worst_margins(case, frame, params)
+    return raw.min(axis=0), normalized.min(axis=0)
 
 
 def _rank(raw):
@@ -779,7 +807,7 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     def restarts():
         for lo in range(0, n_random, CELL_BLOCK):
-            ea, ua, eb, ub, x = _stack(*_draw(
+            ea, ua, eb, ub, x = _stack(*_draw_block(
                 rng, dim, logs, min(CELL_BLOCK, n_random - lo)))
             yield _pack(ea, eb, adjoint(ua) @ x @ ub), ua, ub
 

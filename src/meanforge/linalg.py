@@ -191,10 +191,25 @@ def log_range(condition_range: tuple[float, float]) -> tuple[float, float]:
     return np.log(lo), np.log(hi)
 
 
+def to_interval(u, lo: float, hi: float):
+    """lo + (hi - lo) u, numbers or arrays: what ``Generator.uniform(lo,
+    hi)`` makes of the ``random()`` draws u it takes, bit for bit.  Like
+    it, raises ValueError if hi < lo."""
+    if hi < lo:
+        raise ValueError(f"uniform needs lo <= hi, not [{lo}, {hi}]")
+    return lo + (hi - lo) * u
+
+
+def uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
+    """``rng.uniform(lo, hi, size)``, the same draws and bits, at the cost
+    of ``rng.random(size)``."""
+    return to_interval(rng.random(size), lo, hi)
+
+
 def random_hpd(dim: int, rng: np.random.Generator,
                condition_range: tuple[float, float] = (0.05, 20.0)) -> HpdMatrix:
     """Random HPD matrix with eigenvalues log-uniform in condition_range."""
-    eigs = np.exp(rng.uniform(*log_range(condition_range), size=dim))
+    eigs = np.exp(uniform(rng, *log_range(condition_range), size=dim))
     return HpdMatrix.from_spectrum(eigs, random_unitary(dim, rng))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -39,6 +40,12 @@ FUZZ_NU_800 = ["fuzz", "--case", "eq1.2", "--set", "nu=800",
                "--set", "alpha=0.5", "--expect-violation"]
 CONTRACTIVITY_OVERFLOW = ["contractivity", "--kernel", "coshScaled",
                           "--set", "c=800", "--dim", "3"]
+# weights with a pole inside the registered range: eq1.1's 2/(2 + t) at
+# t = -2 and eq2.13's factor at p = 2r make the margins non-finite
+FUZZ_EQ11_POLE = ["fuzz", "--case", "eq1.1", "--set", "t=-2",
+                  "--budget", "12", "--dim", "2"]
+FUZZ_EQ213_POLE = ["fuzz", "--case", "eq2.13", "--set", "p=0.5",
+                   "--set", "r=0.25", "--budget", "30", "--dim", "2"]
 
 # argv -> exit code: 2 for a bad flag, 3 for a numerical failure
 EXIT_CODES = {
@@ -86,6 +93,8 @@ EXIT_CODES = {
     # a later restart (the 17th of 20) is finite and replaces the NaN
     # ones: a violation
     "fuzz-nan-restart-replaced": (FUZZ_NU_800 + ["--budget", "60"], 0),
+    "fuzz-eq1.1-pole": (FUZZ_EQ11_POLE, 3),
+    "fuzz-eq2.13-pole": (FUZZ_EQ213_POLE, 3),
     "contractivity-unknown-parameter": (["contractivity", *PART1,
                                          "--set", "tt=5"], 2),
     "contractivity-unknown-kernel": (["contractivity", "--kernel", "nope"],
@@ -123,8 +132,10 @@ def test_exit_code(argv, code, monkeypatch, tmp_path):
     (["fuzz", "--case", "eq1.2", "--budget", "10",
       "--out", "missing/w.json"], 2),
     (CONTRACTIVITY_OVERFLOW + ["--report-only"], 3),
+    (FUZZ_EQ11_POLE, 3),
+    (FUZZ_EQ213_POLE, 3),
 ], ids=["bad-flag", "numerical-failure", "clean", "out-missing-dir",
-        "contractivity-overflow"])
+        "contractivity-overflow", "fuzz-eq1.1-pole", "fuzz-eq2.13-pole"])
 def test_process_exit_status(argv, code, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -145,6 +156,17 @@ def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):
                         nan_first_step(iq.get_case("eq1.2")))
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--cases", "eq1.2", "--dims", "1,2",
+                     "--samples", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["cases"][0]["numericalFailures"] == 6
+
+
+def test_verify_counts_a_weight_pole_as_numerical_failures(monkeypatch,
+                                                           tmp_path):
+    case = iq.get_case("eq1.1")
+    monkeypatch.setitem(iq.REGISTRY, "eq1.1", dataclasses.replace(
+        case, sampler=lambda rng: {**case.sampler(rng), "t": -2.0}))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--cases", "eq1.1", "--dims", "1,2",
                      "--samples", "3", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["cases"][0]["numericalFailures"] == 6
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -10,6 +11,7 @@ from meanforge import inequalities as iq
 from meanforge.errors import RangeViolationError, UnknownCaseError
 from meanforge.linalg import Frame, HpdMatrix
 
+from draw_oracle import sample_frame
 from scalar_oracle import oracle_margins
 
 REFERENCE = (Path(__file__).resolve().parents[1] / "benchmarks"
@@ -67,6 +69,18 @@ def test_out_of_range_raises_without_override():
     case = iq.get_case("eq1.2")
     with pytest.raises(RangeViolationError):
         iq.evaluate(case, inst, {"nu": 0.1, "alpha": 0.5})
+
+
+@pytest.mark.parametrize("cid, params", [
+    ("eq1.1", {"nu": 0.5, "t": -2.0}),
+    ("eq2.13", {"p": 0.5, "nu": 0.1, "r": 0.25, "t": 1.0}),
+], ids=["eq1.1-t=-2", "eq2.13-p=2r"])
+def test_weight_poles_give_non_finite_margins(cid, params):
+    # in-range points where a step's weight has a pole: +-inf or NaN
+    # there, counted as numerical failures, not a ZeroDivisionError
+    margins = iq.evaluate(iq.get_case(cid), scalar_instance(4.0, 1.0, 1.0),
+                          params)
+    assert not np.isfinite(margins).any()
 
 
 def test_eq12_override_witness():
@@ -152,6 +166,105 @@ def test_blocked_cells_match_one_block(monkeypatch, block, passes):
     assert blocked == whole
     # some worst samples sit past the first block of three
     assert any(c["worstSeed"][1] >= 3 for c in blocked["cases"])
+
+
+def test_suite_pool_never_outnumbers_its_tasks(monkeypatch):
+    # a fork pool starts all its workers at once, so it is asked for no
+    # more than there are passes; this one starts no process
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    serial = iq.run_suite([1, 2], 5, seed=31)
+    pooled = iq.run_suite([1, 2], 5, seed=31, workers=500)
+    assert asked == [2]  # one pass a dim
+    assert (pooled.to_dict(include_timing=False)
+            == serial.to_dict(include_timing=False))
+
+
+@pytest.mark.parametrize("dim, samples, block, condition_range", [
+    (1, 5, 256, iq.DEFAULT_CONDITION_RANGE),
+    (3, 10, 25, iq.DEFAULT_CONDITION_RANGE),
+    (2, 7, 3, iq.FUZZ_CONDITION_RANGE),
+], ids=["one-pass", "two-cells-a-pass", "cells-in-blocks"])
+def test_draw_passes_match_one_stream_at_a_time(monkeypatch, dim, samples,
+                                                block, condition_range):
+    # every sample's frame grids and parameters, bit for bit, as its own
+    # stream draws them
+    passes, draw = [], iq._draw_pass
+
+    def draw_pass(seed, dim, cells, condition_range):
+        blocks = draw(seed, dim, cells, condition_range)
+        passes.append((cells, blocks))
+        return blocks
+
+    monkeypatch.setattr(iq, "_draw_pass", draw_pass)
+    monkeypatch.setattr(iq, "CELL_BLOCK", block)
+    iq.run_suite([dim], samples, 20240801, condition_range=condition_range)
+    checked = 0
+    for cells, blocks in passes:
+        for (cid, samples_), (drawn, frame, params) in zip(cells, blocks):
+            assert drawn == samples_
+            for j, sample in enumerate(samples_):
+                *grids, want = sample_frame(
+                    20240801, iq.CASE_IDS.index(cid), dim, sample,
+                    condition_range, iq.REGISTRY[cid].sampler)
+                got = frame.d[j], frame.log_geo[j], frame.xt[j]
+                assert [g.tobytes() for g in got] == [
+                    g.tobytes() for g in grids], (cid, sample)
+                assert params[j] == want, (cid, sample)
+                checked += 1
+    assert checked == len(iq.CASE_IDS) * samples
+
+
+def test_uniform_is_generator_uniform_bit_for_bit(monkeypatch):
+    # against a twin stream drawing with Generator.uniform: the samplers'
+    # scalars on every bound their draws meet, and the eigenvalue arrays
+    # of both condition ranges
+    uniform, calls = iq.uniform, []
+
+    def twinned(rng, lo, hi, size=None):
+        got, want = uniform(rng, lo, hi, size), twin.uniform(lo, hi, size)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        calls.append(size)
+        return got
+
+    monkeypatch.setattr(iq, "uniform", twinned)
+    for cid in iq.CASE_IDS:
+        for seed in range(40):
+            rng, twin = (np.random.default_rng(seed) for _ in range(2))
+            iq.REGISTRY[cid].sampler(rng)
+    assert len(calls) > 40 * len(iq.CASE_IDS)
+    for condition_range in (iq.DEFAULT_CONDITION_RANGE,
+                            iq.FUZZ_CONDITION_RANGE):
+        logs = iq.log_range(condition_range)
+        for size in (1, 6, (256, 5)):
+            rng, twin = (np.random.default_rng(3) for _ in range(2))
+            twinned(rng, *logs, size)
+            u = np.random.default_rng(3).random(size)
+            assert (iq.to_interval(u, *logs).tobytes()
+                    == np.random.default_rng(3).uniform(*logs, size).tobytes())
+
+    rng = np.random.default_rng(0)
+    for lo, hi in [(1.0, 0.5), (0.0, -1e-300)]:
+        for size in (None, 3):
+            with pytest.raises(ValueError):
+                rng.uniform(lo, hi, size)
+            with pytest.raises(ValueError):
+                uniform(rng, lo, hi, size)
 
 
 def test_criterion_1_minima_match_reference():
@@ -443,7 +556,7 @@ def _restart(dim, seed):
     """The frame point z of one random restart drawn as the fuzzer
     draws."""
     rng = np.random.default_rng(seed)
-    ea, ua, eb, ub, x = iq._stack(*iq._draw(
+    ea, ua, eb, ub, x = iq._stack(*iq._draw_block(
         rng, dim, iq.log_range(iq.FUZZ_CONDITION_RANGE), 1))
     return iq._pack(ea, eb, iq.adjoint(ua) @ x @ ub)[0]
 

@@ -122,6 +122,17 @@ def test_random_hpd_deterministic():
     assert np.array_equal(a.matrix, b.matrix)
 
 
+@pytest.mark.parametrize("condition_range", [(0.05, 20.0), (1e-3, 1e3)])
+def test_random_hpd_draws_as_generator_uniform(condition_range):
+    for seed in range(5):
+        got = random_hpd(4, np.random.default_rng(seed), condition_range)
+        twin = np.random.default_rng(seed)
+        eigs = np.exp(twin.uniform(*np.log(condition_range), size=4))
+        want = HpdMatrix.from_spectrum(eigs, random_unitary(4, twin))
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+
 def test_random_hpd_spectrum_in_range():
     rng = np.random.default_rng(1)
     for _ in range(20):
