@@ -83,11 +83,14 @@ def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
 
     Each term is a kernel grid that multiplies ``xt`` entrywise or, with
     ``xt`` left at 1, a matrix; terms may be stacks (..., n, n).  The
-    singular values of all distinct terms come from one batched SVD.
-    Returns per step the margins (..., n), right minus left for each Ky
-    Fan order, and the scale (...), 1 + the trace norm of the right side.
+    singular values of all distinct terms come from one batched SVD, and
+    a step listed more than once is scored once.  Returns per listed
+    step the margins (..., n), right minus left for each Ky Fan order,
+    and the scale (...), 1 + the trace norm of the right side.
     """
-    terms = {id(m): m for step in steps for _, m in step.lhs + step.rhs}
+    unique = {id(step): step for step in steps}
+    terms = {id(m): m for step in unique.values()
+             for _, m in step.lhs + step.rhs}
     if len({np.shape(m) for m in terms.values()}) > 1:
         raise DimMismatchError("step terms differ in shape")
     # a term with a NaN or inf entry gets NaN singular values, so that
@@ -98,12 +101,17 @@ def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
     cumulative = dict(zip(terms, fans[..., None, :]))
 
     margins, scales = [], []
-    for step in steps:
+    for step in unique.values():
         total = sum(c * cumulative[id(m)] for c, m in step.rhs)
         scales.append(1.0 + total[..., 0, -1])
         for c, m in step.lhs:
             total = total - c * cumulative[id(m)]
         margins.append(total[..., 0, :])
+    if len(unique) < len(steps):
+        # a repeated step gets its first listing's entries again
+        at = dict(zip(unique, range(len(unique))))
+        margins = [margins[at[id(step)]] for step in steps]
+        scales = [scales[at[id(step)]] for step in steps]
     return margins, scales
 
 
@@ -126,7 +134,7 @@ def _worst_margins(case: InequalityCase, frame: Frame, params) -> tuple:
     the step's scale, as (steps, ...) arrays.  An infinite margin over
     an infinite scale is NaN, not warned about."""
     margins, scales = _margins(case, frame, params)
-    raw = np.array([m.min(axis=-1) for m in margins])
+    raw = np.array(margins).min(axis=-1)
     return raw, raw / np.array(scales)
 
 
@@ -141,6 +149,14 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
 
 # ---------------------------------------------------------------------------
 # Builders: (d, params) -> steps whose terms are kernels of d
+
+def _leading(values, d) -> np.ndarray:
+    """values (k, ...) reshaped to broadcast against d with k on a new
+    leading axis, so that one kernel call makes k grids."""
+    values = np.asarray(values)
+    ones = (1,) * (np.ndim(d) + 1 - values.ndim)
+    return values.reshape(values.shape + ones)
+
 
 def _sample_alpha(rng) -> float:
     # boundary point alpha = 1/2 drawn with positive probability
@@ -188,8 +204,9 @@ ALPHA_SMALL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
 def _build_alpha_mono(d, p):
-    herons = {alpha: heron_kernel(d, alpha)
-              for alpha in ALPHA_MONO_GRID + ALPHA_SMALL_GRID}
+    alphas = ALPHA_MONO_GRID + ALPHA_SMALL_GRID
+    # alpha on a leading axis: one cosh(d) for all the Heron grids
+    herons = dict(zip(alphas, heron_kernel(d, _leading(alphas, d))))
     steps = [Step([(1.0, herons[a1])], [(1.0, herons[a2])])
              for a1, a2 in zip(ALPHA_MONO_GRID, ALPHA_MONO_GRID[1:])]
     half = herons[ALPHA_MONO_GRID[0]]
@@ -273,21 +290,24 @@ F_NU_GRID_POINTS = 41
 
 
 def _build_f_nu_shape(d, p):
+    # f(nu) = |||A^nu X B^(p-nu) + A^(p-nu) X B^nu||| is symmetric about
+    # p/2: node 40 - i is node i, and so is each right-half step, the
+    # same Step as its left-half mirror, which step_margins scores once
     pw = p["p"]
-    grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, F_NU_GRID_POINTS)
-    mats = [p_sum_kernel(d, nu, pw) for nu in grid]
     center = F_NU_GRID_POINTS // 2
-    steps = []
-    # nonincreasing left of p/2, nondecreasing right of it
-    for i in range(center):
-        steps.append(Step([(1.0, mats[i + 1])], [(1.0, mats[i])]))
-    for i in range(center, F_NU_GRID_POINTS - 1):
-        steps.append(Step([(1.0, mats[i])], [(1.0, mats[i + 1])]))
-    # midpoint convexity on consecutive triples
-    for i in range(1, F_NU_GRID_POINTS - 1):
-        steps.append(Step([(2.0, mats[i])],
-                          [(1.0, mats[i - 1]), (1.0, mats[i + 1])]))
-    return steps
+    grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, F_NU_GRID_POINTS)
+    # the nodes nu <= p/2 on a leading axis, in one call
+    mats = list(p_sum_kernel(d, _leading(grid[:center + 1], d), pw))
+    mats += mats[-2::-1]
+    # nonincreasing left of p/2; right of it, step 39 - i mirrors step i
+    mono = [Step([(1.0, mats[i + 1])], [(1.0, mats[i])])
+            for i in range(center)]
+    # midpoint convexity on consecutive triples; step 40 - i mirrors
+    # step i with its right terms swapped, and a + b = b + a exactly
+    convex = [Step([(2.0, mats[i])],
+                   [(1.0, mats[i - 1]), (1.0, mats[i + 1])])
+              for i in range(1, center + 1)]
+    return mono + mono[::-1] + convex + convex[-2::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +602,7 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
 
 
 # Instances drawn and evaluated together: the stacks of a block take
-# memory linear in its size (f-nu-shape holds 41 grids), so a cell goes
+# memory linear in its size (f-nu-shape holds 21 grids), so a cell goes
 # block by block, and a draw pass holds as many whole cells as fit.
 CELL_BLOCK = 256
 
@@ -592,8 +612,8 @@ def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
     one dim, drawn in one pass.  Every sample's stream state is derived
     at once and replayed on one Generator, the instance draws into rows
     of the pass arrays and then the case's sampler; the pass ends with
-    one map of u to the log range, one batched QR and one rotation
-    U_A* X U_B."""
+    one map of u to the log range, one batched QR, one rotation
+    U_A* X U_B and one Frame, whose slices are the cells' frames."""
     logs = log_range(condition_range)
     streams = spawned_streams(seed, [(CASE_IDS.index(cid), dim, sample)
                                      for cid, samples in cells
@@ -613,11 +633,11 @@ def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
             params[-1].append(sampler(row[0]))
     la, lb = to_interval(u, *logs)
     ea, ua, eb, ub, x = _stack(la, ga, lb, gbx[:, 0], gbx[:, 1])
-    xt = adjoint(ua) @ x @ ub
+    frame = Frame(ea, eb, adjoint(ua) @ x @ ub)
     blocks, lo = [], 0
     for (_, samples), p in zip(cells, params):
         hi = lo + len(samples)
-        blocks.append((samples, Frame(ea[lo:hi], eb[lo:hi], xt[lo:hi]), p))
+        blocks.append((samples, frame[lo:hi], p))
         lo = hi
     return blocks
 

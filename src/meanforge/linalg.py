@@ -152,6 +152,15 @@ class Frame:
         return cls(a.eigenvalues, b.eigenvalues,
                    adjoint(a.eigenvectors) @ x @ b.eigenvectors)
 
+    def __getitem__(self, index) -> "Frame":
+        """The frame of some instances of a stack, ``Frame(a[index],
+        b[index], xt[index])`` bit for bit: d and log_geo are
+        elementwise in the logs, so their slices are theirs."""
+        part = object.__new__(type(self))
+        part.d, part.log_geo = self.d[index], self.log_geo[index]
+        part.xt = self.xt[index]
+        return part
+
     def scaled(self, p) -> np.ndarray:
         """(a_i b_j)^(p/2) o Xt, on which the kernels of degree p act."""
         return np.exp(p * self.log_geo) * self.xt
@@ -221,27 +230,31 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's running hash of uint32 arrays: each call moves the
-    constant on, whatever the values."""
-    def hash_(v):
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * mult & _MASK32
-        v = v * np.uint32(const)
-        return v ^ (v >> np.uint32(16))
-    return hash_
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's running hash constant: (c, c * mult) for each hash
+    call in turn, the values it xors in and multiplies by."""
+    while True:
+        prev, const = const, const * mult & _MASK32
+        yield prev, const
+
+
+def _hash(v, xor, mult):
+    """One hash call on 32-bit words: Python ints, or uint64 arrays with
+    the constants broadcast against them."""
+    v = (v ^ xor) * mult & _MASK32
+    return v ^ v >> 16
 
 
 def _mix(x, y):
-    v = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return v ^ (v >> np.uint32(16))
+    v = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return v ^ v >> 16
 
 
 def spawned_states(seed: int, keys) -> list[tuple[int, int]]:
     """(state, inc) of ``PCG64(SeedSequence(seed, spawn_key=key))`` for
-    every key, tuples of ints in [0, 2^32) of one length, hashed for all
-    keys at once."""
+    every key, tuples of ints in [0, 2^32) of one length.  The seed's
+    words are hashed once, as Python ints; the key words of all keys at
+    once, as uint64 arrays."""
     keys = np.asarray(keys)
     if (seed < 0 or keys.dtype.kind not in "iu"
             or np.any((keys < 0) | (keys > _MASK32))):
@@ -249,24 +262,32 @@ def spawned_states(seed: int, keys) -> list[tuple[int, int]]:
                          "[0, 2^32)")
     run = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
     # the run entropy is zero-padded to the pool size when a key is given
-    words = [np.full(len(keys), w, np.uint32)
-             for w in run + [0] * (4 - len(run))]
-    words += list(keys.astype(np.uint32).T)
-    hashmix = _hasher(_HASH_A, _HASH_A_MULT)
-    pool = [hashmix(w) for w in words[:4]]
+    run += [0] * (4 - len(run))
+    hashmix = _hash_constants(_HASH_A, _HASH_A_MULT)
+    pool = [_hash(w, *next(hashmix)) for w in run[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashmix)))
+    for w in run[4:]:
         for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
+            pool[dst] = _mix(pool[dst], _hash(w, *next(hashmix)))
+    # each key word is hashed into the four pool words in turn: the
+    # (words, 4) constants of those calls, on (keys, words, 4) at once
+    consts = np.array([[next(hashmix) for _ in range(4)]
+                       for _ in range(keys.shape[1])], np.uint64)
+    hashed = _hash(keys.astype(np.uint64)[..., None],
+                   consts[..., 0], consts[..., 1])
+    pool = np.array(pool, np.uint64)
+    for k in range(keys.shape[1]):
+        pool = _mix(pool, hashed[:, k])
     # generate_state(4, uint64): eight words, the low half of each first
-    hash_out = _hasher(_HASH_B, _HASH_B_MULT)
-    out = [hash_out(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    out = [out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)]
+    hash_out = _hash_constants(_HASH_B, _HASH_B_MULT)
+    consts = np.array([next(hash_out) for _ in range(8)], np.uint64)
+    out = _hash(np.tile(pool, 2), consts[:, 0], consts[:, 1])
+    out = out[:, 0::2] | out[:, 1::2] << np.uint64(32)
     states = []
-    for s_hi, s_lo, i_hi, i_lo in np.stack(out, 1).tolist():
+    for s_hi, s_lo, i_hi, i_lo in out.tolist():
         # PCG64's srandom: one LCG step, add the seed, one more step
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc)

@@ -10,6 +10,7 @@ import pytest
 from meanforge import inequalities as iq
 from meanforge.errors import RangeViolationError, UnknownCaseError
 from meanforge.linalg import Frame, HpdMatrix
+from meanforge.means import heron_kernel, p_sum_kernel
 
 from draw_oracle import sample_frame
 from scalar_oracle import oracle_margins
@@ -762,6 +763,130 @@ def test_cases_are_homogeneous_of_their_degree():
                                  iq.evaluate(case, inst, params)):
                 assert np.max(np.abs(got - factor * base)) <= 1e-11 * (
                     factor * np.max(np.abs(base))), (cid, dim)
+
+
+def _grid_frame(seed, count):
+    """d of ``count`` dim-4 instances in the default condition range: a
+    single frame's (4, 4) for count None, else a (count, 4, 4) stack."""
+    rng = np.random.default_rng(seed)
+    logs = np.log(iq.DEFAULT_CONDITION_RANGE)
+    shape = (4,) if count is None else (count, 4)
+    la, lb = rng.uniform(*logs, (2, *shape))
+    return Frame(np.exp(la), np.exp(lb), None).d
+
+
+def _f_nu_nodes(steps):
+    """The 41 nu-nodes of the f-nu steps: monotone step i compares node
+    i + 1 with node i left of p/2 and node i with node i + 1 right of it."""
+    center = iq.F_NU_GRID_POINTS // 2
+    return ([s.rhs[0][1] for s in steps[:center]]
+            + [steps[center - 1].lhs[0][1]]
+            + [s.rhs[0][1] for s in steps[center:2 * center]])
+
+
+def test_f_nu_builder_lists_each_right_step_as_its_mirror():
+    d = _grid_frame(0, 3)
+    steps = iq._build_f_nu_shape(d, {"p": 1.3})
+    n = iq.F_NU_GRID_POINTS
+    mono, convex = steps[:n - 1], steps[n - 1:]
+    assert len(mono) == n - 1 and len(convex) == n - 2
+    # monotone step i mirrors step 39 - i, convexity step i (its list
+    # index i - 1) mirrors step 40 - i, and the centre triple is its own
+    for i in range(n // 2):
+        assert mono[n - 2 - i] is mono[i]
+    for i in range(1, n - 1):
+        assert convex[n - 2 - i] is convex[i - 1]
+    assert len({id(s) for s in steps}) == n - 1
+    # the left half nonincreasing toward p/2, the convexity weights 2
+    assert all(s.lhs[0][1] is t.rhs[0][1]
+               for s, t in zip(mono, mono[1:n // 2]))
+    assert all(s.lhs[0][0] == 2.0 and len(s.rhs) == 2 for s in convex)
+    assert len({id(m) for s in steps for _, m in s.lhs + s.rhs}) == n // 2 + 1
+
+
+@pytest.mark.parametrize("per_sample", [False, True])
+@pytest.mark.parametrize("count", [None, 5])
+def test_f_nu_grids_are_per_nu_kernels(per_sample, count):
+    # nodes nu <= p/2 carry the bits of one p_sum_kernel call at that
+    # nu; node 40 - i is node i, f's value at p - nu_i, whose argument
+    # (2 nu - p) d is rounded from a node that differs from the linspace
+    # node in its last bits, an error cosh carries times |d|
+    d = _grid_frame(1, count)
+    pw = (np.random.default_rng(2).uniform(0.5, 2.0, (5, 1, 1))
+          if per_sample else 1.3)
+    grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, iq.F_NU_GRID_POINTS)
+    nodes = _f_nu_nodes(iq._build_f_nu_shape(d, {"p": pw}))
+    center = iq.F_NU_GRID_POINTS // 2
+    for i in range(center + 1):
+        assert np.array_equal(nodes[i], p_sum_kernel(d, grid[i], pw)), i
+    bound = 4 * np.finfo(float).eps * (1.0 + np.abs(d))
+    for i in range(center):
+        want = p_sum_kernel(d, pw - grid[i], pw)
+        assert nodes[-1 - i] is nodes[i]
+        assert np.all(np.abs(nodes[i] - want) <= bound * want), i
+        assert np.all(np.abs(nodes[i] - p_sum_kernel(d, grid[-1 - i], pw))
+                      <= bound * want), i
+
+
+def _svd_spy(monkeypatch) -> list:
+    """The number of matrices in each stack step_margins sends to the
+    SVD, appended as it sends them."""
+    calls, svd_values = [], iq.svd_values
+
+    def spy(m):
+        calls.append(len(m))
+        return svd_values(m)
+    monkeypatch.setattr(iq, "svd_values", spy)
+    return calls
+
+
+def test_step_margins_score_a_step_listed_twice_once(monkeypatch):
+    class Weight(float):
+        # counts the times a step's weight weighs a term
+        uses = 0
+
+        def __mul__(self, other):
+            Weight.uses += 1
+            return float(self) * other
+
+    rng = np.random.default_rng(4)
+    a, b, c = (rng.standard_normal((3, 3)) for _ in range(3))
+    s1 = iq.Step([(Weight(1.0), a)], [(Weight(1.0), b), (Weight(0.5), c)])
+    s2 = iq.Step([(Weight(2.0), c)], [(Weight(1.0), a)])
+    calls = _svd_spy(monkeypatch)
+    margins, scales = iq.step_margins([s1, s2, s1, s1, s2])
+    assert Weight.uses == 5
+    once, once_scales = iq.step_margins([s1, s2])
+    assert calls == [3, 3]
+    assert len(margins) == len(scales) == 5
+    for k, j in enumerate([0, 1, 0, 0, 1]):
+        assert np.array_equal(margins[k], once[j])
+        assert np.array_equal(scales[k], once_scales[j])
+
+
+def test_f_nu_sends_each_distinct_grid_to_the_svd_once(monkeypatch):
+    calls = _svd_spy(monkeypatch)
+    samples, frame, params = iq._draw_pass(
+        20240801, 3, [("f-nu-shape", range(4))],
+        iq.DEFAULT_CONDITION_RANGE)[0]
+    case = iq.get_case("f-nu-shape")
+    params = {"p": np.array([p["p"] for p in params])[:, None, None]}
+    margins, scales = iq._margins(case, frame, params)
+    assert calls == [iq.F_NU_GRID_POINTS // 2 + 1]
+    assert len(margins) == len(scales) == 2 * iq.F_NU_GRID_POINTS - 3
+
+
+@pytest.mark.parametrize("count", [None, 5])
+def test_alpha_mono_herons_are_heron_kernels(count):
+    d = _grid_frame(3, count)
+    steps = iq._build_alpha_mono(d, {})
+    mono = len(iq.ALPHA_MONO_GRID) - 1
+    grids = [s.lhs[0][1] for s in steps[:mono]] + [steps[mono - 1].rhs[0][1]]
+    for alpha, grid in zip(iq.ALPHA_MONO_GRID, grids):
+        assert np.array_equal(grid, heron_kernel(d, alpha)), alpha
+    for alpha, s in zip(iq.ALPHA_SMALL_GRID, steps[mono:]):
+        assert np.array_equal(s.lhs[0][1], heron_kernel(d, alpha)), alpha
+        assert s.rhs[0][1] is grids[0]
 
 
 if __name__ == "__main__":
