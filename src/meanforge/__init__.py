@@ -9,7 +9,7 @@ from .linalg import (Frame, HpdMatrix, hermitian_eig, random_complex,
                      random_hpd, random_unitary, svd_values)
 from .means import (heinz, heinz_nu_average, heinz_p_diff, heinz_p_sum, heron,
                     integral_mean)
-from .norms import ky_fan, schatten
+from .norms import ky_fan
 
 __all__ = [
     "CASE_IDS", "DMap", "Frame", "HpdMatrix", "InequalityCase",
@@ -18,7 +18,7 @@ __all__ = [
     "heinz", "heinz_nu_average", "heinz_p_diff", "heinz_p_sum",
     "hermitian_eig", "heron", "integral_mean", "kernel_eval",
     "kernel_in_hypothesis", "ky_fan", "random_complex", "random_hpd",
-    "random_unitary", "run_suite", "schatten", "sinch", "step_margins",
+    "random_unitary", "run_suite", "sinch", "step_margins",
     "svd_values",
 ]
 

@@ -25,7 +25,7 @@ from .dmap import (KERNEL_PARAMS, RATIONAL_FAMILIES, KernelSpec,
                    contractivity_check, kernel_in_hypothesis)
 from .errors import (BadIntervalError, MeanforgeError, UnknownCaseError,
                      UnknownParameterError)
-from .linalg import random_complex, random_hpd
+from .linalg import DEFAULT_CONDITION_RANGE, random_complex, random_hpd
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -104,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanforge",
         description="Verify Heinz/Heron operator-mean norm inequalities")
+    cond_lo, cond_hi = DEFAULT_CONDITION_RANGE
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the inequality suite")
@@ -114,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--cases", type=parse_cases, default=None,
                    help="comma separated case ids (default: all)")
-    p.add_argument("--cond-lo", type=parse_number, default=0.05)
-    p.add_argument("--cond-hi", type=parse_number, default=20.0)
+    p.add_argument("--cond-lo", type=parse_number, default=cond_lo)
+    p.add_argument("--cond-hi", type=parse_number, default=cond_hi)
     p.add_argument("--workers", type=parse_count, default=1,
                    help="worker processes (default: 1)")
     p.add_argument("--out", type=parse_out, default=None)
@@ -150,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random instance file")
     p.add_argument("--dim", type=parse_count, required=True)
     p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--cond-lo", type=parse_number, default=0.05)
-    p.add_argument("--cond-hi", type=parse_number, default=20.0)
+    p.add_argument("--cond-lo", type=parse_number, default=cond_lo)
+    p.add_argument("--cond-hi", type=parse_number, default=cond_hi)
     p.add_argument("--out", type=parse_out, required=True)
     return parser
 

@@ -17,10 +17,6 @@ class DimMismatchError(MeanforgeError):
     """Operands have incompatible dimensions."""
 
 
-class BadExponentError(MeanforgeError):
-    """Schatten exponent p < 1."""
-
-
 class BadOrderError(MeanforgeError):
     """Ky Fan order k outside [1, dim]."""
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,16 +26,15 @@ from .dmap import (RATIONAL_FAMILIES, KernelSpec, heinz_average,
                    kernel_eval, sinch)
 from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
-from .linalg import (Frame, HpdMatrix, adjoint, complex_gaussian,
-                     gaussian_unitary, log_range, spawned_streams,
-                     svd_values, to_interval, uniform)
+from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, adjoint,
+                     complex_gaussian, gaussian_unitary, log_range,
+                     spawned_streams, svd_values, to_interval, uniform)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
                     heinz_p_sum, heron, integral_mean)
 
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_CONDITION_RANGE = (0.05, 20.0)
 # the fuzzer's random restarts draw eigenvalues from a wider range
 FUZZ_CONDITION_RANGE = (1e-3, 1e3)
 
@@ -64,11 +64,20 @@ class InstanceTriple:
 
 @dataclass(frozen=True)
 class InequalityCase:
+    """A case: its hypotheses as ``ranges``, name -> (lo, hi), and a
+    builder of its steps.  Without a sampler, it draws each parameter
+    uniformly on its range, in the order ``ranges`` lists them, and a
+    range open above through ``_sample_alpha``."""
     id: str
     ranges: dict
-    sampler: object  # rng -> params dict
     builder: object  # (d, params) -> list[Step] of kernels of d
     description: str = ""
+    sampler: object = None  # rng -> params dict
+
+    def __post_init__(self):
+        if self.sampler is None:
+            object.__setattr__(self, "sampler",
+                               partial(_sample_ranges, self.ranges))
 
     def in_range(self, params: dict) -> bool:
         for name, (lo, hi) in self.ranges.items():
@@ -158,11 +167,27 @@ def _leading(values, d) -> np.ndarray:
     return values.reshape(values.shape + ones)
 
 
-def _sample_alpha(rng) -> float:
-    # boundary point alpha = 1/2 drawn with positive probability
-    if uniform(rng, 0.0, 1.0) < 0.1:
-        return 0.5
-    return uniform(rng, 0.5, ALPHA_CAP)
+def _chain(*kernels) -> list[Step]:
+    """k0 <= k1 <= ... as single-term steps."""
+    return [Step([(1.0, lo)], [(1.0, hi)])
+            for lo, hi in zip(kernels, kernels[1:])]
+
+
+def _ones(d) -> np.ndarray:
+    return np.ones(np.shape(d))
+
+
+def _heinz(d, p) -> np.ndarray:
+    return heinz_kernel(d, p["nu"])
+
+
+def _heron(d, p) -> np.ndarray:
+    return heron_kernel(d, p["alpha"])
+
+
+def _mix(d, beta, nu0, nu1) -> np.ndarray:
+    """(1 - beta) H_nu0 + beta H_nu1; H_{1/2} is the geometric mean."""
+    return (1.0 - beta) * heinz_kernel(d, nu0) + beta * heinz_kernel(d, nu1)
 
 
 def _build_eq11(d, p):
@@ -171,17 +196,6 @@ def _build_eq11(d, p):
     rhs = 2.0 * np.cosh(d) + t  # AX + XB + t A^(1/2) X B^(1/2)
     # inf at t = -2, where the weight's pole makes the margins non-finite
     return [Step([(1.0, lhs)], [(np.divide(2.0, 2.0 + t), rhs)])]
-
-
-def _build_eq12(d, p):
-    h = heinz_kernel(d, p["nu"])
-    return [Step([(1.0, h)], [(1.0, heron_kernel(d, p["alpha"]))])]
-
-
-def _build_eq13(d, p):
-    h = heinz_kernel(d, p["nu"])
-    return [Step([(1.0, np.ones(np.shape(d)))], [(1.0, h)]),
-            Step([(1.0, h)], [(1.0, heron_kernel(d, p["alpha"]))])]
 
 
 def _build_ref_ali(d, p):
@@ -193,57 +207,22 @@ def _build_ref_ali(d, p):
                   (2.0 * (1.0 - 2.0 * r0), heron_kernel(d, p["alpha"]))])]
 
 
-def _build_eq14_chain(d, p):
-    im = sinch(d)
-    return [Step([(1.0, np.ones(np.shape(d)))], [(1.0, im)]),
-            Step([(1.0, im)], [(1.0, heron_kernel(d, p["alpha"]))])]
-
-
 ALPHA_MONO_GRID = tuple(np.round(np.arange(0.5, 10.01, 0.5), 10))
 ALPHA_SMALL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
 def _build_alpha_mono(d, p):
-    alphas = ALPHA_MONO_GRID + ALPHA_SMALL_GRID
     # alpha on a leading axis: one cosh(d) for all the Heron grids
-    herons = dict(zip(alphas, heron_kernel(d, _leading(alphas, d))))
-    steps = [Step([(1.0, herons[a1])], [(1.0, herons[a2])])
-             for a1, a2 in zip(ALPHA_MONO_GRID, ALPHA_MONO_GRID[1:])]
-    half = herons[ALPHA_MONO_GRID[0]]
-    steps += [Step([(1.0, herons[a])], [(1.0, half)])
-              for a in ALPHA_SMALL_GRID]
-    return steps
-
-
-def _convex_chain(d, p, mids):
-    """H_nu <= mid_1 <= ... <= mid_k <= F_alpha as successive steps."""
-    chain = [heinz_kernel(d, p["nu"])] + mids + [heron_kernel(d, p["alpha"])]
-    return [Step([(1.0, lo)], [(1.0, hi)])
-            for lo, hi in zip(chain, chain[1:])]
-
-
-def _interpolant_builder(nu0):
-    """H_nu <= (1-beta) H_nu0 + beta H_{1/4} <= F_alpha; H_{1/2} is the
-    geometric mean."""
-    def build(d, p):
-        beta = p["beta"]
-        h0, h14 = heinz_kernel(d, nu0), heinz_kernel(d, 0.25)
-        return _convex_chain(d, p, [(1.0 - beta) * h0 + beta * h14])
-    return build
-
-
-def _build_eq28(d, p):
-    beta, gamma = p["beta"], p["gamma"]
-    h38 = heinz_kernel(d, 3 / 8)
-    mid1 = (1.0 - gamma) * h38 + gamma * heinz_kernel(d, 5 / 16)
-    mid2 = (1.0 - beta) * h38 + beta * heinz_kernel(d, 0.25)
-    return _convex_chain(d, p, [mid1, mid2])
+    herons = list(heron_kernel(
+        d, _leading(ALPHA_MONO_GRID + ALPHA_SMALL_GRID, d)))
+    mono, small = herons[:len(ALPHA_MONO_GRID)], herons[len(ALPHA_MONO_GRID):]
+    return _chain(*mono) + [Step([(1.0, h)], [(1.0, mono[0])]) for h in small]
 
 
 def _build_eq29(d, p):
     m1 = 0.5 * (heinz_kernel(d, 1 / 8) + heinz_kernel(d, 3 / 8))
     m2 = 0.5 * (heinz_kernel(d, 0.25) + heron_kernel(d, 0.5))
-    return _convex_chain(d, p, [m1, sinch(d), m2])
+    return _chain(_heinz(d, p), m1, sinch(d), m2, _heron(d, p))
 
 
 def _make_avg_builder(lo, hi, factor):
@@ -313,6 +292,18 @@ def _build_f_nu_shape(d, p):
 # ---------------------------------------------------------------------------
 # Samplers
 
+def _sample_alpha(rng, lo=0.5) -> float:
+    # boundary point drawn with positive probability
+    if uniform(rng, 0.0, 1.0) < 0.1:
+        return lo
+    return uniform(rng, lo, ALPHA_CAP)
+
+
+def _sample_ranges(ranges: dict, rng) -> dict:
+    return {name: _sample_alpha(rng, lo) if hi == np.inf
+            else uniform(rng, lo, hi) for name, (lo, hi) in ranges.items()}
+
+
 def _sample_prop(rng, kind):
     sinh, combo = RATIONAL_FAMILIES[kind]
     s2 = uniform(rng, 0.0, 2.0 if sinh else 1.0)
@@ -350,18 +341,6 @@ def _sample_eq212(rng):
     return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, 0.0, 8.0)}
 
 
-def _window_sampler(nu_lo, nu_hi, beta=False, gamma=False):
-    def sample(rng):
-        p = {"nu": uniform(rng, nu_lo, nu_hi),
-             "alpha": _sample_alpha(rng)}
-        if beta:
-            p["beta"] = uniform(rng, 0.5, 1.0)
-        if gamma:
-            p["gamma"] = uniform(rng, 0.5, 1.0)
-        return p
-    return sample
-
-
 # ---------------------------------------------------------------------------
 # Registry
 
@@ -370,109 +349,98 @@ _PROP_KINDS = {f"prop2.1-{i}": k for i, k in enumerate(RATIONAL_FAMILIES, 1)}
 
 def _prop_case(cid, kind) -> InequalityCase:
     # the sampler produces exactly the kernel family's parameters
-    def build(d, p):
-        kernel = kernel_eval(KernelSpec(kind, p), d)
-        return [Step([(1.0, kernel)], [(1.0, np.ones(np.shape(d)))])]
-    return InequalityCase(cid, {}, lambda rng: _sample_prop(rng, kind), build,
-                          f"sampled contractivity of the {kind} kernel family")
+    return InequalityCase(
+        cid, {}, lambda d, p: _chain(kernel_eval(KernelSpec(kind, p), d),
+                                     _ones(d)),
+        f"sampled contractivity of the {kind} kernel family",
+        lambda rng: _sample_prop(rng, kind))
 
 
 def _build_registry() -> dict[str, InequalityCase]:
+    # the Heinz window nu in [1/4, 3/4] and the Heron alpha >= 1/2
+    window = {"nu": (0.25, 0.75), "alpha": (0.5, np.inf)}
+    alpha = {"alpha": (0.5, np.inf)}
     cases = [
         InequalityCase(
-            "eq1.1", {"nu": (0.25, 0.75), "t": (-2.0, 2.0)},
+            "eq1.1", {"nu": (0.25, 0.75), "t": (-2.0, 2.0)}, _build_eq11,
+            "un-halved Heinz sum vs weighted arithmetic/geometric mix",
+            # off the weight's pole at t = -2
             lambda rng: {"nu": uniform(rng, 0.25, 0.75),
-                         "t": uniform(rng, -1.999, 2.0)},
-            _build_eq11,
-            "un-halved Heinz sum vs weighted arithmetic/geometric mix"),
+                         "t": uniform(rng, -1.999, 2.0)}),
         InequalityCase(
-            "eq1.2", {"nu": (0.25, 0.75), "alpha": (0.5, np.inf)},
-            _window_sampler(0.25, 0.75), _build_eq12,
+            "eq1.2", window, lambda d, p: _chain(_heinz(d, p), _heron(d, p)),
             "Heinz mean dominated by Heron mean"),
         InequalityCase(
-            "eq1.3", {"nu": (0.25, 0.75), "alpha": (0.5, np.inf)},
-            _window_sampler(0.25, 0.75), _build_eq13,
+            "eq1.3", window,
+            lambda d, p: _chain(_ones(d), _heinz(d, p), _heron(d, p)),
             "geometric <= Heinz <= Heron chain"),
         InequalityCase(
-            "refAli", {"nu": (0.25, 0.75), "alpha": (0.5, np.inf)},
-            _window_sampler(0.25, 0.75), _build_ref_ali,
+            "refAli", window, _build_ref_ali,
             "convex refinement with weight 4 r0 - 1"),
         InequalityCase(
-            "eq1.4-chain", {"alpha": (0.5, np.inf)},
-            lambda rng: {"alpha": _sample_alpha(rng)}, _build_eq14_chain,
+            "eq1.4-chain", alpha,
+            lambda d, p: _chain(_ones(d), sinch(d), _heron(d, p)),
             "geometric <= integral mean <= Heron"),
         InequalityCase(
-            "eq1.4-alpha-mono", {},
-            lambda rng: {}, _build_alpha_mono,
+            "eq1.4-alpha-mono", {}, _build_alpha_mono,
             "Heron norm nondecreasing in alpha past 1/2"),
         InequalityCase(
-            "eq2.2", {"nu": (3 / 8, 5 / 8), "beta": (0.5, 1.0),
-                      "alpha": (0.5, np.inf)},
-            _window_sampler(3 / 8, 5 / 8, beta=True),
-            _interpolant_builder(0.5),
+            "eq2.2", {"nu": (3 / 8, 5 / 8), "alpha": (0.5, np.inf),
+                      "beta": (0.5, 1.0)},
+            lambda d, p: _chain(_heinz(d, p), _mix(d, p["beta"], 0.5, 0.25),
+                                _heron(d, p)),
             "interpolant (1-b) geometric + b H_{1/4}"),
         InequalityCase(
-            "eq2.3", {"nu": (5 / 16, 11 / 16), "beta": (0.5, 1.0),
-                      "alpha": (0.5, np.inf)},
-            _window_sampler(5 / 16, 11 / 16, beta=True),
-            _interpolant_builder(3 / 8),
+            "eq2.3", {"nu": (5 / 16, 11 / 16), "alpha": (0.5, np.inf),
+                      "beta": (0.5, 1.0)},
+            lambda d, p: _chain(_heinz(d, p), _mix(d, p["beta"], 3 / 8, 0.25),
+                                _heron(d, p)),
             "interpolant (1-b) H_{3/8} + b H_{1/4}"),
         InequalityCase(
-            "eq2.7", {"nu": (9 / 32, 23 / 32), "beta": (0.5, 1.0),
-                      "alpha": (0.5, np.inf)},
-            _window_sampler(9 / 32, 23 / 32, beta=True),
-            _interpolant_builder(5 / 16),
+            "eq2.7", {"nu": (9 / 32, 23 / 32), "alpha": (0.5, np.inf),
+                      "beta": (0.5, 1.0)},
+            lambda d, p: _chain(_heinz(d, p), _mix(d, p["beta"], 5 / 16, 0.25),
+                                _heron(d, p)),
             "interpolant (1-b) H_{5/16} + b H_{1/4}"),
         InequalityCase(
-            "eq2.8", {"nu": (11 / 32, 21 / 32), "beta": (0.5, 1.0),
-                      "gamma": (0.5, 1.0), "alpha": (0.5, np.inf)},
-            _window_sampler(11 / 32, 21 / 32, beta=True, gamma=True),
-            _build_eq28,
+            "eq2.8", {"nu": (11 / 32, 21 / 32), "alpha": (0.5, np.inf),
+                      "beta": (0.5, 1.0), "gamma": (0.5, 1.0)},
+            lambda d, p: _chain(_heinz(d, p),
+                                _mix(d, p["gamma"], 3 / 8, 5 / 16),
+                                _mix(d, p["beta"], 3 / 8, 0.25), _heron(d, p)),
             "double interpolant chain"),
         InequalityCase(
-            "eq2.9", {"nu": (0.25, 0.75), "alpha": (0.5, np.inf)},
-            _window_sampler(0.25, 0.75), _build_eq29,
+            "eq2.9", window, _build_eq29,
             "four-step refinement through the integral mean"),
         InequalityCase(
-            "avg-12", {"alpha": (0.5, np.inf)},
-            lambda rng: {"alpha": _sample_alpha(rng)},
-            _make_avg_builder(0.25, 0.75, 0.5),
+            "avg-12", alpha, _make_avg_builder(0.25, 0.75, 0.5),
             "nu-average over [1/4, 3/4] vs (1/2) Heron"),
         InequalityCase(
-            "avg-14", {"alpha": (0.5, np.inf)},
-            lambda rng: {"alpha": _sample_alpha(rng)},
-            _make_avg_builder(3 / 8, 5 / 8, 0.25),
+            "avg-14", alpha, _make_avg_builder(3 / 8, 5 / 8, 0.25),
             "nu-average over [3/8, 5/8] vs (1/4) Heron"),
         InequalityCase(
-            "avg-716", {"alpha": (0.5, np.inf)},
-            lambda rng: {"alpha": _sample_alpha(rng)},
-            _make_avg_builder(9 / 32, 23 / 32, 7 / 16),
+            "avg-716", alpha, _make_avg_builder(9 / 32, 23 / 32, 7 / 16),
             "nu-average over [9/32, 23/32] vs (7/16) Heron"),
         InequalityCase(
-            "avg-516", {"alpha": (0.5, np.inf)},
-            lambda rng: {"alpha": _sample_alpha(rng)},
-            _make_avg_builder(11 / 32, 21 / 32, 5 / 16),
+            "avg-516", alpha, _make_avg_builder(11 / 32, 21 / 32, 5 / 16),
             "nu-average over [11/32, 21/32] vs (5/16) Heron"),
         InequalityCase(
-            "eq2.10", {"t": (-1.0, 1.0)},
-            _sample_eq210, _build_eq210,
-            "(1+t) p-Heinz sum vs endpoint sum plus t perturbation"),
+            "eq2.10", {"t": (-1.0, 1.0)}, _build_eq210,
+            "(1+t) p-Heinz sum vs endpoint sum plus t perturbation",
+            _sample_eq210),
         InequalityCase(
-            "eq2.11", {"t": (-1.0, 1.0)},
-            _sample_eq211, _build_eq211,
-            "p-Heinz difference vs |p-2r| scaled endpoint difference"),
+            "eq2.11", {"t": (-1.0, 1.0)}, _build_eq211,
+            "p-Heinz difference vs |p-2r| scaled endpoint difference",
+            _sample_eq211),
         InequalityCase(
-            "eq2.12", {"t": (0.0, np.inf)},
-            _sample_eq212, _build_eq212,
-            "reversed sum inequality for r <= 0 <= p"),
+            "eq2.12", {"t": (0.0, np.inf)}, _build_eq212,
+            "reversed sum inequality for r <= 0 <= p", _sample_eq212),
         InequalityCase(
-            "eq2.13", {"t": (0.0, np.inf)},
-            _sample_eq212, _build_eq213,
-            "reversed difference inequality with the (p, nu, r) factor"),
+            "eq2.13", {"t": (0.0, np.inf)}, _build_eq213,
+            "reversed difference inequality with the (p, nu, r) factor",
+            _sample_eq212),
         InequalityCase(
-            "f-nu-shape", {"p": (0.5, 2.0)},
-            lambda rng: {"p": uniform(rng, 0.5, 2.0)},
-            _build_f_nu_shape,
+            "f-nu-shape", {"p": (0.5, 2.0)}, _build_f_nu_shape,
             "nu profile of the p-Heinz sum norm: V-shape and convexity"),
     ]
     cases += [_prop_case(cid, kind) for cid, kind in _PROP_KINDS.items()]

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DimMismatchError, NoConvergenceError, NotHermitianError
 
 HERMITIAN_RTOL = 1e-12
+# eigenvalue range of random instances unless a caller gives another
+DEFAULT_CONDITION_RANGE = (0.05, 20.0)
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -216,7 +218,7 @@ def uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
 
 
 def random_hpd(dim: int, rng: np.random.Generator,
-               condition_range: tuple[float, float] = (0.05, 20.0)) -> HpdMatrix:
+               condition_range=DEFAULT_CONDITION_RANGE) -> HpdMatrix:
     """Random HPD matrix with eigenvalues log-uniform in condition_range."""
     eigs = np.exp(uniform(rng, *log_range(condition_range), size=dim))
     return HpdMatrix.from_spectrum(eigs, random_unitary(dim, rng))

@@ -38,3 +38,17 @@ TARGETS = [*tracer.SPAN_TARGETS, *tracer.COUNT_TARGETS,
 def test_benchmark_name_resolves(layer, module, path):
     modules = workloads.traced_modules()
     assert tracer.resolve(modules[module], path) is not None, layer
+
+
+def test_contractivity_samplers_are_callable():
+    # the contractivity workload draws each family's kernel parameters
+    inequalities = workloads.traced_modules()["inequalities"]
+    for cid in inequalities._PROP_KINDS:
+        assert callable(inequalities.get_case(cid).sampler), cid
+
+
+def test_case_builders_are_callable():
+    # the tracer wraps every registry case's builder
+    inequalities = workloads.traced_modules()["inequalities"]
+    for cid, case in inequalities.REGISTRY.items():
+        assert callable(case.builder), cid

@@ -72,6 +72,37 @@ def test_out_of_range_raises_without_override():
         iq.evaluate(case, inst, {"nu": 0.1, "alpha": 0.5})
 
 
+@pytest.mark.parametrize("cid", sorted(EXPECTED_IDS))
+def test_sampler_stays_in_ranges(cid):
+    case = iq.get_case(cid)
+    for seed in range(200):
+        params = case.sampler(np.random.default_rng(seed))
+        assert case.in_range(params), (seed, params)
+
+
+@pytest.mark.parametrize("ranges", [
+    {"nu": (0.3, 0.4)},
+    {"nu": (0.3, 0.4), "alpha": (0.5, np.inf), "beta": (0.5, 1.0)},
+], ids=["nu", "nu-alpha-beta"])
+def test_default_sampler_draws_each_range_in_order(ranges):
+    # uniform on a closed range; an atom at 1/2 or uniform on
+    # [1/2, ALPHA_CAP] for alpha's [1/2, inf)
+    case = iq.InequalityCase("c", ranges, builder=None)
+    for seed in range(50):
+        twin = np.random.default_rng(seed)
+        want = {}
+        for name, (lo, hi) in ranges.items():
+            if hi < np.inf:
+                want[name] = twin.uniform(lo, hi)
+            elif twin.uniform(0.0, 1.0) < 0.1:
+                want[name] = lo
+            else:
+                want[name] = twin.uniform(lo, iq.ALPHA_CAP)
+        # exact floats, in the listed order
+        got = case.sampler(np.random.default_rng(seed))
+        assert list(got.items()) == list(want.items())
+
+
 @pytest.mark.parametrize("cid, params", [
     ("eq1.1", {"nu": 0.5, "t": -2.0}),
     ("eq2.13", {"p": 0.5, "nu": 0.1, "r": 0.25, "t": 1.0}),

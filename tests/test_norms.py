@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanforge.errors import BadExponentError, BadOrderError, DimMismatchError
+from meanforge.errors import BadOrderError, DimMismatchError
 from meanforge.inequalities import Step, step_margins
-from meanforge.linalg import random_complex, random_unitary
-from meanforge.norms import ky_fan, schatten
+from meanforge.linalg import random_complex, random_unitary, svd_values
+from meanforge.norms import ky_fan
 
 
 def fan_margins(lhs, rhs):
@@ -16,28 +16,12 @@ def fan_margins(lhs, rhs):
     return margins[0], scales[0]
 
 
-def test_schatten_trace_norm():
-    assert schatten(np.diag([3.0, 1.0]), 1) == pytest.approx(4.0)
-
-
-def test_schatten_hilbert_schmidt():
-    assert schatten(np.diag([3.0, 1.0]), 2) == pytest.approx(np.sqrt(10.0))
-
-
-def test_schatten_operator_norm():
-    assert schatten(np.eye(3), np.inf) == pytest.approx(1.0)
-
-
-def test_schatten_rejects_small_exponent():
-    with pytest.raises(BadExponentError):
-        schatten(np.eye(2), 0.5)
-
-
-def test_schatten2_matches_entry_sum():
+def test_svd_values_squares_sum_to_entry_sum():
+    # the Schatten 2-norm is the Frobenius norm
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = random_complex(int(rng.integers(1, 7)), rng)
-        assert schatten(m, 2) ** 2 == pytest.approx(
+        assert np.sum(svd_values(m) ** 2) == pytest.approx(
             float(np.sum(np.abs(m) ** 2)), rel=1e-10)
 
 
