@@ -1,17 +1,17 @@
 """Registry of the verified norm inequalities, the suite runner and the
 out-of-range counterexample fuzzer.
 
-Every inequality is encoded as a list of comparison steps.  A step says
-that an affine combination of Ky Fan norms on the left is dominated by
-one on the right; its margins (right minus left, one per Ky Fan order)
-must all be nonnegative up to a relative tolerance whenever the case
-parameters lie inside the registered validity ranges.
+Every inequality is encoded as comparisons: an affine combination of Ky
+Fan norms on the left is dominated by one on the right; its margins
+(right minus left, one per Ky Fan order) must all be nonnegative up to a
+relative tolerance whenever the case parameters satisfy its hypotheses.
 
-Builders write steps as kernels g(d) of d = (log a - log b)/2, on the d
-grid of a :class:`Frame`, a single instance or a stack.  All terms of a
-case have one degree p, the case's ``p`` parameter or 1 when it has
-none: a term's Ky Fan norms are those of g(d) o (ab)^(p/2) o Xt, with
-the frame's Xt scaled once per case by :meth:`Frame.scaled`.
+Builders write them as kernels g(d) of d = (log a - log b)/2, on the d
+grid of a :class:`Frame`, a single instance or a stack: one stack of the
+case's distinct kernel grids, and ``Step``s whose terms index into it.
+All terms of a case have one degree p, the case's ``p`` parameter or 1
+when it has none: a term's Ky Fan norms are those of g(d) o (ab)^(p/2)
+o Xt, with the frame's Xt scaled once per case by :meth:`Frame.scaled`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .dmap import (RATIONAL_FAMILIES, KernelSpec, heinz_average,
-                   kernel_eval, sinch)
+                   kernel_eval, kernel_in_hypothesis, sinch)
 from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, adjoint,
@@ -47,6 +47,9 @@ Term = tuple[float, np.ndarray]
 
 @dataclass(frozen=True)
 class Step:
+    """Comparisons sum c |||G[i] o Xt||| over lhs <= the same over rhs,
+    of terms (c, i): a number or per-sample (..., 1, 1) array c and an
+    index array i into a grid stack G, all i of a step one length."""
     lhs: list[Term]
     rhs: list[Term]
 
@@ -64,15 +67,17 @@ class InstanceTriple:
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """A case: its hypotheses as ``ranges``, name -> (lo, hi), and a
-    builder of its steps.  Without a sampler, it draws each parameter
+    """A case: its hypotheses as ``ranges``, name -> (lo, hi), and those
+    that couple parameters as a ``hypothesis`` predicate; a builder of
+    its grids and steps.  Without a sampler, it draws each parameter
     uniformly on its range, in the order ``ranges`` lists them, and a
     range open above through ``_sample_alpha``."""
     id: str
     ranges: dict
-    builder: object  # (d, params) -> list[Step] of kernels of d
+    builder: object  # (d, params) -> (grid stack, list[Step])
     description: str = ""
     sampler: object = None  # rng -> params dict
+    hypothesis: object = None  # params -> bool
 
     def __post_init__(self):
         if self.sampler is None:
@@ -84,44 +89,33 @@ class InequalityCase:
             value = params.get(name)
             if value is None or not (lo <= value <= hi):
                 return False
-        return True
+        return self.hypothesis is None or bool(self.hypothesis(params))
 
 
-def step_margins(steps: list[Step], xt=1.0) -> tuple[list, list]:
-    """Ky Fan margins and normalization scales for a list of steps.
+def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
+    """Ky Fan margins and normalization scales of the steps' comparisons.
 
-    Each term is a kernel grid that multiplies ``xt`` entrywise or, with
-    ``xt`` left at 1, a matrix; terms may be stacks (..., n, n).  The
-    singular values of all distinct terms come from one batched SVD, and
-    a step listed more than once is scored once.  Returns per listed
-    step the margins (..., n), right minus left for each Ky Fan order,
-    and the scale (...), 1 + the trace norm of the right side.
+    ``grids`` (T, ..., n, n) are kernel grids that multiply ``xt``
+    entrywise or, with ``xt`` left at 1, matrices, all in one batched
+    SVD; a step weighs one gather of their cumulative sums per term.
+    Returns, comparisons in listed order, the margins (comparisons, ...,
+    n), right minus left for each Ky Fan order, and the scales
+    (comparisons, ...), 1 + the trace norm of the right side.
     """
-    unique = {id(step): step for step in steps}
-    terms = {id(m): m for step in unique.values()
-             for _, m in step.lhs + step.rhs}
-    if len({np.shape(m) for m in terms.values()}) > 1:
-        raise DimMismatchError("step terms differ in shape")
-    # a term with a NaN or inf entry gets NaN singular values, so that
-    # its margins count as numerical failures
-    fans = np.cumsum(svd_values(np.stack(list(terms.values())) * xt), -1)
-    # cumulative sums as (..., 1, n), so that coefficients, numbers or
-    # per-sample (..., 1, 1) arrays, weigh them by broadcasting
-    cumulative = dict(zip(terms, fans[..., None, :]))
-
+    if np.ndim(xt) and np.shape(grids)[-2:] != np.shape(xt)[-2:]:
+        raise DimMismatchError("kernel grids and Xt differ in shape")
+    # a NaN or inf grid gets NaN singular values, so that its margins
+    # count as numerical failures; cumulative sums (T, ..., 1, n), which
+    # coefficients, numbers or per-sample (..., 1, 1) arrays, broadcast on
+    fans = np.cumsum(svd_values(grids * xt), -1)[..., None, :]
     margins, scales = [], []
-    for step in unique.values():
-        total = sum(c * cumulative[id(m)] for c, m in step.rhs)
+    for step in steps:
+        total = sum(c * fans[i] for c, i in step.rhs)
         scales.append(1.0 + total[..., 0, -1])
-        for c, m in step.lhs:
-            total = total - c * cumulative[id(m)]
+        for c, i in step.lhs:
+            total = total - c * fans[i]
         margins.append(total[..., 0, :])
-    if len(unique) < len(steps):
-        # a repeated step gets its first listing's entries again
-        at = dict(zip(unique, range(len(unique))))
-        margins = [margins[at[id(step)]] for step in steps]
-        scales = [scales[at[id(step)]] for step in steps]
-    return margins, scales
+    return np.concatenate(margins), np.concatenate(scales)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -129,35 +123,36 @@ def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
     """step_margins of a case's steps on a frame, whose Xt is scaled to
     the case's degree; NaN if an SVD fails.  Overflow and division by
     zero are not warned about: callers count or rank NaN and inf."""
-    steps = case.builder(frame.d, params)
+    grids, steps = case.builder(frame.d, params)
     try:
-        return step_margins(steps, frame.scaled(params.get("p", 1.0)))
+        return step_margins(grids, steps, frame.scaled(params.get("p", 1.0)))
     except np.linalg.LinAlgError:
-        nan = np.full(np.shape(frame.xt)[:-1], np.nan)
-        return [nan] * len(steps), [nan[..., 0]] * len(steps)
+        count = sum(len(step.rhs[0][1]) for step in steps)
+        nan = np.full((count, *np.shape(frame.xt)[:-1]), np.nan)
+        return nan, nan[..., 0]
 
 
 @np.errstate(invalid="ignore")
 def _worst_margins(case: InequalityCase, frame: Frame, params) -> tuple:
-    """Per step, the worst margin over the Ky Fan orders, raw and over
-    the step's scale, as (steps, ...) arrays.  An infinite margin over
-    an infinite scale is NaN, not warned about."""
+    """Per comparison, the worst margin over the Ky Fan orders, raw and
+    over its scale, as (comparisons, ...) arrays.  An infinite margin
+    over an infinite scale is NaN, not warned about."""
     margins, scales = _margins(case, frame, params)
-    raw = np.array(margins).min(axis=-1)
-    return raw, raw / np.array(scales)
+    raw = margins.min(axis=-1)
+    return raw, raw / scales
 
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
              override: bool = False) -> list[np.ndarray]:
-    """Per-step, per-Ky-Fan-order margins for one instance."""
+    """Per-comparison, per-Ky-Fan-order margins for one instance."""
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
-    return _margins(case, Frame.of(inst.a, inst.x, inst.b), params)[0]
+    return list(_margins(case, Frame.of(inst.a, inst.x, inst.b), params)[0])
 
 
 # ---------------------------------------------------------------------------
-# Builders: (d, params) -> steps whose terms are kernels of d
+# Builders: (d, params) -> (stack of kernel grids of d, steps into it)
 
 def _leading(values, d) -> np.ndarray:
     """values (k, ...) reshaped to broadcast against d with k on a new
@@ -167,10 +162,10 @@ def _leading(values, d) -> np.ndarray:
     return values.reshape(values.shape + ones)
 
 
-def _chain(*kernels) -> list[Step]:
-    """k0 <= k1 <= ... as single-term steps."""
-    return [Step([(1.0, lo)], [(1.0, hi)])
-            for lo, hi in zip(kernels, kernels[1:])]
+def _chain(*kernels) -> tuple:
+    """k0 <= k1 <= ... as one single-term Step over their stack."""
+    at = np.arange(len(kernels))
+    return np.stack(kernels), [Step([(1.0, at[:-1])], [(1.0, at[1:])])]
 
 
 def _ones(d) -> np.ndarray:
@@ -195,16 +190,16 @@ def _build_eq11(d, p):
     lhs = p_sum_kernel(d, p["nu"], 1.0)
     rhs = 2.0 * np.cosh(d) + t  # AX + XB + t A^(1/2) X B^(1/2)
     # inf at t = -2, where the weight's pole makes the margins non-finite
-    return [Step([(1.0, lhs)], [(np.divide(2.0, 2.0 + t), rhs)])]
+    return (np.stack([lhs, rhs]),
+            [Step([(1.0, [0])], [(np.divide(2.0, 2.0 + t), [1])])])
 
 
 def _build_ref_ali(d, p):
     nu = p["nu"]
     r0 = np.minimum(nu, 1.0 - nu)
-    h = heinz_kernel(d, nu)
-    return [Step([(1.0, h)],
-                 [(4.0 * r0 - 1.0, np.ones(np.shape(d))),
-                  (2.0 * (1.0 - 2.0 * r0), heron_kernel(d, p["alpha"]))])]
+    grids = np.stack([heinz_kernel(d, nu), _ones(d), _heron(d, p)])
+    return grids, [Step([(1.0, [0])], [(4.0 * r0 - 1.0, [1]),
+                                       (2.0 * (1.0 - 2.0 * r0), [2])])]
 
 
 ALPHA_MONO_GRID = tuple(np.round(np.arange(0.5, 10.01, 0.5), 10))
@@ -212,11 +207,12 @@ ALPHA_SMALL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 
 
 def _build_alpha_mono(d, p):
-    # alpha on a leading axis: one cosh(d) for all the Heron grids
-    herons = list(heron_kernel(
-        d, _leading(ALPHA_MONO_GRID + ALPHA_SMALL_GRID, d)))
-    mono, small = herons[:len(ALPHA_MONO_GRID)], herons[len(ALPHA_MONO_GRID):]
-    return _chain(*mono) + [Step([(1.0, h)], [(1.0, mono[0])]) for h in small]
+    # alpha on a leading axis: one cosh(d) for all the Heron grids; the
+    # monotone run, then each small alpha against alpha 1/2, grid 0
+    herons = heron_kernel(d, _leading(ALPHA_MONO_GRID + ALPHA_SMALL_GRID, d))
+    mono, small = np.split(np.arange(len(herons)), [len(ALPHA_MONO_GRID)])
+    return herons, [Step([(1.0, mono[:-1])], [(1.0, mono[1:])]),
+                    Step([(1.0, small)], [(1.0, 0 * small)])]
 
 
 def _build_eq29(d, p):
@@ -228,7 +224,8 @@ def _build_eq29(d, p):
 def _make_avg_builder(lo, hi, factor):
     def build(d, p):
         avg = heinz_average(d, lo, hi)
-        return [Step([(1.0, avg)], [(factor, heron_kernel(d, p["alpha"]))])]
+        return (np.stack([avg, heron_kernel(d, p["alpha"])]),
+                [Step([(1.0, [0])], [(factor, [1])])])
     return build
 
 
@@ -237,7 +234,7 @@ def _build_eq210(d, p):
     lhs = p_sum_kernel(d, r, pw)
     # A^p X + X B^p + t (A^nu X B^(p-nu) + A^(p-nu) X B^nu)
     rhs = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
-    return [Step([(1.0 + t, lhs)], [(1.0, rhs)])]
+    return np.stack([lhs, rhs]), [Step([(1.0 + t, [0])], [(1.0, [1])])]
 
 
 def _build_eq211(d, p):
@@ -246,14 +243,15 @@ def _build_eq211(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
     lhs = p_diff_kernel(d, r, pw)
     rhs = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, pw - nu, pw)
-    return [Step([(1.0 + t, lhs)], [(abs(pw - 2.0 * r), rhs)])]
+    return (np.stack([lhs, rhs]),
+            [Step([(1.0 + t, [0])], [(abs(pw - 2.0 * r), [1])])])
 
 
 def _build_eq212(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
     big = p_sum_kernel(d, r, pw)
     small = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
-    return [Step([(1.0, small)], [(1.0 + t, big)])]
+    return np.stack([small, big]), [Step([(1.0, [0])], [(1.0 + t, [1])])]
 
 
 def _build_eq213(d, p):
@@ -262,31 +260,31 @@ def _build_eq213(d, p):
     small = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, nu, pw)
     # +-inf or NaN at p = 2r: non-finite margins, as for any pole
     factor = np.divide((1.0 + t) * pw - 2.0 * t * nu, pw - 2.0 * r)
-    return [Step([(1.0, small)], [(factor, big)])]
+    return np.stack([small, big]), [Step([(1.0, [0])], [(factor, [1])])]
 
 
 F_NU_GRID_POINTS = 41
+# f(nu) = |||A^nu X B^(p-nu) + A^(p-nu) X B^nu||| is symmetric about p/2:
+# node i of the 41 has grid min(i, 40 - i) of the 21 nodes nu <= p/2, so
+# a right-half comparison reads its left-half mirror's grids in its order:
+# of two neighbours the outer first, of a node's neighbours the lower.
+F_NU_NODE = np.minimum(np.arange(F_NU_GRID_POINTS),
+                       np.arange(F_NU_GRID_POINTS)[::-1])
+_F_NU_PAIRS = np.sort([F_NU_NODE[:-1], F_NU_NODE[1:]], axis=0)
+_F_NU_NEIGHBOURS = np.sort([F_NU_NODE[:-2], F_NU_NODE[2:]], axis=0)
 
 
 def _build_f_nu_shape(d, p):
-    # f(nu) = |||A^nu X B^(p-nu) + A^(p-nu) X B^nu||| is symmetric about
-    # p/2: node 40 - i is node i, and so is each right-half step, the
-    # same Step as its left-half mirror, which step_margins scores once
+    # nonincreasing toward p/2 between neighbours, and midpoint convex
+    # on consecutive triples
     pw = p["p"]
-    center = F_NU_GRID_POINTS // 2
     grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, F_NU_GRID_POINTS)
     # the nodes nu <= p/2 on a leading axis, in one call
-    mats = list(p_sum_kernel(d, _leading(grid[:center + 1], d), pw))
-    mats += mats[-2::-1]
-    # nonincreasing left of p/2; right of it, step 39 - i mirrors step i
-    mono = [Step([(1.0, mats[i + 1])], [(1.0, mats[i])])
-            for i in range(center)]
-    # midpoint convexity on consecutive triples; step 40 - i mirrors
-    # step i with its right terms swapped, and a + b = b + a exactly
-    convex = [Step([(2.0, mats[i])],
-                   [(1.0, mats[i - 1]), (1.0, mats[i + 1])])
-              for i in range(1, center + 1)]
-    return mono + mono[::-1] + convex + convex[-2::-1]
+    grids = p_sum_kernel(
+        d, _leading(grid[:F_NU_GRID_POINTS // 2 + 1], d), pw)
+    (outer, inner), sides = _F_NU_PAIRS, _F_NU_NEIGHBOURS
+    return grids, [Step([(1.0, inner)], [(1.0, outer)]),
+                   Step([(2.0, F_NU_NODE[1:-1])], [(1.0, i) for i in sides])]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,8 @@ def _prop_case(cid, kind) -> InequalityCase:
         cid, {}, lambda d, p: _chain(kernel_eval(KernelSpec(kind, p), d),
                                      _ones(d)),
         f"sampled contractivity of the {kind} kernel family",
-        lambda rng: _sample_prop(rng, kind))
+        lambda rng: _sample_prop(rng, kind),
+        lambda p: kernel_in_hypothesis(KernelSpec(kind, p))["abs"])
 
 
 def _build_registry() -> dict[str, InequalityCase]:
@@ -427,7 +426,8 @@ def _build_registry() -> dict[str, InequalityCase]:
         InequalityCase(
             "eq2.10", {"t": (-1.0, 1.0)}, _build_eq210,
             "(1+t) p-Heinz sum vs endpoint sum plus t perturbation",
-            _sample_eq210),
+            # nu in [0, p] and r in [nu/2, p/2]
+            _sample_eq210, lambda p: 0.0 <= p["nu"] <= 2.0 * p["r"] <= p["p"]),
         InequalityCase(
             "eq2.11", {"t": (-1.0, 1.0)}, _build_eq211,
             "p-Heinz difference vs |p-2r| scaled endpoint difference",

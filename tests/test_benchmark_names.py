@@ -52,3 +52,18 @@ def test_case_builders_are_callable():
     inequalities = workloads.traced_modules()["inequalities"]
     for cid, case in inequalities.REGISTRY.items():
         assert callable(case.builder), cid
+
+
+def test_sweep_cells_are_cut_at_step_margins(tmp_path):
+    # the sweep workload times each (case, dim) cell in pieces that end
+    # at its step_margins calls, from inside _run_case_dim
+    inequalities = workloads.traced_modules()["inequalities"]
+    size = workloads.SWEEP_SMOKE
+    result = workloads.sweep_pass(workloads.MASTER_SEED, size, tmp_path)
+    assert (result.failed, result.errors) == (0, [])
+    assert len(result.task_s) == len(size["dims"]) * len(
+        inequalities.CASE_IDS)
+    assert len(result.piece_s) == len(result.task_s)
+    for cell, pieces in zip(result.task_s, result.piece_s):
+        assert len(pieces) > 1
+        assert sum(pieces) == pytest.approx(cell, rel=1e-9, abs=1e-12)

@@ -72,6 +72,37 @@ def test_out_of_range_raises_without_override():
         iq.evaluate(case, inst, {"nu": 0.1, "alpha": 0.5})
 
 
+@pytest.mark.parametrize("cid, params", [
+    ("eq2.10", {"p": 1.0, "nu": 0.9, "r": 0.0, "t": 0.5}),
+    ("eq2.10", {"p": 1.0, "nu": 0.4, "r": 0.6, "t": 0.5}),
+    ("eq2.10", {"p": 1.0, "nu": -0.1, "r": 0.0, "t": 0.5}),
+    ("eq2.10", {"p": 1.0, "nu": 1.1, "r": 0.5, "t": 0.5}),
+    ("prop2.1-1", {"s1": 0.1, "s2": 0.9, "r": 5.0, "t": 0.5}),
+    ("prop2.1-2", {"s1": 0.9, "s2": 0.1, "r": 0.2, "rp": 0.2,
+                   "alpha": 0.5, "beta": 0.2}),
+], ids=["eq2.10-r<nu/2", "eq2.10-r>p/2", "eq2.10-nu<0", "eq2.10-nu>p",
+        "prop2.1-1-s2>s1", "prop2.1-2-beta<1/2"])
+def test_coupled_hypotheses_raise_without_override(cid, params):
+    # the ranges' t alone would let these through: r < nu/2, r > p/2,
+    # nu outside [0, p], and kernel parameters off kernel_in_hypothesis
+    inst = iq.make_instance(1, 0, 2, 0)[0]
+    case = iq.get_case(cid)
+    assert not case.in_range(params)
+    with pytest.raises(RangeViolationError):
+        iq.evaluate(case, inst, params)
+    assert len(iq.evaluate(case, inst, params, override=True)) == 1
+
+
+@pytest.mark.parametrize("cid, params", [
+    ("eq2.10", {"p": 1.0, "nu": 1.0, "r": 0.5, "t": -1.0}),
+    ("eq2.10", {"p": 1.0, "nu": 0.0, "r": 0.0, "t": 1.0}),
+    ("prop2.1-1", {"s1": 0.9, "s2": 0.1, "r": -0.5, "t": 1.0}),
+], ids=["eq2.10-nu=p", "eq2.10-nu=0", "prop2.1-1-r=-mid"])
+def test_coupled_hypotheses_keep_their_boundary(cid, params):
+    inst = iq.make_instance(1, 0, 2, 0)[0]
+    assert len(iq.evaluate(iq.get_case(cid), inst, params)) == 1
+
+
 @pytest.mark.parametrize("cid", sorted(EXPECTED_IDS))
 def test_sampler_stays_in_ranges(cid):
     case = iq.get_case(cid)
@@ -335,11 +366,12 @@ def test_suite_sound_across_seeds(seed):
 
 
 def nan_first_step(case):
-    """The case with the right side of its first step weighted by NaN."""
+    """The case with the first grid of its stack NaN: the left side of
+    its first comparison, and of no other in eq1.2 and eq1.3."""
     def build(*args):
-        first, *rest = case.builder(*args)
-        return [iq.Step(first.lhs, [(c * np.nan, m) for c, m in first.rhs]),
-                *rest]
+        grids, steps = case.builder(*args)
+        grids[0] = np.nan
+        return grids, steps
     return dataclasses.replace(case, builder=build)
 
 
@@ -359,10 +391,10 @@ def test_non_finite_margins_are_counted_not_passed(monkeypatch):
 def test_svd_failure_counts_its_block(monkeypatch):
     margins = iq.step_margins
 
-    def fail_at_dim_2(steps, xt=1.0):
+    def fail_at_dim_2(grids, steps, xt=1.0):
         if np.shape(xt)[-1] == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return margins(steps, xt)
+        return margins(grids, steps, xt)
 
     monkeypatch.setattr(iq, "step_margins", fail_at_dim_2)
     report = iq.run_suite([1, 2], 4, seed=3, case_ids=["eq1.3", "eq1.2"])
@@ -806,56 +838,54 @@ def _grid_frame(seed, count):
     return Frame(np.exp(la), np.exp(lb), None).d
 
 
-def _f_nu_nodes(steps):
-    """The 41 nu-nodes of the f-nu steps: monotone step i compares node
-    i + 1 with node i left of p/2 and node i with node i + 1 right of it."""
-    center = iq.F_NU_GRID_POINTS // 2
-    return ([s.rhs[0][1] for s in steps[:center]]
-            + [steps[center - 1].lhs[0][1]]
-            + [s.rhs[0][1] for s in steps[center:2 * center]])
-
-
 def test_f_nu_builder_lists_each_right_step_as_its_mirror():
     d = _grid_frame(0, 3)
-    steps = iq._build_f_nu_shape(d, {"p": 1.3})
+    grids, (mono, convex) = iq._build_f_nu_shape(d, {"p": 1.3})
     n = iq.F_NU_GRID_POINTS
-    mono, convex = steps[:n - 1], steps[n - 1:]
-    assert len(mono) == n - 1 and len(convex) == n - 2
-    # monotone step i mirrors step 39 - i, convexity step i (its list
-    # index i - 1) mirrors step 40 - i, and the centre triple is its own
-    for i in range(n // 2):
-        assert mono[n - 2 - i] is mono[i]
-    for i in range(1, n - 1):
-        assert convex[n - 2 - i] is convex[i - 1]
-    assert len({id(s) for s in steps}) == n - 1
-    # the left half nonincreasing toward p/2, the convexity weights 2
-    assert all(s.lhs[0][1] is t.rhs[0][1]
-               for s, t in zip(mono, mono[1:n // 2]))
-    assert all(s.lhs[0][0] == 2.0 and len(s.rhs) == 2 for s in convex)
-    assert len({id(m) for s in steps for _, m in s.lhs + s.rhs}) == n // 2 + 1
+    center = n // 2
+    assert len(grids) == center + 1
+    ((one, lo),), ((one_r, hi),) = mono.lhs, mono.rhs
+    ((two, mid),), ((one_a, below), (one_b, above)) = convex.lhs, convex.rhs
+    assert (one, one_r, two, one_a, one_b) == (1.0, 1.0, 2.0, 1.0, 1.0)
+    assert {len(i) for i in (lo, hi)} == {n - 1}
+    assert {len(i) for i in (mid, below, above)} == {n - 2}
+    for i in range(center):
+        # left of p/2, node i + 1 below node i; monotone comparison
+        # 39 - i reads the grids of comparison i
+        assert (lo[i], hi[i]) == (i + 1, i)
+        assert (lo[n - 2 - i], hi[n - 2 - i]) == (i + 1, i)
+    for i in range(1, center + 1):
+        # convexity on nodes i - 1, i, i + 1, node 21 being node 19;
+        # comparison 40 - i (list index 39 - i) reads comparison i's
+        # grids in its order, and the centre triple is its own mirror
+        want = (i, i - 1, i + 1 if i < center else center - 1)
+        assert (mid[i - 1], below[i - 1], above[i - 1]) == want
+        assert (mid[n - 2 - i], below[n - 2 - i], above[n - 2 - i]) == want
 
 
 @pytest.mark.parametrize("per_sample", [False, True])
 @pytest.mark.parametrize("count", [None, 5])
 def test_f_nu_grids_are_per_nu_kernels(per_sample, count):
-    # nodes nu <= p/2 carry the bits of one p_sum_kernel call at that
-    # nu; node 40 - i is node i, f's value at p - nu_i, whose argument
+    # grid i carries the bits of one p_sum_kernel call at node i <= p/2;
+    # node 40 - i reads grid i, f's value at p - nu_i, whose argument
     # (2 nu - p) d is rounded from a node that differs from the linspace
     # node in its last bits, an error cosh carries times |d|
     d = _grid_frame(1, count)
     pw = (np.random.default_rng(2).uniform(0.5, 2.0, (5, 1, 1))
           if per_sample else 1.3)
     grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, iq.F_NU_GRID_POINTS)
-    nodes = _f_nu_nodes(iq._build_f_nu_shape(d, {"p": pw}))
+    grids, _ = iq._build_f_nu_shape(d, {"p": pw})
     center = iq.F_NU_GRID_POINTS // 2
+    assert len(grids) == center + 1
     for i in range(center + 1):
-        assert np.array_equal(nodes[i], p_sum_kernel(d, grid[i], pw)), i
+        assert np.array_equal(grids[i], p_sum_kernel(d, grid[i], pw)), i
+    assert iq.F_NU_NODE[center] == center
     bound = 4 * np.finfo(float).eps * (1.0 + np.abs(d))
     for i in range(center):
         want = p_sum_kernel(d, pw - grid[i], pw)
-        assert nodes[-1 - i] is nodes[i]
-        assert np.all(np.abs(nodes[i] - want) <= bound * want), i
-        assert np.all(np.abs(nodes[i] - p_sum_kernel(d, grid[-1 - i], pw))
+        assert iq.F_NU_NODE[-1 - i] == iq.F_NU_NODE[i] == i
+        assert np.all(np.abs(grids[i] - want) <= bound * want), i
+        assert np.all(np.abs(grids[i] - p_sum_kernel(d, grid[-1 - i], pw))
                       <= bound * want), i
 
 
@@ -871,9 +901,9 @@ def _svd_spy(monkeypatch) -> list:
     return calls
 
 
-def test_step_margins_score_a_step_listed_twice_once(monkeypatch):
+def test_step_margins_send_a_shared_grid_once_and_repeat_bits(monkeypatch):
     class Weight(float):
-        # counts the times a step's weight weighs a term
+        # counts the times a coefficient weighs a gather
         uses = 0
 
         def __mul__(self, other):
@@ -881,43 +911,109 @@ def test_step_margins_score_a_step_listed_twice_once(monkeypatch):
             return float(self) * other
 
     rng = np.random.default_rng(4)
-    a, b, c = (rng.standard_normal((3, 3)) for _ in range(3))
-    s1 = iq.Step([(Weight(1.0), a)], [(Weight(1.0), b), (Weight(0.5), c)])
-    s2 = iq.Step([(Weight(2.0), c)], [(Weight(1.0), a)])
+    grids = rng.standard_normal((3, 3, 3))
+    # grid 0 in four comparisons; comparison 2 repeats 0, and 4 repeats 3
+    s1 = iq.Step([(Weight(1.0), [0, 2, 0])],
+                 [(Weight(1.0), [1, 0, 1]), (Weight(0.5), [2, 1, 2])])
+    s2 = iq.Step([(Weight(2.0), [2, 2])], [(Weight(1.0), [0, 0])])
     calls = _svd_spy(monkeypatch)
-    margins, scales = iq.step_margins([s1, s2, s1, s1, s2])
+    margins, scales = iq.step_margins(grids, [s1, s2])
+    # one weighing per term position, whatever the comparisons
     assert Weight.uses == 5
-    once, once_scales = iq.step_margins([s1, s2])
+    once, once_scales = iq.step_margins(grids, [
+        iq.Step([(1.0, [0, 2])], [(1.0, [1, 0]), (0.5, [2, 1])]),
+        iq.Step([(2.0, [2])], [(1.0, [0])])])
     assert calls == [3, 3]
-    assert len(margins) == len(scales) == 5
-    for k, j in enumerate([0, 1, 0, 0, 1]):
+    assert margins.shape == (5, 3) and scales.shape == (5,)
+    for k, j in enumerate([0, 1, 0, 2, 2]):
         assert np.array_equal(margins[k], once[j])
         assert np.array_equal(scales[k], once_scales[j])
 
 
-def test_f_nu_sends_each_distinct_grid_to_the_svd_once(monkeypatch):
+@pytest.mark.parametrize("per_sample", [False, True])
+def test_step_margins_match_a_loop_over_comparisons(per_sample):
+    # bit for bit against each comparison scored on its own, one SVD per
+    # matrix; a NaN grid makes exactly its own comparisons NaN
+    rng = np.random.default_rng(5)
+    k, n = 4, 3
+    grids = rng.standard_normal((5, k, n, n))
+    grids[3, 1, 0, 2] = np.nan
+    xt = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    w = rng.uniform(0.5, 2.0, (k, 1, 1)) if per_sample else 0.7
+    steps = [iq.Step([(1.0, [0, 1, 2, 0])],
+                     [(1.0, [1, 2, 4, 1]), (w, [2, 0, 0, 2])]),
+             iq.Step([(w, [3, 4])], [(2.0, [4, 3])])]
+    margins, scales = iq.step_margins(grids, steps, xt)
+    assert margins.shape == (6, k, n) and scales.shape == (6, k)
+
+    def fan(m):
+        if not np.isfinite(m).all():
+            return np.full(n, np.nan)
+        return np.cumsum(np.linalg.svd(m, compute_uv=False))
+
+    for s in range(k):
+        row = 0
+        for step in steps:
+            for q in range(len(step.rhs[0][1])):
+                total = 0
+                for c, i in step.rhs:
+                    c = c[s, 0, 0] if np.ndim(c) else c
+                    total = total + c * fan(grids[i[q], s] * xt[s])
+                scale = 1.0 + total[-1]
+                for c, i in step.lhs:
+                    c = c[s, 0, 0] if np.ndim(c) else c
+                    total = total - c * fan(grids[i[q], s] * xt[s])
+                assert np.array_equal(margins[row, s], total,
+                                      equal_nan=True), (s, row)
+                assert np.array_equal(scales[row, s], scale,
+                                      equal_nan=True), (s, row)
+                row += 1
+    nan = np.isnan(margins).any(axis=-1)
+    assert np.array_equal(np.argwhere(nan), [[4, 1], [5, 1]])
+    assert not np.isnan(margins[~nan]).any()
+
+
+def _one_svd_of(monkeypatch, cid, count, comparisons):
+    """A 4-sample dim-3 block of the case sends ``count`` grids to one
+    SVD and scores ``comparisons`` comparisons."""
     calls = _svd_spy(monkeypatch)
     samples, frame, params = iq._draw_pass(
-        20240801, 3, [("f-nu-shape", range(4))],
-        iq.DEFAULT_CONDITION_RANGE)[0]
-    case = iq.get_case("f-nu-shape")
-    params = {"p": np.array([p["p"] for p in params])[:, None, None]}
+        20240801, 3, [(cid, range(4))], iq.DEFAULT_CONDITION_RANGE)[0]
+    case = iq.get_case(cid)
+    params = {k: np.array([p[k] for p in params])[:, None, None]
+              for k in params[0]}
     margins, scales = iq._margins(case, frame, params)
-    assert calls == [iq.F_NU_GRID_POINTS // 2 + 1]
-    assert len(margins) == len(scales) == 2 * iq.F_NU_GRID_POINTS - 3
+    assert calls == [count]
+    assert margins.shape == (comparisons, 4, 3)
+    assert scales.shape == (comparisons, 4)
+
+
+def test_f_nu_sends_each_distinct_grid_to_the_svd_once(monkeypatch):
+    _one_svd_of(monkeypatch, "f-nu-shape", iq.F_NU_GRID_POINTS // 2 + 1,
+                2 * iq.F_NU_GRID_POINTS - 3)
+
+
+def test_alpha_mono_sends_each_heron_grid_to_the_svd_once(monkeypatch):
+    alphas = len(iq.ALPHA_MONO_GRID) + len(iq.ALPHA_SMALL_GRID)
+    _one_svd_of(monkeypatch, "eq1.4-alpha-mono", alphas, alphas - 1)
 
 
 @pytest.mark.parametrize("count", [None, 5])
 def test_alpha_mono_herons_are_heron_kernels(count):
     d = _grid_frame(3, count)
-    steps = iq._build_alpha_mono(d, {})
-    mono = len(iq.ALPHA_MONO_GRID) - 1
-    grids = [s.lhs[0][1] for s in steps[:mono]] + [steps[mono - 1].rhs[0][1]]
-    for alpha, grid in zip(iq.ALPHA_MONO_GRID, grids):
+    grids, (mono, small) = iq._build_alpha_mono(d, {})
+    alphas = iq.ALPHA_MONO_GRID + iq.ALPHA_SMALL_GRID
+    assert len(grids) == len(alphas)
+    for alpha, grid in zip(alphas, grids):
         assert np.array_equal(grid, heron_kernel(d, alpha)), alpha
-    for alpha, s in zip(iq.ALPHA_SMALL_GRID, steps[mono:]):
-        assert np.array_equal(s.lhs[0][1], heron_kernel(d, alpha)), alpha
-        assert s.rhs[0][1] is grids[0]
+    # grid i below grid i + 1 on the monotone run, and each small alpha's
+    # grid below alpha 1/2's, grid 0
+    m, k = len(iq.ALPHA_MONO_GRID), len(iq.ALPHA_SMALL_GRID)
+    assert [(c, list(i)) for c, i in mono.lhs] == [(1.0, list(range(m - 1)))]
+    assert [(c, list(i)) for c, i in mono.rhs] == [(1.0, list(range(1, m)))]
+    assert [(c, list(i)) for c, i in small.lhs] == [
+        (1.0, list(range(m, m + k)))]
+    assert [(c, list(i)) for c, i in small.rhs] == [(1.0, [0] * k)]
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ from meanforge.linalg import random_complex, random_unitary, svd_values
 from meanforge.norms import ky_fan
 
 
-def fan_margins(lhs, rhs):
-    """Per-order Ky Fan margins of |||lhs||| <= |||rhs||| and the step's
-    normalization scale."""
-    margins, scales = step_margins([Step([(1.0, lhs)], [(1.0, rhs)])])
+def fan_margins(lhs, rhs, xt=1.0):
+    """Per-order Ky Fan margins of |||lhs o xt||| <= |||rhs o xt||| and
+    the comparison's normalization scale."""
+    margins, scales = step_margins(np.stack([lhs, rhs]),
+                                   [Step([(1.0, [0])], [(1.0, [1])])], xt)
     return margins[0], scales[0]
 
 
@@ -65,8 +66,11 @@ def test_fan_margins_examples():
 
 
 def test_fan_margins_dim_mismatch():
+    # 2 x 2 grids on a 3 x 3 Xt, or on a stack of them
     with pytest.raises(DimMismatchError):
-        fan_margins(np.eye(2), np.eye(3))
+        fan_margins(np.eye(2), np.eye(2), np.eye(3))
+    with pytest.raises(DimMismatchError):
+        fan_margins(np.eye(2), np.eye(2), np.ones((4, 3, 3)))
 
 
 def test_fan_dominates():
@@ -81,12 +85,13 @@ def test_fan_dominates():
 
 
 def test_step_margins_weigh_and_share_terms():
-    # one SVD per distinct term; weights and several right-hand terms
+    # one SVD per grid of the stack; weights and several right-hand terms
     rng = np.random.default_rng(3)
     a, b = random_complex(3, rng), random_complex(3, rng)
-    steps = [Step([(2.0, a)], [(1.0, b), (0.5, a)]),
-             Step([(1.0, b)], [(3.0, a)])]
-    margins, scales = step_margins(steps)
+    steps = [Step([(2.0, [0])], [(1.0, [1]), (0.5, [0])]),
+             Step([(1.0, [1])], [(3.0, [0])])]
+    margins, scales = step_margins(np.stack([a, b]), steps)
+    assert margins.shape == (2, 3) and scales.shape == (2,)
     fa = np.array([ky_fan(a, k) for k in (1, 2, 3)])
     fb = np.array([ky_fan(b, k) for k in (1, 2, 3)])
     assert np.allclose(margins[0], fb + 0.5 * fa - 2.0 * fa)
