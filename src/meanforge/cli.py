@@ -205,9 +205,10 @@ def cmd_contractivity(args) -> int:
     a = random_hpd(args.dim, rng)
     b = random_hpd(args.dim, rng)
     flags = kernel_in_hypothesis(spec)
+    stated = (f"literal={flags['literal']} abs={flags['abs']}" if flags
+              else f"none stated for {spec.kind}")
     ratio, _ = contractivity_check(spec, a, b, args.samples, rng)
-    print(f"maxRatio = {ratio:.12g} "
-          f"(hypothesis: literal={flags['literal']} abs={flags['abs']})")
+    print(f"maxRatio = {ratio:.12g} (hypothesis: {stated})")
     if not math.isfinite(ratio):
         print("error: numerical failure: maxRatio is not finite",
               file=sys.stderr)

@@ -153,17 +153,17 @@ def _sinch_scaled(x, m):
     return ratio * np.exp(u - m)
 
 
-def kernel_in_hypothesis(spec: KernelSpec) -> dict:
+def kernel_in_hypothesis(spec: KernelSpec) -> dict | None:
     """Whether the kernel parameters satisfy the contractivity
     hypotheses of the four rational families.
 
     Returns flags for two readings of the exponent condition
     r <= (s1+s2)/2: "literal" (signed, as stated) and "abs" (on |r|,
     the reading the even/odd symmetry of the kernels actually needs).
-    Non-rational kinds report True for both.
+    The paper states no hypothesis for the other kinds: None.
     """
     if spec.kind not in RATIONAL_FAMILIES:
-        return {"literal": True, "abs": True}
+        return None
     sinh, combo = RATIONAL_FAMILIES[spec.kind]
     p = spec.params
     s1, s2 = p["s1"], p["s2"]

@@ -508,13 +508,11 @@ class VerificationReport:
     def total_numerical_failures(self) -> int:
         return sum(c.numerical_failures for c in self.cases)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {"seed": self.seed, "dims": list(self.dims),
-             "samples": self.samples, "tolerance": self.tolerance,
-             "cases": [c.to_dict() for c in self.cases]}
-        if include_timing:
-            d["elapsedSeconds"] = self.elapsed_seconds
-        return d
+    def to_dict(self) -> dict:
+        return {"seed": self.seed, "dims": list(self.dims),
+                "samples": self.samples, "tolerance": self.tolerance,
+                "cases": [c.to_dict() for c in self.cases],
+                "elapsedSeconds": self.elapsed_seconds}
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
@@ -569,24 +567,31 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
                           HpdMatrix.from_spectrum(eb[0], ub[0]), x[0]), rng
 
 
-# Instances drawn and evaluated together: the stacks of a block take
-# memory linear in its size (f-nu-shape holds 21 grids), so a cell goes
-# block by block, and a draw pass holds as many whole cells as fit.
+# Instances drawn and evaluated together: a stack takes memory linear in
+# its size (f-nu-shape holds 21 grids), so suite cells and fuzz restarts
+# and moves are cut into pieces of at most CELL_BLOCK by _blocks.
 CELL_BLOCK = 256
 
 
+def _blocks(n: int) -> list[range]:
+    """range(n) cut into consecutive pieces of at most CELL_BLOCK."""
+    return [range(lo, min(lo + CELL_BLOCK, n))
+            for lo in range(0, n, CELL_BLOCK)]
+
+
 def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
-    """Blocks (samples, frame, params) of some (case id, samples) cells of
-    one dim, drawn in one pass.  Every sample's stream state is derived
-    at once and replayed on one Generator, the instance draws into rows
-    of the pass arrays and then the case's sampler; the pass ends with
-    one map of u to the log range, one batched QR, one rotation
-    U_A* X U_B and one Frame, whose slices are the cells' frames."""
+    """Blocks (samples, frame, params) of some (case id, samples) pieces
+    of cells of one dim, drawn in one pass.  Every sample's stream state
+    is derived at once and replayed on one Generator, the instance draws
+    into rows of the pass arrays and then the case's sampler; the pass
+    ends with one map of u to the log range, one batched QR, one rotation
+    U_A* X U_B and one Frame, whose slices are the pieces' frames."""
     logs = log_range(condition_range)
     streams = spawned_streams(seed, [(CASE_IDS.index(cid), dim, sample)
                                      for cid, samples in cells
                                      for sample in samples])
-    k = sum(len(samples) for _, samples in cells)
+    ends = np.cumsum([len(samples) for _, samples in cells])
+    k = int(ends[-1])
     u = np.empty((2, k, dim))
     ga = np.empty((k, 2, dim, dim))
     gbx = np.empty((k, 2, 2, dim, dim))
@@ -595,69 +600,48 @@ def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
     for cid, samples in cells:
         sampler = REGISTRY[cid].sampler
         params.append([])
-        # samples first, so that zip takes no stream past the cell's last
+        # samples first, so that zip takes no stream past the piece's last
         for _, row in zip(samples, rows):
             _draw(*row)
             params[-1].append(sampler(row[0]))
     la, lb = to_interval(u, *logs)
     ea, ua, eb, ub, x = _stack(la, ga, lb, gbx[:, 0], gbx[:, 1])
     frame = Frame(ea, eb, adjoint(ua) @ x @ ub)
-    blocks, lo = [], 0
-    for (_, samples), p in zip(cells, params):
-        hi = lo + len(samples)
-        blocks.append((samples, frame[lo:hi], p))
-        lo = hi
-    return blocks
+    return [(samples, frame[end - len(samples):end], p)
+            for (_, samples), p, end in zip(cells, params, ends)]
 
 
-def _run_block(case: InequalityCase, dim: int, samples, frame: Frame,
-               params: list, tolerance: float) -> CaseResult:
-    """Some samples of one (case, dim) cell, evaluated as one frame stack
-    with per-sample parameters as (samples, 1, 1) arrays."""
+def _run_case_dim(task) -> CaseResult:
+    """One drawn piece of a (case, dim) cell from task (case id,
+    tolerance, dim, samples, frame, params), evaluated as one frame stack
+    with per-sample parameters as (samples, 1, 1) arrays.  A cell of at
+    most CELL_BLOCK samples is one piece, so this runs once per cell;
+    a larger cell runs it once per piece."""
+    # benchmarks/ times this call per cell and reads task[0] and task[2]
+    case_id, tolerance, dim, samples, frame, params = task
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
-    normalized = _worst_margins(case, frame, params)[1]
+    normalized = _worst_margins(REGISTRY[case_id], frame, params)[1]
     # NaN or infinite margins count as numerical failures, neither a pass
     # nor a violation, and stay out of the minima
     finite = np.isfinite(normalized)
     clean = np.where(finite, normalized, np.inf)
     worst = clean.min(axis=0)
     i = int(np.argmin(worst))
-    return CaseResult(case.id, float(worst[i]),
+    return CaseResult(case_id, float(worst[i]),
                       int(np.count_nonzero(clean < -tolerance)),
                       [dim, samples[i]] if worst[i] < np.inf else [0, 0],
                       clean.min(axis=1).tolist(),
                       int(np.count_nonzero(~finite)))
 
 
-def _run_case_dim(task) -> CaseResult:
-    """One (case, dim) cell from task (case id, tolerance, dim, blocks),
-    its drawn blocks of up to CELL_BLOCK samples merged in order."""
-    # benchmarks/ times this call per cell and reads task[0] and task[2]
-    case_id, tolerance, dim, blocks = task
-    result, *others = (_run_block(REGISTRY[case_id], dim, *block, tolerance)
-                       for block in blocks)
-    for other in others:
-        result.merge(other)
-    return result
-
-
 def _run_pass(task) -> list[CaseResult]:
-    """The cells of some cases at one dim: drawn in one pass when they fit
-    in CELL_BLOCK instances, else one cell drawn block by block."""
-    case_ids, dim, samples, seed, tolerance, condition_range = task
-    if samples > CELL_BLOCK:
-        (cid,) = case_ids
-        ranges = (range(lo, min(lo + CELL_BLOCK, samples))
-                  for lo in range(0, samples, CELL_BLOCK))
-        cells = [(_draw_pass(seed, dim, [(cid, r)], condition_range)[0]
-                  for r in ranges)]
-    else:
-        cells = [[block] for block in _draw_pass(
-            seed, dim, [(cid, range(samples)) for cid in case_ids],
-            condition_range)]
-    return [_run_case_dim((cid, tolerance, dim, blocks))
-            for cid, blocks in zip(case_ids, cells)]
+    """Pieces (case id, samples) of one dim, drawn in one pass and scored
+    piece by piece."""
+    dim, pieces, seed, tolerance, condition_range = task
+    return [_run_case_dim((cid, tolerance, dim, *block))
+            for (cid, _), block in zip(
+                pieces, _draw_pass(seed, dim, pieces, condition_range))]
 
 
 def run_suite(dims, samples: int, seed: int,
@@ -667,19 +651,29 @@ def run_suite(dims, samples: int, seed: int,
               workers: int = 1) -> VerificationReport:
     """Sample every requested case over every dimension and report the
     worst normalized Ky Fan margins.  Deterministic given the seed, and
-    the same for any number of worker processes."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    the same for any number of worker processes.
+
+    Each (case, dim) cell is cut into pieces of at most CELL_BLOCK
+    samples; a draw pass holds max(1, CELL_BLOCK // samples) pieces of
+    one dim, and each case merges its pieces once, in (dim, sample)
+    order."""
     if case_ids is None:
         case_ids = list(CASE_IDS)
     for cid in case_ids:
         get_case(cid)
+    # one merged result per case id, one scored cell per (case, dim)
+    for name, ids in (("case ids", case_ids), ("dims", dims)):
+        if not ids or len(set(ids)) < len(ids):
+            raise ValueError(f"{name} must be nonempty, none repeated")
+    if samples < 1 or min(dims) < 1 or not 0.0 <= tolerance < np.inf:
+        raise ValueError("need samples, dims >= 1 and a finite tolerance >= 0")
 
     start = time.perf_counter()
     per_pass = max(1, CELL_BLOCK // samples)
-    tasks = [(case_ids[lo:lo + per_pass], dim, samples, seed, tolerance,
+    pieces = [(cid, r) for cid in case_ids for r in _blocks(samples)]
+    tasks = [(dim, pieces[lo:lo + per_pass], seed, tolerance,
               tuple(condition_range))
-             for dim in dims for lo in range(0, len(case_ids), per_pass)]
+             for dim in dims for lo in range(0, len(pieces), per_pass)]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         # a fork pool starts all its workers at the first submit
@@ -688,17 +682,14 @@ def run_suite(dims, samples: int, seed: int,
     else:
         passes = [_run_pass(t) for t in tasks]
 
-    # cells come dim by dim; each case merges its cells in dim order
-    cells = [cell for results in passes for cell in results]
-    cases = []
-    for result, *others in (cells[i::len(case_ids)]
-                            for i in range(len(case_ids))):
-        for other in others:
-            result.merge(other)
-        cases.append(result)
+    cases = {}
+    for result in (r for results in passes for r in results):
+        first = cases.setdefault(result.id, result)
+        if first is not result:
+            first.merge(result)
     elapsed = time.perf_counter() - start
     return VerificationReport(seed, list(dims), samples, tolerance,
-                              cases, elapsed)
+                              list(cases.values()), elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +773,8 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     A = U_A diag(a) U_A*, B likewise and X = U_A Xt U_B*; its margins
     are scored once more as ``evaluate`` scores it (not counted as an
     evaluation), so that a replay gives the finding's bits."""
+    if budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf:
+        raise ValueError("need budget, dim >= 1 and a finite tolerance >= 0")
     params = dict(case.sampler(rng))
     unknown = sorted(set(overrides) - set(params))
     if unknown:
@@ -794,9 +787,9 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     n_random = max(1, budget // 3)
 
     def restarts():
-        for lo in range(0, n_random, CELL_BLOCK):
+        for block in _blocks(n_random):
             ea, ua, eb, ub, x = _stack(*_draw_block(
-                rng, dim, logs, min(CELL_BLOCK, n_random - lo)))
+                rng, dim, logs, len(block)))
             yield _pack(ea, eb, adjoint(ua) @ x @ ub), ua, ub
 
     raw, _, z, ua, ub = _lowest(case, params, dim, restarts())
@@ -808,11 +801,11 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     def moves(z, step, count):
         # move r of a sweep is coordinate r // 2, + for even r, - for odd
-        for lo in range(0, count, CELL_BLOCK):
-            r = np.arange(lo, min(lo + CELL_BLOCK, count))
+        for block in _blocks(count):
+            r = np.asarray(block)
             j = r // 2
             cand = np.tile(z, (len(r), 1))
-            cand[r - lo, j] += np.where(r % 2, -step, step) * scale[j]
+            cand[r - block.start, j] += np.where(r % 2, -step, step) * scale[j]
             # eigenvalues kept inside e^+-80 so powers never overflow
             cand[:, :2 * dim] = np.clip(cand[:, :2 * dim], -80.0, 80.0)
             yield (cand,)

@@ -67,3 +67,18 @@ def test_sweep_cells_are_cut_at_step_margins(tmp_path):
     for cell, pieces in zip(result.task_s, result.piece_s):
         assert len(pieces) > 1
         assert sum(pieces) == pytest.approx(cell, rel=1e-9, abs=1e-12)
+
+
+def test_tracer_records_each_cell_once(tmp_path):
+    # the tracer's cell hook reads the case id and dim from
+    # _run_case_dim's task and records nothing when the layout changes
+    inequalities = workloads.traced_modules()["inequalities"]
+    size = workloads.SWEEP_SMOKE
+    t = tracer.Tracer()
+    t.install(workloads.traced_modules())
+    try:
+        workloads.sweep_pass(workloads.MASTER_SEED, size, tmp_path)
+    finally:
+        t.uninstall()
+    assert [(cid, dim) for _, cid, dim in t.cells] == [
+        (cid, dim) for dim in size["dims"] for cid in inequalities.CASE_IDS]

@@ -252,6 +252,26 @@ def test_contractivity_alias_names_its_family(alias, kind, sets, capsys):
     assert lines[0] == lines[1]
 
 
+@pytest.mark.parametrize("kernel, sets", [
+    ("constant", ["value=2"]),
+    ("coshScaled", ["c=1"]),
+    ("sinch", []),
+    ("heinzAverage", ["lo=0", "hi=1"]),
+])
+def test_contractivity_states_no_hypothesis_off_the_families(kernel, sets,
+                                                            capsys):
+    # the paper states a hypothesis for the four rational families only
+    flags = [f for item in sets for f in ("--set", item)]
+    cli.main(["contractivity", "--kernel", kernel, *flags,
+              "--dim", "1", "--samples", "3"])
+    out = capsys.readouterr().out
+    assert out.startswith("maxRatio = ")
+    assert f"(hypothesis: none stated for {kernel})" in out
+    assert "literal=" not in out
+    assert cli.main(["contractivity", *PART1, "--samples", "3"]) == 0
+    assert "(hypothesis: literal=True abs=True)" in capsys.readouterr().out
+
+
 def test_contractivity_identity_kernel():
     code = cli.main(["contractivity", "--kernel", "constant",
                      "--set", "value=1", "--dim", "3", "--samples", "20"])

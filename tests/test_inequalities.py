@@ -27,6 +27,14 @@ EXPECTED_IDS = {
 }
 
 
+def untimed(report: iq.VerificationReport) -> dict:
+    """The report's dict without its wall time, the one field that two
+    runs of the same config may differ in."""
+    d = report.to_dict()
+    del d["elapsedSeconds"]
+    return d
+
+
 def scalar_instance(a: float, b: float, x: complex) -> iq.InstanceTriple:
     return iq.InstanceTriple(
         HpdMatrix.from_matrix(np.array([[a]], dtype=complex)),
@@ -175,7 +183,7 @@ def test_suite_determinism():
     kwargs = dict(dims=[1, 3], samples=5, seed=99)
     r1 = iq.run_suite(**kwargs)
     r2 = iq.run_suite(**kwargs)
-    assert r1.to_dict(include_timing=False) == r2.to_dict(include_timing=False)
+    assert untimed(r1) == untimed(r2)
 
 
 def test_suite_filtered_matches_full_run():
@@ -193,17 +201,36 @@ def test_suite_rejects_bad_input():
         iq.run_suite([2], 1, seed=1, case_ids=["bogus"])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"case_ids": []},  # a pass with nothing checked
+    {"case_ids": ["eq1.2", "eq1.2"]},  # one case reported twice
+    {"dims": [1, 1]},  # dim 1 scored twice into one case
+    {"dims": []},
+    {"dims": [0]},
+    {"tolerance": float("nan")},  # no margin would count as a violation
+    {"tolerance": float("inf")},
+    {"tolerance": -1e-9},
+], ids=["no-cases", "repeated-case", "repeated-dim", "no-dims", "dim-0",
+        "nan-tolerance", "inf-tolerance", "negative-tolerance"])
+def test_suite_rejects_degenerate_input(kwargs):
+    run = {"dims": [1], "samples": 2, "seed": 1, **kwargs}
+    with pytest.raises(ValueError):
+        iq.run_suite(**run)
+
+
 def test_suite_small_run_sound():
     report = iq.run_suite([1, 2, 4], 25, seed=2024)
     assert report.total_violations == 0
     assert all(len(c.steps) >= 1 for c in report.cases)
 
 
-def test_suite_parallel_matches_serial():
-    serial = iq.run_suite([1, 2], 5, seed=31, workers=1)
-    parallel = iq.run_suite([1, 2], 5, seed=31, workers=2)
-    assert (serial.to_dict(include_timing=False)
-            == parallel.to_dict(include_timing=False))
+def test_suite_parallel_matches_serial(monkeypatch):
+    serial = untimed(iq.run_suite([1, 2], 5, seed=31, workers=1))
+    assert untimed(iq.run_suite([1, 2], 5, seed=31, workers=2)) == serial
+    # at CELL_BLOCK 3 each 5-sample cell is two pieces, of 3 and 2
+    # samples, in passes of their own, which the pool's two workers share
+    monkeypatch.setattr(iq, "CELL_BLOCK", 3)
+    assert untimed(iq.run_suite([1, 2], 5, seed=31, workers=2)) == serial
 
 
 @pytest.mark.parametrize("block, passes", [
@@ -220,11 +247,11 @@ def test_blocked_cells_match_one_block(monkeypatch, block, passes):
         return draw(seed, dim, cells, condition_range)
 
     monkeypatch.setattr(iq, "_draw_pass", draw_pass)
-    whole = iq.run_suite([1, 3], 10, seed=29).to_dict(include_timing=False)
+    whole = untimed(iq.run_suite([1, 3], 10, seed=29))
     assert sizes == [240, 240]
     sizes.clear()
     monkeypatch.setattr(iq, "CELL_BLOCK", block)
-    blocked = iq.run_suite([1, 3], 10, seed=29).to_dict(include_timing=False)
+    blocked = untimed(iq.run_suite([1, 3], 10, seed=29))
     assert sizes == passes
     assert blocked == whole
     # some worst samples sit past the first block of three
@@ -253,8 +280,7 @@ def test_suite_pool_never_outnumbers_its_tasks(monkeypatch):
     serial = iq.run_suite([1, 2], 5, seed=31)
     pooled = iq.run_suite([1, 2], 5, seed=31, workers=500)
     assert asked == [2]  # one pass a dim
-    assert (pooled.to_dict(include_timing=False)
-            == serial.to_dict(include_timing=False))
+    assert untimed(pooled) == untimed(serial)
 
 
 @pytest.mark.parametrize("dim, samples, block, condition_range", [
@@ -422,6 +448,19 @@ def test_fuzz_rejects_unknown_parameter():
     with pytest.raises(UnknownParameterError):
         iq.fuzz(iq.get_case("eq1.2"), {"nuu": 0.1}, 10,
                 np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"budget": 0},  # would run one evaluation, over its budget
+    {"dim": 0},
+    {"tolerance": float("nan")},  # would pass a raw margin of -8.79
+    {"tolerance": -1.0},
+], ids=["budget-0", "dim-0", "nan-tolerance", "negative-tolerance"])
+def test_fuzz_rejects_degenerate_input(kwargs):
+    run = {"budget": 30, "dim": 1, **kwargs}
+    with pytest.raises(ValueError):
+        iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5},
+                rng=np.random.default_rng(0), **run)
 
 
 def test_fuzz_out_of_range_finds_violation():
