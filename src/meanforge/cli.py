@@ -235,6 +235,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "cond_lo" in args and not 0 < args.cond_lo <= args.cond_hi:
             parser.error("need 0 < --cond-lo <= --cond-hi")
+        if "set" in args and len(dict(args.set)) < len(args.set):
+            parser.error("a --set name is given more than once")
         return handlers[args.command](args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_FLAGS

@@ -28,6 +28,7 @@ from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, adjoint,
                      complex_gaussian, gaussian_unitary, log_range,
+                     random_complex, random_hpd, random_spectra,
                      spawned_streams, svd_values, to_interval, uniform)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
@@ -521,36 +522,6 @@ class VerificationReport:
                    d.get("elapsedSeconds", 0.0))
 
 
-def _draw(rng, ua, ga, ub, gbx) -> None:
-    """Fill the given arrays with the draws of one stream, in its order:
-    A's log-eigenvalues as ``random()`` draws u, A's Gaussians, B's u,
-    then B's and X's Gaussians, adjacent in the stream, in one call.  u
-    maps to a log range by ``to_interval``, as ``Generator.uniform``
-    would map it."""
-    rng.random(out=ua)
-    rng.standard_normal(out=ga)
-    rng.random(out=ub)
-    rng.standard_normal(out=gbx)
-
-
-def _draw_block(rng, dim: int, logs, count: int) -> tuple:
-    """``count`` instances drawn from ``rng`` one after another, as
-    arrays with a leading count axis in the order ``_stack`` takes."""
-    u = np.empty((2, count, dim))
-    ga = np.empty((count, 2, dim, dim))
-    gbx = np.empty((2, count, 2, dim, dim))
-    _draw(rng, u[0], ga, u[1], gbx)
-    la, lb = to_interval(u, *logs)
-    return la, ga, lb, *gbx
-
-
-def _stack(la, ga, lb, gb, gx) -> tuple:
-    """(A eigenvalues, U_A, B eigenvalues, U_B, X) stacks of stacked
-    draws, the unitaries from one batched QR."""
-    ua, ub = gaussian_unitary(complex_gaussian(np.stack([ga, gb])))
-    return np.exp(la), ua, np.exp(lb), ub, complex_gaussian(gx)
-
-
 def make_instance(seed: int, case_index: int, dim: int, sample: int,
                   condition_range=DEFAULT_CONDITION_RANGE
                   ) -> tuple[InstanceTriple, np.random.Generator]:
@@ -560,11 +531,12 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
     reproduces exactly the same instances: the stream, draws and QR are
     those of the suite's draw passes.
     """
+    if not 0 <= case_index < len(CASE_IDS):
+        raise ValueError(f"no case at index {case_index}")
     rng = next(spawned_streams(seed, [(case_index, dim, sample)]))
-    ea, ua, eb, ub, x = _stack(*_draw_block(
-        rng, dim, log_range(condition_range), 1))
-    return InstanceTriple(HpdMatrix.from_spectrum(ea[0], ua[0]),
-                          HpdMatrix.from_spectrum(eb[0], ub[0]), x[0]), rng
+    return InstanceTriple(random_hpd(dim, rng, condition_range),
+                          random_hpd(dim, rng, condition_range),
+                          random_complex(dim, rng)), rng
 
 
 # Instances drawn and evaluated together: a stack takes memory linear in
@@ -586,27 +558,31 @@ def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
     into rows of the pass arrays and then the case's sampler; the pass
     ends with one map of u to the log range, one batched QR, one rotation
     U_A* X U_B and one Frame, whose slices are the pieces' frames."""
-    logs = log_range(condition_range)
     streams = spawned_streams(seed, [(CASE_IDS.index(cid), dim, sample)
                                      for cid, samples in cells
                                      for sample in samples])
     ends = np.cumsum([len(samples) for _, samples in cells])
     k = int(ends[-1])
     u = np.empty((2, k, dim))
-    ga = np.empty((k, 2, dim, dim))
-    gbx = np.empty((k, 2, 2, dim, dim))
-    rows = zip(streams, u[0], ga, u[1], gbx)
+    # Gaussians of A, B and X: B's and X's are adjacent in a stream
+    g = np.empty((k, 3, 2, dim, dim))
+    rows = zip(streams, u[0], u[1], g)
     params = []
     for cid, samples in cells:
         sampler = REGISTRY[cid].sampler
         params.append([])
         # samples first, so that zip takes no stream past the piece's last
-        for _, row in zip(samples, rows):
-            _draw(*row)
-            params[-1].append(sampler(row[0]))
-    la, lb = to_interval(u, *logs)
-    ea, ua, eb, ub, x = _stack(la, ga, lb, gbx[:, 0], gbx[:, 1])
-    frame = Frame(ea, eb, adjoint(ua) @ x @ ub)
+        for _, (rng, ua, ub, gs) in zip(samples, rows):
+            # the draws of random_hpd twice, then of random_complex
+            rng.random(out=ua)
+            rng.standard_normal(out=gs[0])
+            rng.random(out=ub)
+            rng.standard_normal(out=gs[1:])
+            params[-1].append(sampler(rng))
+    ea, eb = np.exp(to_interval(u, *log_range(condition_range)))
+    q = gaussian_unitary(complex_gaussian(g[:, :2]))
+    x = complex_gaussian(g[:, 2])
+    frame = Frame(ea, eb, adjoint(q[:, 0]) @ x @ q[:, 1])
     return [(samples, frame[end - len(samples):end], p)
             for (_, samples), p, end in zip(cells, params, ends)]
 
@@ -667,6 +643,7 @@ def run_suite(dims, samples: int, seed: int,
             raise ValueError(f"{name} must be nonempty, none repeated")
     if samples < 1 or min(dims) < 1 or not 0.0 <= tolerance < np.inf:
         raise ValueError("need samples, dims >= 1 and a finite tolerance >= 0")
+    log_range(condition_range)  # raises before any pass is drawn
 
     start = time.perf_counter()
     per_pass = max(1, CELL_BLOCK // samples)
@@ -783,13 +760,13 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
             f"it takes {', '.join(sorted(params)) or 'none'}")
     params.update(overrides)
 
-    logs = log_range(FUZZ_CONDITION_RANGE)
     n_random = max(1, budget // 3)
 
     def restarts():
-        for block in _blocks(n_random):
-            ea, ua, eb, ub, x = _stack(*_draw_block(
-                rng, dim, logs, len(block)))
+        for k in map(len, _blocks(n_random)):
+            ea, ua = random_spectra(dim, rng, FUZZ_CONDITION_RANGE, k)
+            eb, ub = random_spectra(dim, rng, FUZZ_CONDITION_RANGE, k)
+            x = random_complex(dim, rng, k)
             yield _pack(ea, eb, adjoint(ua) @ x @ ub), ua, ub
 
     raw, _, z, ua, ub = _lowest(case, params, dim, restarts())

@@ -195,10 +195,10 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def log_range(condition_range: tuple[float, float]) -> tuple[float, float]:
-    """Logs of a condition range (lo, hi) with 0 < lo <= hi."""
+    """Logs of a finite condition range (lo, hi) with 0 < lo <= hi."""
     lo, hi = condition_range
-    if not (0.0 < lo <= hi):
-        raise ValueError("condition range must satisfy 0 < lo <= hi")
+    if not (0.0 < lo <= hi < np.inf):
+        raise ValueError("condition range must satisfy 0 < lo <= hi < inf")
     return np.log(lo), np.log(hi)
 
 
@@ -217,11 +217,23 @@ def uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
     return to_interval(rng.random(size), lo, hi)
 
 
+def random_spectra(dim: int, rng: np.random.Generator,
+                   condition_range=DEFAULT_CONDITION_RANGE,
+                   count: int | None = None) -> tuple:
+    """(eigenvalues, unitary) of a random HPD matrix, or stacks of
+    ``count`` of them: ``count`` spectra log-uniform in condition_range,
+    unsorted, then ``count`` unitaries from the QR of complex Gaussians.
+    Raises ValueError for dim or count < 1, as ``random_complex`` does."""
+    shape = dim if count is None else (count, dim)
+    eigs = np.exp(uniform(rng, *log_range(condition_range), size=shape))
+    return eigs, gaussian_unitary(random_complex(dim, rng, count))
+
+
 def random_hpd(dim: int, rng: np.random.Generator,
                condition_range=DEFAULT_CONDITION_RANGE) -> HpdMatrix:
     """Random HPD matrix with eigenvalues log-uniform in condition_range."""
-    eigs = np.exp(uniform(rng, *log_range(condition_range), size=dim))
-    return HpdMatrix.from_spectrum(eigs, random_unitary(dim, rng))
+    return HpdMatrix.from_spectrum(*random_spectra(dim, rng,
+                                                   condition_range))
 
 
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -232,17 +244,18 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash_constants(const: int, mult: int):
-    """SeedSequence's running hash constant: (c, c * mult) for each hash
-    call in turn, the values it xors in and multiplies by."""
-    while True:
-        prev, const = const, const * mult & _MASK32
-        yield prev, const
+def _hash_constants(const: int, mult: int, first: int, calls: int):
+    """SeedSequence's running hash constant before and after each of
+    hash calls first, ..., first + calls - 1: the values it xors in and
+    multiplies by, uint64 arrays of length calls."""
+    c = np.array([const * pow(mult, k, 1 << 32) & _MASK32
+                  for k in range(first, first + calls + 1)], np.uint64)
+    return c[:-1], c[1:]
 
 
 def _hash(v, xor, mult):
-    """One hash call on 32-bit words: Python ints, or uint64 arrays with
-    the constants broadcast against them."""
+    """One hash call on 32-bit words held in uint64 arrays, the constants
+    broadcast against them."""
     v = (v ^ xor) * mult & _MASK32
     return v ^ v >> 16
 
@@ -255,38 +268,26 @@ def _mix(x, y):
 def spawned_states(seed: int, keys) -> list[tuple[int, int]]:
     """(state, inc) of ``PCG64(SeedSequence(seed, spawn_key=key))`` for
     every key, tuples of ints in [0, 2^32) of one length.  The seed's
-    words are hashed once, as Python ints; the key words of all keys at
-    once, as uint64 arrays."""
+    words are mixed once, by ``SeedSequence(seed).pool``; the key words
+    of all keys at once, as uint64 arrays."""
     keys = np.asarray(keys)
     if (seed < 0 or keys.dtype.kind not in "iu"
             or np.any((keys < 0) | (keys > _MASK32))):
         raise ValueError("need a seed >= 0 and spawn keys of ints in "
                          "[0, 2^32)")
-    run = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
-    # the run entropy is zero-padded to the pool size when a key is given
-    run += [0] * (4 - len(run))
-    hashmix = _hash_constants(_HASH_A, _HASH_A_MULT)
-    pool = [_hash(w, *next(hashmix)) for w in run[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashmix)))
-    for w in run[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(w, *next(hashmix)))
-    # each key word is hashed into the four pool words in turn: the
-    # (words, 4) constants of those calls, on (keys, words, 4) at once
-    consts = np.array([[next(hashmix) for _ in range(4)]
-                       for _ in range(keys.shape[1])], np.uint64)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    # the seed took 4 hash calls per word, at least 4 words; each key
+    # word is then hashed into the four pool words in turn
+    words = -(-seed.bit_length() // 32)
+    xor, mult = _hash_constants(_HASH_A, _HASH_A_MULT, 4 * max(4, words),
+                                4 * keys.shape[1])
     hashed = _hash(keys.astype(np.uint64)[..., None],
-                   consts[..., 0], consts[..., 1])
-    pool = np.array(pool, np.uint64)
+                   xor.reshape(-1, 4), mult.reshape(-1, 4))
     for k in range(keys.shape[1]):
         pool = _mix(pool, hashed[:, k])
     # generate_state(4, uint64): eight words, the low half of each first
-    hash_out = _hash_constants(_HASH_B, _HASH_B_MULT)
-    consts = np.array([next(hash_out) for _ in range(8)], np.uint64)
-    out = _hash(np.tile(pool, 2), consts[:, 0], consts[:, 1])
+    out = _hash(np.tile(pool, 2), *_hash_constants(_HASH_B, _HASH_B_MULT,
+                                                   0, 8))
     out = out[:, 0::2] | out[:, 1::2] << np.uint64(32)
     states = []
     for s_hi, s_lo, i_hi, i_lo in out.tolist():
@@ -320,5 +321,7 @@ def random_complex(dim: int, rng: np.random.Generator,
                    count: int | None = None) -> np.ndarray:
     """dim x dim matrix with iid standard complex Gaussian entries, or a
     stack of ``count`` of them drawn one after another."""
+    if dim < 1 or (count is not None and count < 1):
+        raise ValueError(f"need dim and count >= 1, not {dim} and {count}")
     shape = (2, dim, dim) if count is None else (count, 2, dim, dim)
     return complex_gaussian(rng.standard_normal(shape))

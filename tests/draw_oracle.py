@@ -20,9 +20,10 @@ def _complex(g):
     return (g[0] + 1j * g[1]) / np.sqrt(2.0)
 
 
-def sample_frame(seed: int, case_index: int, dim: int, sample: int,
+def sample_draws(seed: int, case_index: int, dim: int, sample: int,
                  condition_range, sampler) -> tuple:
-    """(d, log_geo, xt, params) of one suite sample."""
+    """(eigenvalues of A, U_A, eigenvalues of B, U_B, X, params) of one
+    suite sample, the eigenvalues unsorted, as its stream draws them."""
     rng = np.random.default_rng(np.random.SeedSequence(
         seed, spawn_key=(case_index, dim, sample)))
     lo, hi = np.log(condition_range[0]), np.log(condition_range[1])
@@ -32,8 +33,16 @@ def sample_frame(seed: int, case_index: int, dim: int, sample: int,
     gb = rng.standard_normal((2, dim, dim))
     gx = rng.standard_normal((2, dim, dim))
     params = sampler(rng)
-    ua, ub = gaussian_unitary(_complex(ga)), gaussian_unitary(_complex(gb))
-    xt = ua.conj().T @ _complex(gx) @ ub
+    return (np.exp(la), gaussian_unitary(_complex(ga)), np.exp(lb),
+            gaussian_unitary(_complex(gb)), _complex(gx), params)
+
+
+def sample_frame(seed: int, case_index: int, dim: int, sample: int,
+                 condition_range, sampler) -> tuple:
+    """(d, log_geo, xt, params) of one suite sample."""
+    ea, ua, eb, ub, x, params = sample_draws(seed, case_index, dim, sample,
+                                             condition_range, sampler)
+    xt = ua.conj().T @ x @ ub
     # the logs of the eigenvalues, as a frame takes them
-    la, lb = np.log(np.exp(la))[:, None], np.log(np.exp(lb))[None, :]
+    la, lb = np.log(ea)[:, None], np.log(eb)[None, :]
     return 0.5 * (la - lb), 0.5 * (la + lb), xt, params

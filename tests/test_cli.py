@@ -86,6 +86,11 @@ EXIT_CODES = {
     "fuzz-unknown-parameter": (["fuzz", "--case", "eq1.2",
                                 "--set", "nuu=0.1", "--budget", "10"], 2),
     "fuzz-set-nan": (["fuzz", "--case", "eq1.2", "--set", "nu=nan"], 2),
+    # a repeated name would keep its last value silently
+    "fuzz-set-repeated": (["fuzz", "--case", "eq1.2", "--set", "nu=0.1",
+                           "--set", "nu=0.2", "--budget", "5"], 2),
+    "contractivity-set-repeated": (["contractivity", *PART1, "--set",
+                                    "t=0.5"], 2),
     "fuzz-zero-dim": (["fuzz", "--case", "eq1.2", "--dim", "0",
                        "--budget", "10"], 2),
     # the one random restart overflows to a NaN margin
@@ -319,6 +324,27 @@ def test_instance_round_trip_exact(tmp_path):
     assert np.abs(loaded.a.matrix - inst.a.matrix).max() <= 1e-15
     assert np.abs(loaded.b.matrix - inst.b.matrix).max() <= 1e-15
     assert np.array_equal(loaded.x, inst.x)
+
+
+def test_report_round_trip_through_a_file(monkeypatch, tmp_path):
+    # every margin of eq1.3 NaN: its minMargin inf is written as Infinity
+    # and read back as a float
+    case = iq.get_case("eq1.3")
+
+    def build(*args):
+        grids, steps = case.builder(*args)
+        return np.full_like(grids, np.nan), steps
+
+    monkeypatch.setitem(iq.REGISTRY, "eq1.3",
+                        dataclasses.replace(case, builder=build))
+    report = iq.run_suite([1, 2], 3, seed=5, case_ids=["eq1.2", "eq1.3"])
+    path = tmp_path / "r.json"
+    io.save_report(report, path)
+    assert "Infinity" in path.read_text()
+    loaded = io.load_report(path)
+    assert loaded.to_dict() == report.to_dict()
+    assert loaded.cases[1].min_margin == np.inf
+    assert type(loaded.cases[1].min_margin) is float
 
 
 def test_load_rejects_non_hermitian(tmp_path):

@@ -9,10 +9,11 @@ import pytest
 
 from meanforge import inequalities as iq
 from meanforge.errors import RangeViolationError, UnknownCaseError
-from meanforge.linalg import Frame, HpdMatrix
+from meanforge.linalg import (Frame, HpdMatrix, log_range, random_complex,
+                              random_hpd, random_spectra)
 from meanforge.means import heron_kernel, p_sum_kernel
 
-from draw_oracle import sample_frame
+from draw_oracle import sample_draws, sample_frame
 from scalar_oracle import oracle_margins
 
 REFERENCE = (Path(__file__).resolve().parents[1] / "benchmarks"
@@ -316,6 +317,50 @@ def test_draw_passes_match_one_stream_at_a_time(monkeypatch, dim, samples,
                 assert params[j] == want, (cid, sample)
                 checked += 1
     assert checked == len(iq.CASE_IDS) * samples
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_make_instance_gives_its_streams_draws(dim):
+    # bit for bit: each spectrum sorted descending with its eigenvector
+    # columns, X, and then the parameters from the stream it returns
+    for ci, cid in enumerate(iq.CASE_IDS):
+        sampler = iq.REGISTRY[cid].sampler
+        for sample in range(3):
+            inst, rng = iq.make_instance(13, ci, dim, sample)
+            ea, ua, eb, ub, x, params = sample_draws(
+                13, ci, dim, sample, iq.DEFAULT_CONDITION_RANGE, sampler)
+            for m, e, u in ((inst.a, ea, ua), (inst.b, eb, ub)):
+                order = np.argsort(-e, kind="stable")
+                assert m.eigenvalues.tobytes() == e[order].tobytes(), cid
+                assert m.eigenvectors.tobytes() == u[:, order].tobytes(), cid
+            assert inst.x.tobytes() == x.tobytes(), cid
+            assert sampler(rng) == params, cid
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: random_hpd(0, rng),
+    lambda rng: random_complex(2, rng, 0),
+    lambda rng: random_spectra(0, rng),
+    lambda rng: random_spectra(2, rng, count=0),
+    lambda rng: iq.make_instance(1, 99, 2, 0),
+    lambda rng: iq.make_instance(1, 0, 0, 0),
+    lambda rng: log_range((1.0, np.inf)),
+    lambda rng: iq.run_suite([2], 2, seed=1, case_ids=["eq1.2"],
+                             condition_range=(1.0, np.inf)),
+    lambda rng: iq.run_suite([2], 2, seed=1, case_ids=["eq1.2"],
+                             condition_range=(0.0, 1.0)),
+], ids=["hpd-dim-0", "complex-count-0", "spectra-dim-0", "spectra-count-0",
+        "instance-no-case", "instance-dim-0", "log-range-inf",
+        "suite-cond-inf", "suite-cond-0"])
+def test_degenerate_draw_input_is_refused(monkeypatch, draw):
+    # run_suite checks its condition range before it draws any pass, so
+    # in the parent process when it runs a pool
+    def no_pass(task):
+        raise AssertionError("a pass was drawn")
+
+    monkeypatch.setattr(iq, "_run_pass", no_pass)
+    with pytest.raises(ValueError):
+        draw(np.random.default_rng(0))
 
 
 def test_uniform_is_generator_uniform_bit_for_bit(monkeypatch):
@@ -659,8 +704,9 @@ def _restart(dim, seed):
     """The frame point z of one random restart drawn as the fuzzer
     draws."""
     rng = np.random.default_rng(seed)
-    ea, ua, eb, ub, x = iq._stack(*iq._draw_block(
-        rng, dim, iq.log_range(iq.FUZZ_CONDITION_RANGE), 1))
+    ea, ua = random_spectra(dim, rng, iq.FUZZ_CONDITION_RANGE, 1)
+    eb, ub = random_spectra(dim, rng, iq.FUZZ_CONDITION_RANGE, 1)
+    x = random_complex(dim, rng, 1)
     return iq._pack(ea, eb, iq.adjoint(ua) @ x @ ub)[0]
 
 
@@ -839,7 +885,6 @@ def test_fuzz_equal_operands_never_negative():
     rng = np.random.default_rng(2)
     case = iq.get_case("eq1.2")
     for _ in range(50):
-        from meanforge.linalg import random_complex, random_hpd
         a = random_hpd(3, rng)
         x = random_complex(3, rng)
         inst = iq.InstanceTriple(a, a, x)

@@ -172,16 +172,23 @@ def test_svd_unitary_invariance():
                            rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("seed", [0, 20240801, 2**40 + 7, 2**130 + 12345])
+# seeds of one to six 32-bit words: the key words' hash calls start
+# later from the fifth seed word on
+@pytest.mark.parametrize("seed", [0, 20240801, 2**40 + 7, 2**128 - 1, 2**128,
+                                  2**130 + 12345, 2**160 + 1])
 def test_spawned_states_match_seed_sequence(seed):
-    # (case, dim, sample) keys, with the edges 0 and 2^32 - 1 of a word
+    # (case, dim, sample) keys, and keys of one and of five words, with
+    # the edges 0 and 2^32 - 1 of a word
     draw = np.random.default_rng(seed % 1000)
-    keys = np.stack([draw.integers(0, 24, 60), draw.integers(1, 7, 60),
-                     draw.integers(0, 2**32, 60)], axis=1)
-    keys[:2] = [(0, 0, 0), (2**32 - 1,) * 3]
-    for key, (state, inc) in zip(keys.tolist(), spawned_states(seed, keys)):
-        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
-        assert want.state["state"] == {"state": state, "inc": inc}, key
+    triples = np.stack([draw.integers(0, 24, 60), draw.integers(1, 7, 60),
+                        draw.integers(0, 2**32, 60)], axis=1)
+    for keys in (triples, *(draw.integers(0, 2**32, (20, w)) for w in (1, 5))):
+        keys[:2] = [[0], [2**32 - 1]]
+        for key, (state, inc) in zip(keys.tolist(),
+                                     spawned_states(seed, keys)):
+            want = np.random.PCG64(np.random.SeedSequence(seed,
+                                                          spawn_key=key))
+            assert want.state["state"] == {"state": state, "inc": inc}, key
 
 
 @pytest.mark.parametrize("key", [(2**32, 1, 0), (3, 1, 2**40),
