@@ -16,6 +16,7 @@ o Xt, with the frame's Xt scaled once per case by :meth:`Frame.scaled`.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -101,7 +102,7 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     SVD; a step weighs one gather of their cumulative sums per term.
     Returns, comparisons in listed order, the margins (comparisons, ...,
     n), right minus left for each Ky Fan order, and the scales
-    (comparisons, ...), 1 + the trace norm of the right side.
+    (comparisons, ...), 1 + |the trace norm of the right side|.
     """
     if np.ndim(xt) and np.shape(grids)[-2:] != np.shape(xt)[-2:]:
         raise DimMismatchError("kernel grids and Xt differ in shape")
@@ -112,7 +113,7 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     margins, scales = [], []
     for step in steps:
         total = sum(c * fans[i] for c, i in step.rhs)
-        scales.append(1.0 + total[..., 0, -1])
+        scales.append(1.0 + np.abs(total[..., 0, -1]))
         for c, i in step.lhs:
             total = total - c * fans[i]
         margins.append(total[..., 0, :])
@@ -533,7 +534,7 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
     """
     if not 0 <= case_index < len(CASE_IDS):
         raise ValueError(f"no case at index {case_index}")
-    rng = next(spawned_streams(seed, [(case_index, dim, sample)]))
+    rng, = spawned_streams(seed, [(case_index, dim, sample)])
     return InstanceTriple(random_hpd(dim, rng, condition_range),
                           random_hpd(dim, rng, condition_range),
                           random_complex(dim, rng)), rng
@@ -553,11 +554,11 @@ def _blocks(n: int) -> list[range]:
 
 def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
     """Blocks (samples, frame, params) of some (case id, samples) pieces
-    of cells of one dim, drawn in one pass.  Every sample's stream state
-    is derived at once and replayed on one Generator, the instance draws
-    into rows of the pass arrays and then the case's sampler; the pass
-    ends with one map of u to the log range, one batched QR, one rotation
-    U_A* X U_B and one Frame, whose slices are the pieces' frames."""
+    of cells of one dim, drawn in one pass.  Every sample's stream is
+    derived at once and draws in turn, the instance into rows of the
+    pass arrays and then the case's sampler; the pass ends with one map
+    of u to the log range, one batched QR, one rotation U_A* X U_B and
+    one Frame, whose slices are the pieces' frames."""
     streams = spawned_streams(seed, [(CASE_IDS.index(cid), dim, sample)
                                      for cid, samples in cells
                                      for sample in samples])
@@ -641,8 +642,10 @@ def run_suite(dims, samples: int, seed: int,
     for name, ids in (("case ids", case_ids), ("dims", dims)):
         if not ids or len(set(ids)) < len(ids):
             raise ValueError(f"{name} must be nonempty, none repeated")
-    if samples < 1 or min(dims) < 1 or not 0.0 <= tolerance < np.inf:
-        raise ValueError("need samples, dims >= 1 and a finite tolerance >= 0")
+    seed = operator.index(seed)  # a TypeError if not an integer
+    if min(samples, *dims) < 1 or seed < 0 or not 0.0 <= tolerance < np.inf:
+        raise ValueError("need samples, dims >= 1, a seed >= 0 and a finite "
+                         "tolerance >= 0")
     log_range(condition_range)  # raises before any pass is drawn
 
     start = time.perf_counter()

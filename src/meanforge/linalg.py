@@ -9,6 +9,7 @@ docstring says so.  Hermitian positive definite matrices are carried as
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,12 +237,11 @@ def random_hpd(dim: int, rng: np.random.Generator,
                                                    condition_range))
 
 
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# SeedSequence's hash and mix constants, and PCG64's 128-bit multiplier
+_MASK32 = (1 << 32) - 1
+# SeedSequence's hash and mix constants
 _HASH_A, _HASH_A_MULT = 0x43B0D7E5, 0x931E8875
 _HASH_B, _HASH_B_MULT = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_constants(const: int, mult: int, first: int, calls: int):
@@ -265,12 +265,25 @@ def _mix(x, y):
     return v ^ v >> 16
 
 
-def spawned_states(seed: int, keys) -> list[tuple[int, int]]:
-    """(state, inc) of ``PCG64(SeedSequence(seed, spawn_key=key))`` for
-    every key, tuples of ints in [0, 2^32) of one length.  The seed's
-    words are mixed once, by ``SeedSequence(seed).pool``; the key words
-    of all keys at once, as uint64 arrays."""
-    keys = np.asarray(keys)
+class _Generated(np.random.bit_generator.ISeedSequence):
+    """The words of one SeedSequence's ``generate_state(4, np.uint64)``,
+    all that PCG64 asks of its seed sequence."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (4, np.uint64):
+            raise ValueError("holds 4 uint64 words only")
+        return self.words
+
+
+def spawned_streams(seed: int, keys) -> list[np.random.Generator]:
+    """``default_rng(SeedSequence(seed, spawn_key=key))`` for every key,
+    tuples of ints in [0, 2^32) of one length.  The seed's words are
+    mixed once, by ``SeedSequence(seed).pool``; the key words of all keys
+    at once, as uint64 arrays; PCG64 seeds itself from the words."""
+    seed, keys = operator.index(seed), np.asarray(keys)
     if (seed < 0 or keys.dtype.kind not in "iu"
             or np.any((keys < 0) | (keys > _MASK32))):
         raise ValueError("need a seed >= 0 and spawn keys of ints in "
@@ -289,26 +302,7 @@ def spawned_states(seed: int, keys) -> list[tuple[int, int]]:
     out = _hash(np.tile(pool, 2), *_hash_constants(_HASH_B, _HASH_B_MULT,
                                                    0, 8))
     out = out[:, 0::2] | out[:, 1::2] << np.uint64(32)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in out.tolist():
-        # PCG64's srandom: one LCG step, add the seed, one more step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc)
-                       & _MASK128, inc))
-    return states
-
-
-def spawned_streams(seed: int, keys):
-    """One Generator, set to the stream of
-    ``default_rng(SeedSequence(seed, spawn_key=key))`` for each key in
-    turn and yielded: a stream is done with when the next is asked for."""
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for state, inc in spawned_states(seed, keys):
-        bits.state = {"bit_generator": "PCG64",
-                      "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
+    return [np.random.Generator(np.random.PCG64(_Generated(w))) for w in out]
 
 
 def complex_gaussian(g: np.ndarray) -> np.ndarray:

@@ -28,9 +28,11 @@ def _scalar(value: float) -> HpdMatrix:
     return HpdMatrix.from_matrix(np.array([[value]], dtype=complex))
 
 
-def test_criterion_1_soundness_sweep():
-    report = iq.run_suite([1, 2, 3, 4, 5, 6], 200, seed=MASTER_SEED,
-                          tolerance=1e-9)
+def test_criterion_1_soundness_sweep(criterion_1_report):
+    # one sweep, shared with the reference-minima test
+    report = criterion_1_report
+    assert (report.seed, report.dims, report.samples, report.tolerance) == (
+        MASTER_SEED, [1, 2, 3, 4, 5, 6], 200, 1e-9)
     worst = min(c.min_margin for c in report.cases)
     _report("criterion 1: soundness sweep",
             report.total_violations == 0 and report.elapsed_seconds <= 60.0,

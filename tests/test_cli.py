@@ -99,6 +99,11 @@ EXIT_CODES = {
     # ones: a violation
     "fuzz-nan-restart-replaced": (FUZZ_NU_800 + ["--budget", "60"], 0),
     "fuzz-eq1.1-pole": (FUZZ_EQ11_POLE, 3),
+    # past the pole the right weight 2/(2 + t) is negative: raw margins
+    # near -7e3 are violations, not turned positive by their scale
+    "fuzz-eq1.1-negative-weight": (["fuzz", "--case", "eq1.1", "--set",
+                                    "t=-3", "--budget", "60", "--dim", "2",
+                                    "--expect-violation"], 0),
     "fuzz-eq2.13-pole": (FUZZ_EQ213_POLE, 3),
     "contractivity-unknown-parameter": (["contractivity", *PART1,
                                          "--set", "tt=5"], 2),

@@ -337,6 +337,10 @@ def test_make_instance_gives_its_streams_draws(dim):
             assert sampler(rng) == params, cid
 
 
+def _no_pass(task):
+    raise AssertionError("a pass was drawn")
+
+
 @pytest.mark.parametrize("draw", [
     lambda rng: random_hpd(0, rng),
     lambda rng: random_complex(2, rng, 0),
@@ -349,18 +353,36 @@ def test_make_instance_gives_its_streams_draws(dim):
                              condition_range=(1.0, np.inf)),
     lambda rng: iq.run_suite([2], 2, seed=1, case_ids=["eq1.2"],
                              condition_range=(0.0, 1.0)),
+    lambda rng: iq.run_suite([2], 2, seed=-1, case_ids=["eq1.2"]),
 ], ids=["hpd-dim-0", "complex-count-0", "spectra-dim-0", "spectra-count-0",
         "instance-no-case", "instance-dim-0", "log-range-inf",
-        "suite-cond-inf", "suite-cond-0"])
+        "suite-cond-inf", "suite-cond-0", "suite-seed-negative"])
 def test_degenerate_draw_input_is_refused(monkeypatch, draw):
-    # run_suite checks its condition range before it draws any pass, so
-    # in the parent process when it runs a pool
-    def no_pass(task):
-        raise AssertionError("a pass was drawn")
-
-    monkeypatch.setattr(iq, "_run_pass", no_pass)
+    # run_suite checks its condition range and seed before it draws any
+    # pass, so in the parent process when it runs a pool
+    monkeypatch.setattr(iq, "_run_pass", _no_pass)
     with pytest.raises(ValueError):
         draw(np.random.default_rng(0))
+
+
+def test_numpy_integer_seed_is_the_int_seed(monkeypatch):
+    # SeedSequence takes any integer, so the suite and make_instance do;
+    # the report holds the seed as an int
+    want = iq.run_suite([1, 2], 3, seed=5, case_ids=["eq1.2", "f-nu-shape"])
+    got = iq.run_suite([1, 2], 3, seed=np.int64(5),
+                       case_ids=["eq1.2", "f-nu-shape"])
+    assert type(got.seed) is int
+    assert ({**got.to_dict(), "elapsedSeconds": 0}
+            == {**want.to_dict(), "elapsedSeconds": 0})
+    (inst, rng), (twin, twin_rng) = (iq.make_instance(seed, 0, 2, 0)
+                                     for seed in (np.int64(1), 1))
+    for got, want in ((inst.a.eigenvectors, twin.a.eigenvectors),
+                      (inst.b.eigenvalues, twin.b.eigenvalues),
+                      (inst.x, twin.x), (rng.random(), twin_rng.random())):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    monkeypatch.setattr(iq, "_run_pass", _no_pass)
+    with pytest.raises(TypeError):
+        iq.run_suite([2], 2, seed=1.5, case_ids=["eq1.2"])
 
 
 def test_uniform_is_generator_uniform_bit_for_bit(monkeypatch):
@@ -401,11 +423,12 @@ def test_uniform_is_generator_uniform_bit_for_bit(monkeypatch):
                 uniform(rng, lo, hi, size)
 
 
-def test_criterion_1_minima_match_reference():
+def test_criterion_1_minima_match_reference(criterion_1_report):
     # per-case and per-step minima recorded from the matrix-product
-    # implementation that preceded the kernel-grid engine
+    # implementation that preceded the kernel-grid engine, at the
+    # criterion-1 config (the fixture checks the file's)
     ref = json.loads(REFERENCE.read_text())
-    report = iq.run_suite(ref["dims"], ref["samples"], seed=ref["seed"])
+    report = criterion_1_report
     assert [c.id for c in report.cases] == list(ref["cases"])
     for case in report.cases:
         want = ref["cases"][case.id]
@@ -1012,6 +1035,20 @@ def test_step_margins_send_a_shared_grid_once_and_repeat_bits(monkeypatch):
     for k, j in enumerate([0, 1, 0, 2, 2]):
         assert np.array_equal(margins[k], once[j])
         assert np.array_equal(scales[k], once_scales[j])
+
+
+def test_step_margins_scale_by_the_right_sides_size():
+    # a negative right weight (eq1.1's 2/(2 + t) at t < -2) makes the
+    # right side's weighted trace norm negative; the scale stays >= 1,
+    # so that a negative margin stays negative over it
+    grids = np.random.default_rng(3).standard_normal((2, 3, 3))
+    margins, scales = iq.step_margins(grids, [
+        iq.Step([(1.0, [0])], [(-2.0, [1])])])
+    trace = np.linalg.svd(grids, compute_uv=False).sum(-1)
+    assert scales[0] == pytest.approx(1.0 + 2.0 * trace[1], rel=1e-14)
+    assert margins[0, -1] == pytest.approx(-2.0 * trace[1] - trace[0],
+                                           rel=1e-14)
+    assert (margins[0] / scales[0] < 0).all()
 
 
 @pytest.mark.parametrize("per_sample", [False, True])

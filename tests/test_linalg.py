@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from meanforge.errors import NotHermitianError
-from meanforge.linalg import (Frame, HpdMatrix, hermitian_eig, random_complex,
-                              random_hpd, random_unitary, spawned_states,
+from meanforge.linalg import (Frame, HpdMatrix, _Generated, hermitian_eig,
+                              random_complex, random_hpd, random_unitary,
                               spawned_streams, svd_values)
 
 
@@ -184,11 +184,10 @@ def test_spawned_states_match_seed_sequence(seed):
                         draw.integers(0, 2**32, 60)], axis=1)
     for keys in (triples, *(draw.integers(0, 2**32, (20, w)) for w in (1, 5))):
         keys[:2] = [[0], [2**32 - 1]]
-        for key, (state, inc) in zip(keys.tolist(),
-                                     spawned_states(seed, keys)):
+        for key, rng in zip(keys.tolist(), spawned_streams(seed, keys)):
             want = np.random.PCG64(np.random.SeedSequence(seed,
                                                           spawn_key=key))
-            assert want.state["state"] == {"state": state, "inc": inc}, key
+            assert rng.bit_generator.state == want.state, key
 
 
 @pytest.mark.parametrize("key", [(2**32, 1, 0), (3, 1, 2**40),
@@ -196,7 +195,29 @@ def test_spawned_states_match_seed_sequence(seed):
 def test_spawned_states_reject_keys_outside_a_word(key):
     # SeedSequence would split such a value into 32-bit words
     with pytest.raises(ValueError):
-        spawned_states(7, [key])
+        spawned_streams(7, [key])
+
+
+def test_spawned_streams_draw_independently():
+    # each key's stream is its own Generator: draws interleaved across
+    # two streams are those of two default_rng streams
+    keys = [(3, 4, 0), (3, 4, 1)]
+    first, second = spawned_streams(90210, keys)
+    want = [np.random.default_rng(np.random.SeedSequence(90210, spawn_key=k))
+            for k in keys]
+    for _ in range(3):
+        for rng, twin in zip((first, second), want):
+            assert np.array_equal(rng.standard_normal(5),
+                                  twin.standard_normal(5))
+
+
+def test_generated_words_refuse_other_requests():
+    # PCG64 asks for 4 uint64 words; any other request cannot be met
+    words = _Generated(np.arange(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError):
+            words.generate_state(n_words, dtype)
 
 
 def test_spawned_streams_replay_default_rng():
