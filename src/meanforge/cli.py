@@ -131,7 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--tol", type=parse_tolerance,
                    default=inequalities.DEFAULT_TOLERANCE)
-    p.add_argument("--expect-violation", action="store_true")
+    p.add_argument("--expect-violation", action="store_true",
+                   help="exit 0 if a violation is found; without it, exit 0 "
+                   "if none is")
     p.add_argument("--out", type=parse_out, default=None,
                    help="write the worst instance to this file")
 
@@ -194,7 +196,9 @@ def cmd_fuzz(args) -> int:
               file=sys.stderr)
         return EXIT_NUMERICAL
     print("violation found" if finding.violation else "no violation found")
-    return (EXIT_OK if args.expect_violation and finding.violation
+    # exit 0 when the finding is what was expected: a violation with
+    # --expect-violation, none without it
+    return (EXIT_OK if finding.violation == args.expect_violation
             else EXIT_VIOLATION)
 
 

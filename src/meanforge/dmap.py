@@ -58,6 +58,8 @@ def sinch(x):
     filled by series."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < SERIES_THRESHOLD
+    if not small.any():
+        return np.sinh(x) / x
     x2 = x * x
     series = 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0))
     safe = np.where(small, 1.0, x)
@@ -217,9 +219,9 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
         raise ValueError("sample_count must be >= 1")
     xs = random_complex(a.dim, rng, sample_count)
     frame = Frame.of(a, xs, b)
-    base = frame.scaled(1.0)
+    base = frame.scaled()
     mapped = kernel_eval(spec, frame.d) * base
-    fans = np.cumsum(svd_values(np.stack([mapped, base])), axis=-1)
+    fans = np.cumsum(svd_values(np.array([mapped, base])), axis=-1)
     ratios = np.where(fans[1] == 0.0, -np.inf, fans[0] / fans[1])
     worst = np.unravel_index(np.argmax(ratios), ratios.shape)
     max_ratio = float(ratios[worst])

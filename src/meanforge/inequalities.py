@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -44,14 +44,15 @@ FUZZ_CONDITION_RANGE = (1e-3, 1e3)
 # grows linearly in alpha, so small alpha is the tight regime.
 ALPHA_CAP = 10.0
 
-Term = tuple[float, np.ndarray]
+Term = tuple[float | None, np.ndarray]
 
 
 @dataclass(frozen=True)
 class Step:
     """Comparisons sum c |||G[i] o Xt||| over lhs <= the same over rhs,
-    of terms (c, i): a number or per-sample (..., 1, 1) array c and an
-    index array i into a grid stack G, all i of a step one length."""
+    of terms (c, i): a number or per-sample (..., 1, 1) array c, or None
+    for an unweighted term, and an index array i into a grid stack G,
+    all i of a step one length."""
     lhs: list[Term]
     rhs: list[Term]
 
@@ -109,39 +110,38 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     # a NaN or inf grid gets NaN singular values, so that its margins
     # count as numerical failures; cumulative sums (T, ..., 1, n), which
     # coefficients, numbers or per-sample (..., 1, 1) arrays, broadcast on
-    fans = np.cumsum(svd_values(grids * xt), -1)[..., None, :]
+    fans = svd_values(grids * xt).cumsum(-1)[..., None, :]
     margins, scales = [], []
     for step in steps:
-        total = sum(c * fans[i] for c, i in step.rhs)
+        (c, i), *rest = step.rhs
+        total = fans[i] if c is None else c * fans[i]
+        for c, i in rest:
+            total = total + c * fans[i]
         scales.append(1.0 + np.abs(total[..., 0, -1]))
         for c, i in step.lhs:
-            total = total - c * fans[i]
+            total = total - (fans[i] if c is None else c * fans[i])
         margins.append(total[..., 0, :])
+    if len(steps) == 1:
+        return margins[0], scales[0]
     return np.concatenate(margins), np.concatenate(scales)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
+
 def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
     """step_margins of a case's steps on a frame, whose Xt is scaled to
-    the case's degree; NaN if an SVD fails.  Overflow and division by
-    zero are not warned about: callers count or rank NaN and inf."""
+    the case's degree; NaN if an SVD fails.  Callers hold
+    ``np.errstate(**_QUIET)``: overflow, division by zero and an inf
+    over an inf are not warned about, as they count or rank NaN and
+    inf."""
     grids, steps = case.builder(frame.d, params)
     try:
-        return step_margins(grids, steps, frame.scaled(params.get("p", 1.0)))
+        return step_margins(grids, steps, frame.scaled(params.get("p")))
     except np.linalg.LinAlgError:
         count = sum(len(step.rhs[0][1]) for step in steps)
         nan = np.full((count, *np.shape(frame.xt)[:-1]), np.nan)
         return nan, nan[..., 0]
-
-
-@np.errstate(invalid="ignore")
-def _worst_margins(case: InequalityCase, frame: Frame, params) -> tuple:
-    """Per comparison, the worst margin over the Ky Fan orders, raw and
-    over its scale, as (comparisons, ...) arrays.  An infinite margin
-    over an infinite scale is NaN, not warned about."""
-    margins, scales = _margins(case, frame, params)
-    raw = margins.min(axis=-1)
-    return raw, raw / scales
 
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
@@ -150,7 +150,9 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
-    return list(_margins(case, Frame.of(inst.a, inst.x, inst.b), params)[0])
+    frame = Frame.of(inst.a, inst.x, inst.b)
+    with np.errstate(**_QUIET):
+        return list(_margins(case, frame, params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +168,13 @@ def _leading(values, d) -> np.ndarray:
 
 def _chain(*kernels) -> tuple:
     """k0 <= k1 <= ... as one single-term Step over their stack."""
-    at = np.arange(len(kernels))
-    return np.stack(kernels), [Step([(1.0, at[:-1])], [(1.0, at[1:])])]
+    return np.array(kernels), [_chain_step(len(kernels))]
+
+
+@cache
+def _chain_step(count: int) -> Step:
+    at = np.arange(count)
+    return Step([(None, at[:-1])], [(None, at[1:])])
 
 
 def _ones(d) -> np.ndarray:
@@ -192,14 +199,14 @@ def _build_eq11(d, p):
     lhs = p_sum_kernel(d, p["nu"], 1.0)
     rhs = 2.0 * np.cosh(d) + t  # AX + XB + t A^(1/2) X B^(1/2)
     # inf at t = -2, where the weight's pole makes the margins non-finite
-    return (np.stack([lhs, rhs]),
+    return (np.array([lhs, rhs]),
             [Step([(1.0, [0])], [(np.divide(2.0, 2.0 + t), [1])])])
 
 
 def _build_ref_ali(d, p):
     nu = p["nu"]
     r0 = np.minimum(nu, 1.0 - nu)
-    grids = np.stack([heinz_kernel(d, nu), _ones(d), _heron(d, p)])
+    grids = np.array([heinz_kernel(d, nu), _ones(d), _heron(d, p)])
     return grids, [Step([(1.0, [0])], [(4.0 * r0 - 1.0, [1]),
                                        (2.0 * (1.0 - 2.0 * r0), [2])])]
 
@@ -226,7 +233,7 @@ def _build_eq29(d, p):
 def _make_avg_builder(lo, hi, factor):
     def build(d, p):
         avg = heinz_average(d, lo, hi)
-        return (np.stack([avg, heron_kernel(d, p["alpha"])]),
+        return (np.array([avg, heron_kernel(d, p["alpha"])]),
                 [Step([(1.0, [0])], [(factor, [1])])])
     return build
 
@@ -236,7 +243,7 @@ def _build_eq210(d, p):
     lhs = p_sum_kernel(d, r, pw)
     # A^p X + X B^p + t (A^nu X B^(p-nu) + A^(p-nu) X B^nu)
     rhs = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
-    return np.stack([lhs, rhs]), [Step([(1.0 + t, [0])], [(1.0, [1])])]
+    return np.array([lhs, rhs]), [Step([(1.0 + t, [0])], [(1.0, [1])])]
 
 
 def _build_eq211(d, p):
@@ -245,7 +252,7 @@ def _build_eq211(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
     lhs = p_diff_kernel(d, r, pw)
     rhs = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, pw - nu, pw)
-    return (np.stack([lhs, rhs]),
+    return (np.array([lhs, rhs]),
             [Step([(1.0 + t, [0])], [(abs(pw - 2.0 * r), [1])])])
 
 
@@ -253,7 +260,7 @@ def _build_eq212(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
     big = p_sum_kernel(d, r, pw)
     small = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
-    return np.stack([small, big]), [Step([(1.0, [0])], [(1.0 + t, [1])])]
+    return np.array([small, big]), [Step([(1.0, [0])], [(1.0 + t, [1])])]
 
 
 def _build_eq213(d, p):
@@ -262,7 +269,7 @@ def _build_eq213(d, p):
     small = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, nu, pw)
     # +-inf or NaN at p = 2r: non-finite margins, as for any pole
     factor = np.divide((1.0 + t) * pw - 2.0 * t * nu, pw - 2.0 * r)
-    return np.stack([small, big]), [Step([(1.0, [0])], [(factor, [1])])]
+    return np.array([small, big]), [Step([(1.0, [0])], [(factor, [1])])]
 
 
 F_NU_GRID_POINTS = 41
@@ -598,7 +605,9 @@ def _run_case_dim(task) -> CaseResult:
     case_id, tolerance, dim, samples, frame, params = task
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
-    normalized = _worst_margins(REGISTRY[case_id], frame, params)[1]
+    with np.errstate(**_QUIET):
+        margins, scales = _margins(REGISTRY[case_id], frame, params)
+        normalized = margins.min(axis=-1) / scales
     # NaN or infinite margins count as numerical failures, neither a pass
     # nor a violation, and stay out of the minima
     finite = np.isfinite(normalized)
@@ -686,12 +695,16 @@ class FuzzFinding:
     evaluations: int
 
 
+@np.errstate(**_QUIET)
 def _instance_margin(case, frame: Frame, params) -> tuple:
     """Worst raw and normalized margins over all steps and Ky Fan orders
     of a frame: numbers for one instance, arrays for a stack.  A NaN
     margin makes the worst one NaN."""
-    raw, normalized = _worst_margins(case, frame, params)
-    return raw.min(axis=0), normalized.min(axis=0)
+    margins, scales = _margins(case, frame, params)
+    raw = margins.min(axis=-1)
+    if len(raw) == 1:  # one comparison
+        return raw[0], raw[0] / scales[0]
+    return raw.min(axis=0), (raw / scales).min(axis=0)
 
 
 def _rank(raw):
@@ -716,21 +729,45 @@ def _unpack(z, n: int) -> tuple:
 
 def _score(case, params, z, n: int) -> tuple:
     """Worst raw and normalized margins of the stacked frame points z."""
-    la, lb, xt = _unpack(z, n)
-    return _instance_margin(case, Frame(np.exp(la), np.exp(lb), xt), params)
+    ab, xt = np.exp(z[..., :2 * n]), _unpack(z, n)[2]
+    return _instance_margin(case, Frame(ab[..., :n], ab[..., n:], xt), params)
 
 
 def _lowest(case, params, n: int, blocks) -> tuple:
     """(raw, normalized, z, *rest) of the first lowest-ranked point among
     blocks (z, *rest) of at most CELL_BLOCK frame points z and arrays
     rest of per-point data, scored one block per engine call."""
-    best = None
+    best = best_rank = None
     for block in blocks:
         raws, norms = _score(case, params, block[0], n)
-        i = int(np.argmin(_rank(raws)))
-        if best is None or _rank(raws[i]) < _rank(best[0]):
+        ranks = _rank(raws)
+        i = int(ranks.argmin())
+        if best is None or ranks[i] < best_rank:
             best = (raws[i], norms[i], *(a[i] for a in block))
+            best_rank = ranks[i]
     return best
+
+
+def _directions(scale) -> np.ndarray:
+    """The (2m, m) moves of a sweep over m coordinates: row 2j moves
+    coordinate j by +scale[j], row 2j + 1 by -scale[j].  The other
+    entries are -0.0, which leaves any float's bits when added."""
+    m = len(scale)
+    dirs = np.full((2 * m, m), -0.0)
+    j = np.arange(m)
+    dirs[2 * j, j], dirs[2 * j + 1, j] = scale, -scale
+    return dirs
+
+
+def _moves(z, step, dirs, count: int, n: int):
+    """Blocks (candidates,) of the first count moves of a sweep from the
+    frame point z, z + step dirs[r] for move r, with the eigenvalues
+    kept inside e^+-80 so that powers never overflow."""
+    for block in _blocks(count):
+        cand = z + step * dirs[block.start:block.stop]
+        logs = cand[:, :2 * n]
+        np.minimum(np.maximum(logs, -80.0, out=logs), 80.0, out=logs)
+        yield (cand,)
 
 
 def fuzz(case: InequalityCase, overrides: dict, budget: int,
@@ -775,26 +812,14 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     raw, _, z, ua, ub = _lowest(case, params, dim, restarts())
     evals = n_random
 
-    m = len(z)
     x_scale = max(1.0, float(np.max(np.abs(_unpack(z, dim)[2]))))
-    scale = np.where(np.arange(m) < 2 * dim, 1.0, x_scale)
-
-    def moves(z, step, count):
-        # move r of a sweep is coordinate r // 2, + for even r, - for odd
-        for block in _blocks(count):
-            r = np.asarray(block)
-            j = r // 2
-            cand = np.tile(z, (len(r), 1))
-            cand[r - block.start, j] += np.where(r % 2, -step, step) * scale[j]
-            # eigenvalues kept inside e^+-80 so powers never overflow
-            cand[:, :2 * dim] = np.clip(cand[:, :2 * dim], -80.0, 80.0)
-            yield (cand,)
-
+    dirs = _directions(np.where(np.arange(len(z)) < 2 * dim, 1.0, x_scale))
     step = 0.5
     while evals < budget and step > 1e-6:
-        count = min(2 * m, budget - evals)
+        count = min(len(dirs), budget - evals)
         evals += count
-        cand_raw, _, cand = _lowest(case, params, dim, moves(z, step, count))
+        cand_raw, _, cand = _lowest(case, params, dim,
+                                    _moves(z, step, dirs, count, dim))
         # against the rank, so any finite candidate beats a NaN
         if cand_raw < _rank(raw) - 1e-15:
             raw, z = cand_raw, cand

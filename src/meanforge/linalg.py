@@ -59,15 +59,72 @@ def svd_values(m: np.ndarray) -> np.ndarray:
     descending along the last axis; NaN for a matrix with a NaN or inf
     entry, which LAPACK rejects.
 
-    Taken from the SVD itself: going through the eigenvalues of m* m
-    would square the condition number and lose the small values.
+    Taken from the SVD itself, by LAPACK: going through the eigenvalues
+    of m* m would square the condition number and lose the small values.
+    Square matrices of order 1 and 2 are done in closed form, with no
+    LAPACK call: sigma = |m| at order 1, and at order 2, on m divided by
+    its largest entry modulus so that no square overflows, with p and r
+    the squared column norms and q their inner product,
+
+        sigma1 = sqrt((p + r)/2 + hypot((p - r)/2, |q|)),
+        sigma1 + sigma2 = sqrt(p + r + 2 |det m|),
+
+    the second the trace norm.  sigma1 is a root of a sum of nonnegative
+    terms, so it is accurate to a few eps relative; sigma2 is the
+    difference clamped to [0, sigma1], accurate to a few eps sigma1
+    absolute, LAPACK's own bound.
     """
+    m = np.asarray(m)
+    rows, cols = m.shape[-2:]
+    values_of = _CLOSED_FORM.get(cols, _lapack) if rows == cols else _lapack
     if np.isfinite(m).all():
-        return np.linalg.svd(m, compute_uv=False)
+        return values_of(m)
     finite = np.isfinite(m).all(axis=(-2, -1))
-    values = np.full(np.shape(m)[:-1], np.nan)
-    values[finite] = np.linalg.svd(m[finite], compute_uv=False)
+    values = np.full((*m.shape[:-2], min(rows, cols)), np.nan)
+    values[finite] = values_of(m[finite])
     return values
+
+
+def _lapack(m):
+    return np.linalg.svd(m, compute_uv=False)
+
+
+# 0-d arrays: numpy combines them with arrays faster than Python floats
+_TINY = np.array(np.finfo(float).tiny)
+_ZERO, _HALF = np.array(0.0), np.array(0.5)
+
+
+def _order_2(m):
+    """svd_values of finite 2 x 2 matrices, by the closed form."""
+    w = np.abs(m)
+    # divided by at least the least normal double: a complex division
+    # takes the divisor's reciprocal, which must not overflow (a zero
+    # matrix stays zero)
+    top = np.maximum(w.max(axis=(-2, -1)), _TINY)[..., None, None]
+    u, w = m / top, w / top
+    w *= w
+    p, r = w[..., 0, 0] + w[..., 1, 0], w[..., 0, 1] + w[..., 1, 1]
+    c0, c1 = u[..., 0], u[..., 1]
+    q = c0.conj() * c1
+    q = np.abs(q[..., 0] + q[..., 1])
+    det = c0 * c1[..., ::-1]
+    det = np.abs(det[..., 0] - det[..., 1])
+    s = p + r
+    out = np.empty((*s.shape, 2))
+    sigma1, sigma2 = out[..., 0], out[..., 1]
+    np.hypot(p - r, q + q, out=sigma1)
+    sigma1 += s
+    sigma1 *= _HALF
+    np.add(det + det, s, out=sigma2)
+    np.sqrt(out, out=out)
+    sigma2 -= sigma1
+    np.maximum(sigma2, _ZERO, out=sigma2)
+    np.minimum(sigma2, sigma1, out=sigma2)
+    out *= top[..., 0]
+    return out
+
+
+_CLOSED_FORM = {1: lambda m: np.abs(m[..., 0]), 2: _order_2}
 
 
 @dataclass(frozen=True)
@@ -142,8 +199,8 @@ class Frame:
         la = np.log(np.asarray(a, dtype=float))[..., :, None]
         lb = np.log(np.asarray(b, dtype=float))[..., None, :]
         # the difference variable of the hyperbolic kernel calculus
-        self.d = 0.5 * (la - lb)
-        self.log_geo = 0.5 * (la + lb)
+        self.d = _HALF * (la - lb)
+        self.log_geo = _HALF * (la + lb)
         self.xt = xt
 
     @classmethod
@@ -164,9 +221,11 @@ class Frame:
         part.xt = self.xt[index]
         return part
 
-    def scaled(self, p) -> np.ndarray:
-        """(a_i b_j)^(p/2) o Xt, on which the kernels of degree p act."""
-        return np.exp(p * self.log_geo) * self.xt
+    def scaled(self, p=None) -> np.ndarray:
+        """(a_i b_j)^(p/2) o Xt, on which the kernels of degree p act;
+        degree 1 if p is None."""
+        log_geo = self.log_geo if p is None else p * self.log_geo
+        return np.exp(log_geo) * self.xt
 
 
 def frame_apply(kernel, degree, a: HpdMatrix, x: np.ndarray, b: HpdMatrix,

@@ -15,7 +15,7 @@ from .linalg import svd_values
 
 def ky_fan(m: np.ndarray, k: int) -> float:
     """Sum of the k largest singular values."""
-    n = m.shape[0]
+    n = min(np.shape(m)[-2:])
     if not (1 <= k <= n):
         raise BadOrderError(f"Ky Fan order {k} outside [1, {n}]")
     s = svd_values(m)

@@ -105,6 +105,10 @@ EXIT_CODES = {
                                     "t=-3", "--budget", "60", "--dim", "2",
                                     "--expect-violation"], 0),
     "fuzz-eq2.13-pole": (FUZZ_EQ213_POLE, 3),
+    # out of range, a violation found without --expect-violation: exit 1
+    "fuzz-violation-not-expected": (["fuzz", "--case", "eq1.2", "--set",
+                                     "nu=0.1", "--set", "alpha=0.5",
+                                     "--dim", "1", "--budget", "30"], 1),
     "contractivity-unknown-parameter": (["contractivity", *PART1,
                                          "--set", "tt=5"], 2),
     "contractivity-unknown-kernel": (["contractivity", "--kernel", "nope"],
@@ -217,8 +221,9 @@ def test_fuzz_expected_violation(tmp_path):
 
 
 def test_fuzz_in_range_no_violation():
+    # no violation, and none expected: exit 0
     assert cli.main(["fuzz", "--case", "eq1.3", "--dim", "2",
-                     "--budget", "300"]) == 1
+                     "--budget", "300"]) == 0
 
 
 def test_fuzz_unknown_case():

@@ -627,8 +627,11 @@ def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
 # joint eigenframe (restarts drawn as block arrays, moves on Xt), after
 # the evidence that the new search loses nothing: no missed violation
 # on the 12 violating benchmark probes x 20 seeds at budgets 150 and
-# 300, and the 12 in-range controls clean.  The bits depend on LAPACK
-# QR and SVD rounding: they were recorded with numpy 2.4.6 on
+# 300, and the 12 in-range controls clean.  The two dim-2 entries'
+# margins were recorded again when 2 x 2 singular values moved to a
+# closed form: their evaluations and witnesses stayed, and their
+# normalized margins moved by 1.9e-16 and 6.2e-18.  The bits depend on
+# LAPACK QR and SVD rounding: they were recorded with numpy 2.4.6 on
 # scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on another BLAS
 # build a mismatch here need not mean that the search changed.
 # ``PYTHONPATH=src python tests/test_inequalities.py`` prints the list
@@ -641,13 +644,13 @@ FUZZ_GOLDEN = [
      ("-0x1.4fd6cbc394a13p+15", "-0x1.d26bc425b8ef5p+1", 1000,
       "cf4c90bc28c3f9ca")),
     (("eq1.4-chain", {"alpha": 0.2}, 2, 1000, 2),
-     ("-0x1.1e9d1fbfcc740p+18", "-0x1.efbc73dd5265cp-4", 1000,
+     ("-0x1.1e9d1fbfcc748p+18", "-0x1.efbc73dd5266ap-4", 1000,
       "26e3ecad2e543fef")),
     (("eq1.4-chain", {"alpha": 0.5}, 3, 300, 3),
      ("0x1.3cf216fef2800p-11", "0x1.08682804ae21fp-11", 300,
       "910b801f35978d81")),
     (("eq1.2", {"nu": 0.3, "alpha": 0.5}, 2, 1000, 4),
-     ("0x1.9baeedc800000p-28", "0x1.6e4b241103c24p-28", 1000,
+     ("0x1.9baeedd000000p-28", "0x1.6e4b241821f55p-28", 1000,
       "b8430d31a6398f48")),
 ]
 
@@ -721,6 +724,40 @@ def _sweep(z, dim, step, x_scale):
                 c[j] += sign * step * x_scale
             cands.append(c)
     return np.array(cands)
+
+
+def _tiled_moves(z, step, count, scale, n):
+    """A sweep's candidate blocks as the fuzzer built them before its
+    direction table: z tiled once per move, each move's coordinate
+    stepped by a fancy-index add, the logs clipped to +-80."""
+    for block in iq._blocks(count):
+        r = np.asarray(block)
+        j = r // 2
+        cand = np.tile(z, (len(r), 1))
+        cand[r - block.start, j] += np.where(r % 2, -step, step) * scale[j]
+        cand[:, :2 * n] = np.clip(cand[:, :2 * n], -80.0, 80.0)
+        yield cand
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_direction_table_moves_equal_tiled_moves(dim):
+    # bit for bit, signed zeros included: whole sweeps, a last sweep cut
+    # short (two blocks of 256 and 29 at dim 8) and a single move, near
+    # the clip bounds
+    z = _restart(dim, seed=dim)
+    z[:2] = 79.8, -79.9
+    z[-2:] = 0.0, -0.0
+    m = len(z)
+    scale = np.where(np.arange(m) < 2 * dim, 1.0, 1.75)
+    dirs = iq._directions(scale)
+    assert dirs.shape == (2 * m, m)
+    for step in (0.5, 0.375, 2.0 ** -20):
+        for count in (2 * m, 2 * m - 3, 1):
+            got = [c for c, in iq._moves(z, step, dirs, count, dim)]
+            want = list(_tiled_moves(z, step, count, scale, dim))
+            assert [len(c) for c in got] == [len(c) for c in want]
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (step, count)
 
 
 def _restart(dim, seed):

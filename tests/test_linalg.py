@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -67,6 +70,131 @@ def test_svd_values_of_non_finite_matrices_are_nan():
     values = svd_values(stack)
     assert np.array_equal(values[0], [1.0, 1.0])
     assert np.isnan(values[1:]).all()
+
+
+EPS = np.finfo(float).eps
+
+
+def small_stacks(rng) -> list:
+    """Named stacks of 2 x 2 matrices that are hard for a closed form:
+    graded columns, sigma1 ~ sigma2, rank deficient and zero matrices,
+    magnitudes 1e+-300, and complex phases on every entry."""
+    def gaussian(k):
+        return random_complex(2, rng, k)
+
+    graded = gaussian(20) * 10.0 ** rng.uniform(-12.0, 12.0, (20, 1, 2))
+    # unitaries times 3, nudged by 1e-9: sigma1 - sigma2 ~ 1e-9
+    close = 3.0 * np.linalg.qr(gaussian(20))[0] + 1e-9 * gaussian(20)
+    u, v = gaussian(20)[..., 0], gaussian(20)[..., 0]
+    rank_one = u[..., :, None] * v[..., None, :]
+    near_singular = rank_one + 1e-12 * gaussian(20)
+    huge = gaussian(20) * 10.0 ** rng.uniform(250.0, 300.0, (20, 1, 1))
+    tiny = gaussian(20) * 10.0 ** -rng.uniform(250.0, 300.0, (20, 1, 1))
+    phases = (rng.standard_normal((20, 2, 1)) * rng.standard_normal(
+        (20, 1, 2))) * np.exp(2j * np.pi * rng.uniform(size=(20, 2, 2)))
+    return [("graded", graded), ("close", close), ("rank-one", rank_one),
+            ("near-singular", near_singular), ("huge", huge),
+            ("tiny", tiny), ("phases", phases),
+            ("real", gaussian(20).real)]
+
+
+def mp_singular_values(m) -> np.ndarray:
+    """Singular values of one matrix at 50 digits, descending."""
+    with mpmath.workdps(50):
+        s = mpmath.svd_c(mpmath.matrix(m.tolist()), compute_uv=False)
+        return np.array(sorted((float(x) for x in s), reverse=True))
+
+
+@pytest.mark.parametrize("stack", [
+    pytest.param(stack, id=name)
+    for name, stack in small_stacks(np.random.default_rng(21))])
+def test_closed_form_ky_fan_sums_match_two_oracles(stack):
+    # every Ky Fan sum within 8 eps sigma1 of a 50-digit SVD and of
+    # LAPACK's, with 0 <= sigma2 <= sigma1
+    values = svd_values(stack)
+    assert values.shape == (len(stack), 2)
+    assert (values[:, 1] >= 0.0).all() and (values[:, 1] <= values[:, 0]).all()
+    lapack = np.linalg.svd(stack, compute_uv=False)
+    for m, got, other in zip(stack, values, lapack):
+        want = mp_singular_values(m)
+        for oracle in (want, other):
+            err = np.abs(np.cumsum(got) - np.cumsum(oracle)).max()
+            assert err <= 8 * EPS * want[0], m
+
+
+def test_closed_form_of_order_one_is_the_modulus():
+    rng = np.random.default_rng(22)
+    m = random_complex(1, rng, 30) * 10.0 ** rng.uniform(-300, 300,
+                                                         (30, 1, 1))
+    assert np.array_equal(svd_values(m), np.abs(m[..., 0]))
+    lapack = np.linalg.svd(m, compute_uv=False)
+    assert np.all(np.abs(svd_values(m) - lapack) <= 2 * EPS * lapack)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_of_zero_and_subnormal_matrices(n):
+    assert np.array_equal(svd_values(np.zeros((3, n, n), complex)),
+                          np.zeros((3, n)))
+    assert np.array_equal(svd_values(np.zeros((n, n))), np.zeros(n))
+    # entries below the least normal double, and a subnormal one alone
+    sub = np.full((n, n), 3e-310 - 1e-310j)
+    sub[0, 0] = 5e-324
+    want = np.linalg.svd(sub, compute_uv=False)
+    assert np.all(np.abs(svd_values(sub) - want) <= 8 * EPS * want[0])
+    lone = np.zeros((n, n))
+    lone[-1, 0] = 5e-324
+    assert np.array_equal(svd_values(lone), [5e-324] + [0.0] * (n - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 1)])
+def test_closed_form_of_non_finite_matrices_is_nan(n, bad):
+    # NaN rows for the matrices with a NaN or inf entry, the others as
+    # alone; no warning is raised
+    stack = random_complex(n, np.random.default_rng(23), 4)
+    stack[1, 0, n - 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = svd_values(stack)
+    assert np.isnan(values[1]).all()
+    keep = [0, 2, 3]
+    assert np.array_equal(values[keep], svd_values(stack[keep]))
+
+
+def test_closed_form_takes_any_leading_shape():
+    rng = np.random.default_rng(24)
+    for n in (1, 2):
+        m = random_complex(n, rng, 30).reshape(2, 5, 3, n, n)
+        values = svd_values(m)
+        assert values.shape == (2, 5, 3, n)
+        assert np.array_equal(values.reshape(30, n),
+                              svd_values(m.reshape(30, n, n)))
+        assert np.array_equal(values[1, 2, 0], svd_values(m[1, 2, 0]))
+
+
+def test_only_other_shapes_reach_lapack(monkeypatch):
+    # square stacks of order 1 and 2 never call np.linalg.svd; every
+    # other shape gets its values bit for bit
+    lapack, shapes = np.linalg.svd, []
+
+    def guarded(m, *args, **kwargs):
+        shapes.append(np.shape(m)[-2:])
+        if np.shape(m)[-1] == np.shape(m)[-2] <= 2:
+            raise AssertionError(f"order {np.shape(m)[-1]} reached LAPACK")
+        return lapack(m, *args, **kwargs)
+
+    rng = np.random.default_rng(25)
+    others = [random_complex(3, rng, 6), random_complex(2, rng, 6)[..., :1, :],
+              rng.standard_normal((6, 2, 3)), rng.standard_normal((3, 3))]
+    want = [lapack(m, compute_uv=False) for m in others]
+    monkeypatch.setattr(np.linalg, "svd", guarded)
+    for n in (1, 2):
+        svd_values(random_complex(n, rng, 6))
+        svd_values(random_complex(n, rng))
+    assert shapes == []
+    for m, values in zip(others, want):
+        assert np.array_equal(svd_values(m), values)
+    assert shapes == [(3, 3), (1, 2), (2, 3), (3, 3)]
 
 
 def test_hpd_power_endpoints():

@@ -40,6 +40,17 @@ def test_ky_fan_rejects_bad_order():
         ky_fan(np.eye(2), 0)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_ky_fan_order_bounded_by_the_singular_values(shape):
+    # a 3 x 2 or 2 x 3 matrix has two singular values: order 3 is not a
+    # Ky Fan norm of it, and order 2 is its trace norm
+    m = np.arange(6.0).reshape(shape)
+    with pytest.raises(BadOrderError):
+        ky_fan(m, 3)
+    assert ky_fan(m, 2) == pytest.approx(
+        np.linalg.svd(m, compute_uv=False).sum(), rel=1e-14)
+
+
 def test_ky_fan_unitary_invariance():
     rng = np.random.default_rng(1)
     for _ in range(20):
