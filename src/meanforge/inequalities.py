@@ -29,8 +29,8 @@ from .errors import (DimMismatchError, RangeViolationError,
                      UnknownCaseError, UnknownParameterError)
 from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, adjoint,
                      complex_gaussian, gaussian_unitary, log_range,
-                     random_complex, random_hpd, random_spectra,
-                     spawned_streams, svd_values, to_interval, uniform)
+                     random_complex, random_hpd, spawned_streams,
+                     svd_values, to_interval, uniform)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
@@ -146,7 +146,12 @@ def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
              override: bool = False) -> list[np.ndarray]:
-    """Per-comparison, per-Ky-Fan-order margins for one instance."""
+    """Per-comparison, per-Ky-Fan-order margins for one instance.  The
+    params must name every parameter that the case's sampler draws."""
+    missing = sorted(set(case.sampler(np.random.default_rng(0))) - set(params))
+    if missing:
+        raise UnknownParameterError(
+            f"{case.id} needs parameter {', '.join(missing)}")
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
@@ -686,6 +691,10 @@ def run_suite(dims, samples: int, seed: int,
 
 @dataclass
 class FuzzFinding:
+    """What ``fuzz`` found: the parameters it ran with, the worst raw and
+    normalized margins of the witness ``instance``, the best frame point
+    as A = diag(a), B = diag(b) and X = Xt, whether the normalized margin
+    is below -tolerance, and the evaluations it spent."""
     case_id: str
     params: dict
     margin: float
@@ -712,16 +721,9 @@ def _rank(raw):
     return np.where(np.isfinite(raw), raw, np.inf)
 
 
-def _pack(ea, eb, xt) -> np.ndarray:
-    """Frame points z = (log a, log b, Re Xt, Im Xt) of stacked instances,
-    one row of 2n + 2n^2 reals each."""
-    k = len(xt)
-    return np.concatenate([np.log(ea), np.log(eb), xt.real.reshape(k, -1),
-                           xt.imag.reshape(k, -1)], axis=1)
-
-
 def _unpack(z, n: int) -> tuple:
-    """(log a, log b, Xt) of the frame points z, as _pack wrote them."""
+    """(log a, log b, Xt) of frame points z = (log a, log b, Re Xt,
+    Im Xt), rows of 2n + 2n^2 reals."""
     k = n * n
     xt = z[..., 2 * n:2 * n + k] + 1j * z[..., 2 * n + k:]
     return z[..., :n], z[..., n:2 * n], xt.reshape(*z.shape[:-1], n, n)
@@ -734,17 +736,16 @@ def _score(case, params, z, n: int) -> tuple:
 
 
 def _lowest(case, params, n: int, blocks) -> tuple:
-    """(raw, normalized, z, *rest) of the first lowest-ranked point among
-    blocks (z, *rest) of at most CELL_BLOCK frame points z and arrays
-    rest of per-point data, scored one block per engine call."""
+    """(raw, normalized, z) of the first lowest-ranked frame point z among
+    blocks of at most CELL_BLOCK of them, scored one block per engine
+    call."""
     best = best_rank = None
-    for block in blocks:
-        raws, norms = _score(case, params, block[0], n)
+    for z in blocks:
+        raws, norms = _score(case, params, z, n)
         ranks = _rank(raws)
         i = int(ranks.argmin())
         if best is None or ranks[i] < best_rank:
-            best = (raws[i], norms[i], *(a[i] for a in block))
-            best_rank = ranks[i]
+            best, best_rank = (raws[i], norms[i], z[i]), ranks[i]
     return best
 
 
@@ -760,14 +761,14 @@ def _directions(scale) -> np.ndarray:
 
 
 def _moves(z, step, dirs, count: int, n: int):
-    """Blocks (candidates,) of the first count moves of a sweep from the
+    """Candidate blocks of the first count moves of a sweep from the
     frame point z, z + step dirs[r] for move r, with the eigenvalues
     kept inside e^+-80 so that powers never overflow."""
     for block in _blocks(count):
         cand = z + step * dirs[block.start:block.stop]
         logs = cand[:, :2 * n]
         np.minimum(np.maximum(logs, -80.0, out=logs), 80.0, out=logs)
-        yield (cand,)
+        yield cand
 
 
 def fuzz(case: InequalityCase, overrides: dict, budget: int,
@@ -777,19 +778,22 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     coordinate descent in the joint eigenframe.  Overrides must name
     parameters that the case's sampler produces.
 
-    The restarts are drawn from ``rng`` as block arrays of up to
-    CELL_BLOCK instances; the first with the lowest rank starts the
-    descent, its eigenvectors U_A and U_B held fixed.  A margin depends
-    only on (a, b, Xt) with Xt = U_A* X U_B, so each sweep moves the
-    point z = (log a, log b, Re Xt, Im Xt) by +-step along each of its
-    coordinates in turn, scaled by max(1, max |Xt_ij|) for Xt, and takes
-    the first lowest-ranked of these 2 len(z) moves if it lowers the raw
-    margin, else halves the step.  Restarts and moves alike are scored as
-    frame stacks of up to CELL_BLOCK points, and the last sweep is cut so
-    that the evaluations never exceed the budget.  The witness is
-    A = U_A diag(a) U_A*, B likewise and X = U_A Xt U_B*; its margins
-    are scored once more as ``evaluate`` scores it (not counted as an
-    evaluation), so that a replay gives the finding's bits."""
+    Ky Fan norms are unitarily invariant, so a margin depends only on the
+    frame point z = (log a, log b, Re Xt, Im Xt).  The restarts are drawn
+    from ``rng`` as frame points, block arrays of up to CELL_BLOCK of
+    them: log a and log b uniform on the logs of FUZZ_CONDITION_RANGE,
+    then Xt standard complex Gaussian, the law of U_A* X U_B for a
+    Gaussian X and unitaries independent of it.  The first with the
+    lowest rank starts the descent: each sweep moves z by +-step along
+    each of its coordinates in turn, scaled by max(1, max |Xt_ij|) for
+    Xt, and takes the first lowest-ranked of these 2 len(z) moves if it
+    lowers the raw margin, else halves the step.  Restarts and moves
+    alike are scored as frame stacks of up to CELL_BLOCK points, and the
+    last sweep is cut so that the evaluations never exceed the budget.
+    The witness is the frame itself, A = diag(a), B = diag(b) and
+    X = Xt; its margins are scored once more as ``evaluate`` scores it
+    (not counted as an evaluation), so that a replay gives the finding's
+    bits."""
     if budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf:
         raise ValueError("need budget, dim >= 1 and a finite tolerance >= 0")
     params = dict(case.sampler(rng))
@@ -801,15 +805,15 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     params.update(overrides)
 
     n_random = max(1, budget // 3)
+    logs = log_range(FUZZ_CONDITION_RANGE)
 
     def restarts():
         for k in map(len, _blocks(n_random)):
-            ea, ua = random_spectra(dim, rng, FUZZ_CONDITION_RANGE, k)
-            eb, ub = random_spectra(dim, rng, FUZZ_CONDITION_RANGE, k)
-            x = random_complex(dim, rng, k)
-            yield _pack(ea, eb, adjoint(ua) @ x @ ub), ua, ub
+            ab = uniform(rng, *logs, (k, 2 * dim))
+            xt = random_complex(dim, rng, k).reshape(k, -1)
+            yield np.concatenate([ab, xt.real, xt.imag], axis=1)
 
-    raw, _, z, ua, ub = _lowest(case, params, dim, restarts())
+    raw, _, z = _lowest(case, params, dim, restarts())
     evals = n_random
 
     x_scale = max(1.0, float(np.max(np.abs(_unpack(z, dim)[2]))))
@@ -827,9 +831,9 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
             step *= 0.5
 
     la, lb, xt = _unpack(z, dim)
-    inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(la), ua),
-                          HpdMatrix.from_spectrum(np.exp(lb), ub),
-                          ua @ xt @ adjoint(ub))
+    eye = np.eye(dim)
+    inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(la), eye),
+                          HpdMatrix.from_spectrum(np.exp(lb), eye), xt)
     raw, normalized = _instance_margin(
         case, Frame.of(inst.a, inst.x, inst.b), params)
     return FuzzFinding(case.id, params, float(raw), float(normalized),

@@ -1,8 +1,9 @@
 """JSON serialization of instances and verification reports.
 
-Instance files hold {"dim": n, "A": M, "B": M, "X": M} with each matrix
-a row-major list of [re, im] pairs.  Python floats round-trip exactly
-through json, so saved instances reload bit-faithfully.
+Instance files hold {"dim": n, "A": M, "B": M, "X": M}, n an integer
+>= 1 and each matrix a row-major list of [re, im] pairs.  Python floats
+round-trip exactly through json, so saved instances reload
+bit-faithfully.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ def instance_to_dict(inst: InstanceTriple) -> dict:
 
 
 def instance_from_dict(d: dict) -> InstanceTriple:
-    dim = int(d["dim"])
+    dim = d["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, not {dim!r}")
     a = pairs_to_matrix(d["A"], dim)
     b = pairs_to_matrix(d["B"], dim)
     x = pairs_to_matrix(d["X"], dim)

@@ -277,23 +277,13 @@ def uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
     return to_interval(rng.random(size), lo, hi)
 
 
-def random_spectra(dim: int, rng: np.random.Generator,
-                   condition_range=DEFAULT_CONDITION_RANGE,
-                   count: int | None = None) -> tuple:
-    """(eigenvalues, unitary) of a random HPD matrix, or stacks of
-    ``count`` of them: ``count`` spectra log-uniform in condition_range,
-    unsorted, then ``count`` unitaries from the QR of complex Gaussians.
-    Raises ValueError for dim or count < 1, as ``random_complex`` does."""
-    shape = dim if count is None else (count, dim)
-    eigs = np.exp(uniform(rng, *log_range(condition_range), size=shape))
-    return eigs, gaussian_unitary(random_complex(dim, rng, count))
-
-
 def random_hpd(dim: int, rng: np.random.Generator,
                condition_range=DEFAULT_CONDITION_RANGE) -> HpdMatrix:
-    """Random HPD matrix with eigenvalues log-uniform in condition_range."""
-    return HpdMatrix.from_spectrum(*random_spectra(dim, rng,
-                                                   condition_range))
+    """Random HPD matrix: eigenvalues log-uniform in condition_range, then
+    eigenvectors from the QR of a complex Gaussian.  Raises ValueError for
+    dim < 1, as ``random_complex`` does."""
+    eigs = np.exp(uniform(rng, *log_range(condition_range), size=dim))
+    return HpdMatrix.from_spectrum(eigs, random_unitary(dim, rng))
 
 
 _MASK32 = (1 << 32) - 1

@@ -367,3 +367,12 @@ def test_load_rejects_non_hermitian(tmp_path):
     from meanforge.errors import NotHermitianError
     with pytest.raises(NotHermitianError):
         io.load_instance(path)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.7, 1.0, True, "1", None])
+def test_load_rejects_a_dim_that_is_not_a_count(dim):
+    # dim 0 would give a 0 x 0 instance, 1.7 and true would read as 1
+    entries = [] if dim == 0 else [[1, 0]]
+    doc = {"dim": dim, "A": entries, "B": entries, "X": entries}
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        io.instance_from_dict(doc)

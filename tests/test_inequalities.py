@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from meanforge import inequalities as iq
-from meanforge.errors import RangeViolationError, UnknownCaseError
+from meanforge import linalg
+from meanforge.errors import (RangeViolationError, UnknownCaseError,
+                              UnknownParameterError)
 from meanforge.linalg import (Frame, HpdMatrix, log_range, random_complex,
-                              random_hpd, random_spectra)
+                              random_hpd)
 from meanforge.means import heron_kernel, p_sum_kernel
 
 from draw_oracle import sample_draws, sample_frame
@@ -72,6 +74,21 @@ def test_eq210_scalar_margin():
     margins = iq.evaluate(case, inst,
                           {"p": 1.0, "nu": 0.5, "r": 0.25, "t": 1.0})
     assert margins[0][0] == pytest.approx(9.0 - 8.4852813742, abs=1e-9)
+
+
+@pytest.mark.parametrize("cid, params, missing", [
+    ("eq2.10", {"t": 0.5}, "nu, p, r"),
+    ("eq2.11", {"t": 0.5}, "nu, p, r"),
+    ("eq1.2", {"nu": 0.3}, "alpha"),
+], ids=["eq2.10-hypothesis", "eq2.11-builder", "eq1.2-range"])
+def test_evaluate_names_missing_parameters(cid, params, missing):
+    # eq2.10's hypothesis and eq2.11's builder read the missing names, and
+    # a bare KeyError would name only the first one they read
+    inst = iq.make_instance(1, 0, 2, 0)[0]
+    for override in (False, True):
+        with pytest.raises(UnknownParameterError,
+                           match=f"parameter {missing}$"):
+            iq.evaluate(iq.get_case(cid), inst, params, override=override)
 
 
 def test_out_of_range_raises_without_override():
@@ -344,8 +361,6 @@ def _no_pass(task):
 @pytest.mark.parametrize("draw", [
     lambda rng: random_hpd(0, rng),
     lambda rng: random_complex(2, rng, 0),
-    lambda rng: random_spectra(0, rng),
-    lambda rng: random_spectra(2, rng, count=0),
     lambda rng: iq.make_instance(1, 99, 2, 0),
     lambda rng: iq.make_instance(1, 0, 0, 0),
     lambda rng: log_range((1.0, np.inf)),
@@ -354,8 +369,8 @@ def _no_pass(task):
     lambda rng: iq.run_suite([2], 2, seed=1, case_ids=["eq1.2"],
                              condition_range=(0.0, 1.0)),
     lambda rng: iq.run_suite([2], 2, seed=-1, case_ids=["eq1.2"]),
-], ids=["hpd-dim-0", "complex-count-0", "spectra-dim-0", "spectra-count-0",
-        "instance-no-case", "instance-dim-0", "log-range-inf",
+], ids=["hpd-dim-0", "complex-count-0", "instance-no-case",
+        "instance-dim-0", "log-range-inf",
         "suite-cond-inf", "suite-cond-0", "suite-seed-negative"])
 def test_degenerate_draw_input_is_refused(monkeypatch, draw):
     # run_suite checks its condition range and seed before it draws any
@@ -572,13 +587,18 @@ def hook_lowest(monkeypatch) -> list:
     return found
 
 
-def lands_at(inst, z, ua, ub) -> bool:
-    """Whether the witness inst is the frame point z, eigenvectors ua and
-    ub, up to the witness's sort of the eigenpairs."""
+def lands_at(inst, z) -> bool:
+    """Whether the witness inst is the frame point z, bit for bit up to
+    the witness's sort of the eigenvalues: its eigenvalues are exp of z's
+    logs, sorted descending, and its frame's Xt is z's under the sort
+    permutations."""
     la, lb, xt = iq._unpack(z, inst.dim)
-    return bool(np.allclose(np.log(inst.a.eigenvalues), np.sort(la)[::-1])
-                and np.allclose(np.log(inst.b.eigenvalues), np.sort(lb)[::-1])
-                and np.allclose(iq.adjoint(ua) @ inst.x @ ub, xt))
+    ea, eb = np.exp(la), np.exp(lb)
+    pa, pb = (np.argsort(-e, kind="stable") for e in (ea, eb))
+    return bool(np.array_equal(inst.a.eigenvalues, ea[pa])
+                and np.array_equal(inst.b.eigenvalues, eb[pb])
+                and np.array_equal(Frame.of(inst.a, inst.x, inst.b).xt,
+                                   xt[pa][:, pb]))
 
 
 def test_fuzz_nan_restart_never_stays_best(monkeypatch):
@@ -595,9 +615,9 @@ def test_fuzz_nan_restart_never_stays_best(monkeypatch):
     found = hook_lowest(monkeypatch)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
     assert sizes[0] == 10 and len(sizes) > 1
-    raw, _, z, ua, ub = found[0]
+    raw, _, z = found[0]
     assert np.isfinite(raw)
-    assert lands_at(finding.instance, z, ua, ub)
+    assert lands_at(finding.instance, z)
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
 
@@ -612,9 +632,9 @@ def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
     found = hook_lowest(monkeypatch)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
     assert sizes[0] == 10 and len(sizes) > 1
-    raw, _, z, ua, ub = found[0]
+    raw, _, z = found[0]
     assert np.isnan(raw)
-    assert not lands_at(finding.instance, z, ua, ub)
+    assert not lands_at(finding.instance, z)
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
 
@@ -623,35 +643,33 @@ def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
 # -> float.hex of the raw and normalized margins, evaluations and the
 # first 16 hex digits of the SHA-256 of the witness's eigenvalues,
 # eigenvectors and X.  Budget 1000 has 333 restarts, more than one
-# CELL_BLOCK.  They were recorded anew when the search moved to the
-# joint eigenframe (restarts drawn as block arrays, moves on Xt), after
-# the evidence that the new search loses nothing: no missed violation
-# on the 12 violating benchmark probes x 20 seeds at budgets 150 and
-# 300, and the 12 in-range controls clean.  The two dim-2 entries'
-# margins were recorded again when 2 x 2 singular values moved to a
-# closed form: their evaluations and witnesses stayed, and their
-# normalized margins moved by 1.9e-16 and 6.2e-18.  The bits depend on
-# LAPACK QR and SVD rounding: they were recorded with numpy 2.4.6 on
-# scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on another BLAS
-# build a mismatch here need not mean that the search changed.
+# CELL_BLOCK.  They were recorded anew when the restarts came to be
+# drawn as frame points (log a, log b, Xt), the law of the earlier
+# draw's, with the frame itself as the witness: every entry kept its
+# evaluations and its violation flag.  No QR is left in the search, and
+# singular values of order 1 and 2 are taken in closed form, so the
+# dims-1-2 bits do not depend on LAPACK; those of dims 3-4 depend on its
+# SVD rounding.  They were recorded with numpy 2.4.6 on scipy-openblas
+# 0.3.31 (x86_64, one BLAS thread), so on another BLAS build a mismatch
+# at dims 3-4 need not mean that the search changed.
 # ``PYTHONPATH=src python tests/test_inequalities.py`` prints the list
 # as this setup finds it.
 FUZZ_GOLDEN = [
     (("eq1.2", {"nu": 0.1, "alpha": 0.5}, 4, 300, 0),
-     ("-0x1.76b2a9972a4d0p+7", "-0x1.02249c3e443f2p-4", 300,
-      "66da2135012fc0c4")),
+     ("-0x1.eae83db44ec20p+7", "-0x1.325fb4c05b3ddp-4", 300,
+      "bfacf0667d2a9427")),
     (("eq2.9", {"nu": 0.05, "alpha": 0.5}, 4, 1000, 1),
-     ("-0x1.4fd6cbc394a13p+15", "-0x1.d26bc425b8ef5p+1", 1000,
-      "cf4c90bc28c3f9ca")),
+     ("-0x1.8cb1d018448c0p+15", "-0x1.7d0ac40f8a4f0p+1", 1000,
+      "676502f1fdf8eeb6")),
     (("eq1.4-chain", {"alpha": 0.2}, 2, 1000, 2),
-     ("-0x1.1e9d1fbfcc748p+18", "-0x1.efbc73dd5266ap-4", 1000,
-      "26e3ecad2e543fef")),
+     ("-0x1.05736a7644730p+17", "-0x1.14fd8002d3ba4p-3", 1000,
+      "97e81e5b63156fc8")),
     (("eq1.4-chain", {"alpha": 0.5}, 3, 300, 3),
-     ("0x1.3cf216fef2800p-11", "0x1.08682804ae21fp-11", 300,
-      "910b801f35978d81")),
+     ("0x1.391c5c0389400p-11", "0x1.6d7ebc15f3e3cp-12", 300,
+      "edeccc3e66113aed")),
     (("eq1.2", {"nu": 0.3, "alpha": 0.5}, 2, 1000, 4),
-     ("0x1.9baeedd000000p-28", "0x1.6e4b241821f55p-28", 1000,
-      "b8430d31a6398f48")),
+     ("0x1.0a53bee880000p-23", "0x1.fd4e8107ed73cp-24", 1000,
+      "009f55c43e49b93a")),
 ]
 
 
@@ -676,6 +694,40 @@ def test_fuzz_findings_unchanged(config, expected):
     got, f = golden_of(config)
     assert got == expected
     assert f.violation == (f.normalized_margin < -iq.DEFAULT_TOLERANCE)
+
+
+def test_fuzz_draws_no_unitary(monkeypatch):
+    # margins depend on the frame point only, so the restarts are frame
+    # points and the witness is the frame itself: no QR anywhere, and A
+    # and B diagonal
+    def refuse(*args, **kwargs):
+        raise AssertionError("fuzz drew a unitary")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(linalg, "gaussian_unitary", refuse)
+    monkeypatch.setattr(iq, "gaussian_unitary", refuse)
+    f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 300,
+                np.random.default_rng(0), dim=3)
+    assert f.violation
+    for m in (f.instance.a.matrix, f.instance.b.matrix):
+        assert np.array_equal(m, np.diag(m.diagonal()))
+
+
+def test_fuzz_restarts_are_frame_points(monkeypatch):
+    # a case that draws no parameter leaves the stream to the restarts:
+    # budget 3 is one restart, the point _restart draws
+    scored, score = [], iq._score
+
+    def kept(case, params, z, n):
+        scored.append(z.copy())
+        return score(case, params, z, n)
+
+    monkeypatch.setattr(iq, "_score", kept)
+    for dim in (1, 3):
+        scored.clear()
+        iq.fuzz(iq.get_case("eq1.4-alpha-mono"), {}, 3,
+                np.random.default_rng(dim), dim=dim)
+        assert scored[0].tobytes() == _restart(dim, seed=dim)[None].tobytes()
 
 
 def test_fuzz_scores_frames_not_matrices(monkeypatch):
@@ -753,7 +805,7 @@ def test_direction_table_moves_equal_tiled_moves(dim):
     assert dirs.shape == (2 * m, m)
     for step in (0.5, 0.375, 2.0 ** -20):
         for count in (2 * m, 2 * m - 3, 1):
-            got = [c for c, in iq._moves(z, step, dirs, count, dim)]
+            got = list(iq._moves(z, step, dirs, count, dim))
             want = list(_tiled_moves(z, step, count, scale, dim))
             assert [len(c) for c in got] == [len(c) for c in want]
             for g, w in zip(got, want):
@@ -762,12 +814,11 @@ def test_direction_table_moves_equal_tiled_moves(dim):
 
 def _restart(dim, seed):
     """The frame point z of one random restart drawn as the fuzzer
-    draws."""
+    draws: the logs of a and b, then Xt."""
     rng = np.random.default_rng(seed)
-    ea, ua = random_spectra(dim, rng, iq.FUZZ_CONDITION_RANGE, 1)
-    eb, ub = random_spectra(dim, rng, iq.FUZZ_CONDITION_RANGE, 1)
-    x = random_complex(dim, rng, 1)
-    return iq._pack(ea, eb, iq.adjoint(ua) @ x @ ub)[0]
+    logs = iq.uniform(rng, *log_range(iq.FUZZ_CONDITION_RANGE), 2 * dim)
+    xt = random_complex(dim, rng).reshape(-1)
+    return np.concatenate([logs, xt.real, xt.imag])
 
 
 def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
@@ -860,9 +911,9 @@ def test_sweep_across_blocks_accepts_the_first_global_best(
                 dim=8)
     assert sizes == [144, 256, 32]
     assert f.evaluations == 432
-    (_, _, _, ua, ub), (raw, normalized, z) = found
+    _, (raw, normalized, z) = found
     assert (raw, normalized) == accepted
-    assert lands_at(f.instance, z, ua, ub)
+    assert lands_at(f.instance, z)
 
 
 # The fuzz workload's probes: out-of-range parameters for which a
