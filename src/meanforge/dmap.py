@@ -16,13 +16,14 @@ that broadcast against the d grid of a frame stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .errors import BadIntervalError, PoleError, UnknownParameterError
-from .linalg import (Frame, HpdMatrix, frame_apply, random_complex,
+from .errors import (BadIntervalError, DimMismatchError, PoleError,
+                     UnknownParameterError)
+from .linalg import (Frame, HpdMatrix, adjoint, frame_apply, random_complex,
                      svd_values)
 # ky_fan is looked up here by benchmarks/tracer.py.
 from .norms import ky_fan  # noqa: F401
@@ -77,7 +78,11 @@ def heinz_average(d, lo, hi):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A scalar function of the d variable: kernel kind plus parameters."""
+    """A scalar function of the d variable: kernel kind plus parameters,
+    numbers or per-sample arrays.  Construction only validates: the kind,
+    the parameter names, that every parameter is finite (``math.isfinite``
+    when all are scalars, else one numpy call over them broadcast
+    together) and, for ``heinzAverage``, lo < hi."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -90,18 +95,34 @@ class KernelSpec:
             raise UnknownParameterError(
                 f"kernel {self.kind} takes {', '.join(names) or 'none'}; "
                 f"got {', '.join(self.params) or 'none'}")
-        for key, value in self.params.items():
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"non-finite kernel parameter {key}={value}")
+        values = self.params.values()
+        if _all_scalars(values):
+            finite = list(map(math.isfinite, values))
+        else:
+            finite = np.isfinite(np.broadcast_arrays(*values)).reshape(
+                len(values), -1).all(axis=1)
+        if not all(finite):
+            key = next(k for k, ok in zip(self.params, finite) if not ok)
+            raise ValueError(
+                f"non-finite kernel parameter {key}={self.params[key]}")
         if self.kind == "heinzAverage":
             lo, hi = self.params["lo"], self.params["hi"]
             if not np.all(np.less(lo, hi)):
                 raise BadIntervalError(f"need lo < hi, got [{lo}, {hi}]")
 
 
+_SCALARS = (int, float, np.integer, np.floating)
+
+
+def _all_scalars(values) -> bool:
+    return all(isinstance(v, _SCALARS) for v in values)
+
+
 def kernel_eval(spec: KernelSpec, d):
     """Evaluate the kernel at d (scalar or array), removable
-    singularities filled in."""
+    singularities filled in.  Array parameters broadcast against d; a
+    rational family evaluates all its exponential terms in one pass over
+    a (terms, ...) stack."""
     d = np.asarray(d, dtype=float)
     kind, p = spec.kind, spec.params
 
@@ -121,24 +142,48 @@ def kernel_eval(spec: KernelSpec, d):
     sinh, combo = RATIONAL_FAMILIES[kind]
     if combo:
         alpha, beta = p["alpha"], p["beta"]
-        num = [(alpha, p["r"]), (1.0 - alpha, p["rp"])]
-        den = [(beta, p["s1"]), (1.0 - beta, p["s2"])]
+        exponents = (p["r"], p["rp"], p["s1"], p["s2"])
+        num = (alpha, 1.0 - alpha)
+        den = (beta, 1.0 - beta)
     else:
         t = p["t"]
-        num = [(1.0 + t, p["r"])]
-        den = [(1.0, p["s1"]), (t, p["s2"])]
+        exponents = (p["r"], p["s1"], p["s2"])
+        num = (1.0 + t,)
+        den = (1.0, t)
     if sinh:
         # (1+t) sinh(r d) / (r (sinh(s1 d) + t sinh(s2 d))) and likewise
-        den = [(c * e, e) for c, e in den]
+        den = tuple(c * e for c, e in zip(den, exponents[len(num):]))
     term = _sinch_scaled if sinh else _cosh_scaled
 
-    m = np.abs(d) * reduce(np.maximum, [np.abs(e) for _, e in num + den])
-    num, den = (sum(c * term(e * d, m) for c, e in side)
-                for side in (num, den))
+    e, top = _exponent_stack(exponents, d)
+    terms = term(e * d, np.abs(d) * top)
+    num, den = (_weighted(side, terms[start:])
+                for side, start in ((num, 0), (den, len(num))))
     scale = np.maximum(np.abs(num), 1.0)
-    if np.any(np.abs(den) <= _POLE_EPS * scale):
+    if (np.abs(den) <= _POLE_EPS * scale).any():
         raise PoleError(f"kernel {kind} denominator vanishes")
     return num / den
+
+
+def _exponent_stack(exponents, d) -> tuple:
+    """Exponents, numbers or arrays that broadcast against d, stacked on
+    a new leading axis that stays leading when broadcast against d, and
+    their largest modulus."""
+    if _all_scalars(exponents):
+        return (np.array(exponents).reshape((-1,) + (1,) * d.ndim),
+                max(map(abs, exponents)))
+    stack = np.array(np.broadcast_arrays(*exponents))
+    ones = (1,) * (d.ndim + 1 - stack.ndim)
+    stack = stack.reshape(stack.shape[:1] + ones + stack.shape[1:])
+    return stack, np.abs(stack).max(axis=0)
+
+
+def _weighted(coefficients, terms):
+    """c0 T0 + c1 T1 + ..., added in that order."""
+    total = coefficients[0] * terms[0]
+    for c, term in zip(coefficients[1:], terms[1:]):
+        total = total + c * term
+    return total
 
 
 def _cosh_scaled(x, m):
@@ -211,18 +256,28 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
 
     Returns (max_ratio, worst_x) where max_ratio is the maximum over
     random T and Ky Fan orders of ky_fan(f(D)T, k) / ky_fan(T, k); orders
-    where ky_fan(T, k) is 0 are skipped.  All sample_count draws of X
-    are evaluated as one stack.  A grid that overflows is not warned
-    about: its NaN singular values make max_ratio NaN.
+    where ky_fan(T, k) is 0 are skipped.  The sample_count draws are of
+    Xt, X in the joint eigenframe of (A, B): a standard complex Gaussian,
+    as U_A* X U_B is for a Gaussian X, and Ky Fan norms do not see the
+    rotation.  The kernel grid K of the frame's d is evaluated once, and
+    [K, 1] times the scaled Xt stack goes through one singular value
+    call; only the worst sample is rotated back, to X = U_A Xt U_B*.  A
+    grid that overflows is not warned about: its NaN singular values make
+    max_ratio NaN.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    xs = random_complex(a.dim, rng, sample_count)
-    frame = Frame.of(a, xs, b)
-    base = frame.scaled()
-    mapped = kernel_eval(spec, frame.d) * base
-    fans = np.cumsum(svd_values(np.array([mapped, base])), axis=-1)
+    if a.dim != b.dim:
+        raise DimMismatchError(f"dims A={a.dim}, B={b.dim} do not match")
+    xt = random_complex(a.dim, rng, sample_count)
+    frame = Frame(a.eigenvalues, b.eigenvalues, xt)
+    kernel = kernel_eval(spec, frame.d)
+    grids = np.array([kernel, np.ones_like(kernel)])[:, None]
+    fans = np.cumsum(svd_values(grids * frame.scaled()), axis=-1)
     ratios = np.where(fans[1] == 0.0, -np.inf, fans[0] / fans[1])
     worst = np.unravel_index(np.argmax(ratios), ratios.shape)
     max_ratio = float(ratios[worst])
-    return max_ratio, (xs[worst[0]] if max_ratio > -np.inf else None)
+    if not max_ratio > -np.inf:  # NaN or no order to compare
+        return max_ratio, None
+    return max_ratio, (a.eigenvectors @ xt[worst[0]]
+                       @ adjoint(b.eigenvectors))

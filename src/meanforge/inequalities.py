@@ -147,17 +147,30 @@ def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
              override: bool = False) -> list[np.ndarray]:
     """Per-comparison, per-Ky-Fan-order margins for one instance.  The
-    params must name every parameter that the case's sampler draws."""
-    missing = sorted(set(case.sampler(np.random.default_rng(0))) - set(params))
+    params must name every parameter that the case's sampler draws, and
+    no other."""
+    taken = case.sampler(np.random.default_rng(0))
+    missing = sorted(set(taken) - set(params))
     if missing:
         raise UnknownParameterError(
             f"{case.id} needs parameter {', '.join(missing)}")
+    _refuse_unknown(case, taken, params)
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
     frame = Frame.of(inst.a, inst.x, inst.b)
     with np.errstate(**_QUIET):
         return list(_margins(case, frame, params)[0])
+
+
+def _refuse_unknown(case: InequalityCase, taken, given):
+    """UnknownParameterError naming every name in ``given`` that is not
+    in ``taken``, the names the case's sampler draws."""
+    unknown = sorted(set(given) - set(taken))
+    if unknown:
+        raise UnknownParameterError(
+            f"{case.id} has no parameter {', '.join(unknown)}; "
+            f"it takes {', '.join(sorted(taken)) or 'none'}")
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +810,7 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     if budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf:
         raise ValueError("need budget, dim >= 1 and a finite tolerance >= 0")
     params = dict(case.sampler(rng))
-    unknown = sorted(set(overrides) - set(params))
-    if unknown:
-        raise UnknownParameterError(
-            f"{case.id} has no parameter {', '.join(unknown)}; "
-            f"it takes {', '.join(sorted(params)) or 'none'}")
+    _refuse_unknown(case, params, overrides)
     params.update(overrides)
 
     n_random = max(1, budget // 3)

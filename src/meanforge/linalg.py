@@ -161,8 +161,9 @@ class HpdMatrix:
     def from_spectrum(cls, eigenvalues, eigenvectors) -> "HpdMatrix":
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(eigenvectors, dtype=complex)
-        if np.any(w <= 0.0):
-            raise ValueError("eigenvalues must be strictly positive")
+        if not ((w > 0.0) & (w < np.inf)).all():
+            raise ValueError("eigenvalues must be finite and strictly "
+                             "positive")
         order = np.argsort(-w, kind="stable")
         return cls(eigenvalues=w[order], eigenvectors=v[:, order])
 

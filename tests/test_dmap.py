@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from meanforge.dmap import (DMap, KernelSpec, contractivity_check,
                             kernel_eval, kernel_in_hypothesis)
 from meanforge.errors import (BadIntervalError, DimMismatchError,
                               PoleError, UnknownParameterError)
-from meanforge.linalg import random_complex, random_hpd
+from meanforge.linalg import (Frame, HpdMatrix, random_complex, random_hpd,
+                              svd_values)
 
 import product_oracle as oracle
 
@@ -75,6 +78,63 @@ def test_kernel_spec_checks_parameter_names():
         KernelSpec(kind, iq.get_case(case_id).sampler(rng))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_spec_names_a_non_finite_sample(bad):
+    s2 = np.array([0.25, 0.5, bad, 0.75])[:, None, None]
+    params = {"r": 0.25, "s1": np.full((4, 1, 1), 1.0), "s2": s2, "t": 1.0}
+    with pytest.raises(ValueError, match=r"parameter s2="):
+        KernelSpec("coshRatioT", params)
+    # the first bad parameter in the spec's order is named
+    with pytest.raises(ValueError, match=r"parameter r="):
+        KernelSpec("coshRatioT", {**params, "r": np.float64(bad)})
+    with pytest.raises(ValueError, match=r"parameter t="):
+        KernelSpec("coshRatioT", {**params, "s2": 0.5, "t": bad})
+    # and among numbers only
+    with pytest.raises(ValueError, match=r"parameter s1="):
+        KernelSpec("coshRatioT", {"r": 0.25, "s1": bad, "s2": 0.5, "t": bad})
+
+
+def _termwise(spec, d):
+    """The rational kernels one exponential term at a time: the sums
+    0 + c0 T0 + c1 T1 over e^-m scaled terms, m the largest |e d|."""
+    sinh, combo = dmap.RATIONAL_FAMILIES[spec.kind]
+    p = spec.params
+    if combo:
+        num = [(p["alpha"], p["r"]), (1.0 - p["alpha"], p["rp"])]
+        den = [(p["beta"], p["s1"]), (1.0 - p["beta"], p["s2"])]
+    else:
+        num = [(1.0 + p["t"], p["r"])]
+        den = [(1.0, p["s1"]), (p["t"], p["s2"])]
+    if sinh:
+        den = [(c * e, e) for c, e in den]
+    term = dmap._sinch_scaled if sinh else dmap._cosh_scaled
+    d = np.asarray(d, dtype=float)
+    m = np.abs(d) * reduce(np.maximum, [np.abs(e) for _, e in num + den])
+    num, den = (sum(c * term(e * d, m) for c, e in side)
+                for side in (num, den))
+    return num / den
+
+
+@pytest.mark.parametrize("case_id", sorted(iq._PROP_KINDS))
+def test_rational_kernels_match_termwise_reference(case_id):
+    kind, sampler = iq._PROP_KINDS[case_id], iq.get_case(case_id).sampler
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        # numbers on one (4, 4) grid, with d = 0 on its diagonal
+        spec = KernelSpec(kind, sampler(rng))
+        d = rng.normal(scale=3.0, size=(4, 4))
+        np.fill_diagonal(d, 0.0)
+        assert np.array_equal(kernel_eval(spec, d), _termwise(spec, d))
+        assert np.array_equal(kernel_eval(spec, 0.0), _termwise(spec, 0.0))
+        # per-sample (5, 1, 1) arrays on a (5, 3, 3) stack
+        draws = [sampler(rng) for _ in range(5)]
+        spec = KernelSpec(kind, {k: np.array([p[k] for p in draws])[
+            :, None, None] for k in draws[0]})
+        d = rng.normal(scale=3.0, size=(5, 3, 3))
+        d[:, 1, 1] = 0.0
+        assert np.array_equal(kernel_eval(spec, d), _termwise(spec, d))
+
+
 def test_heinz_average_spec_needs_lo_below_hi():
     # as heinz_nu_average does; per-sample arrays are checked entrywise
     for lo, hi in [(0.6, 0.4), (0.5, 0.5), (0.2, np.array([0.3, 0.1]))]:
@@ -93,7 +153,6 @@ def test_identity_kernel_gives_base():
 
 
 def test_cosh_kernel_matches_heinz_scalar():
-    from meanforge.linalg import HpdMatrix
     a = HpdMatrix.from_matrix(np.array([[4.0]], dtype=complex))
     b = HpdMatrix.from_matrix(np.array([[1.0]], dtype=complex))
     x = np.array([[1.0 + 0j]])
@@ -147,10 +206,14 @@ def test_apply_kernel_dim_mismatch():
     with pytest.raises(DimMismatchError):
         DMap(random_hpd(2, rng), random_hpd(2, rng)).apply(
             KernelSpec("sinch"), random_complex(3, rng))
+    with pytest.raises(DimMismatchError):
+        contractivity_check(KernelSpec("sinch"), random_hpd(2, rng),
+                            random_hpd(3, rng), 5, rng)
 
 
 def test_contractivity_matches_one_sample_at_a_time():
-    # the stacked check reproduces the per-sample, per-order Ky Fan loop
+    # the stacked check reproduces the per-sample, per-order Ky Fan loop;
+    # its draws are Xt, so the loop rotates each back to X = U_A Xt U_B*
     rng = np.random.default_rng(9)
     a, b = random_hpd(3, rng), random_hpd(3, rng)
     spec = KernelSpec("coshComboRatio", {"r": 0.2, "rp": -0.3, "s1": 0.9,
@@ -161,13 +224,36 @@ def test_contractivity_matches_one_sample_at_a_time():
     frame = DMap(a, b)
     ratios = []
     for _ in range(6):
-        x = random_complex(3, replay)
+        xt = random_complex(3, replay)
+        x = a.eigenvectors @ xt @ b.eigenvectors.conj().T
         mapped, base = frame.apply(spec, x), oracle.geo(a, x, b)
         ratios += [(oracle_fan(mapped, k) / oracle_fan(base, k), x)
                    for k in (1, 2, 3)]
     want, want_x = max(ratios, key=lambda r: r[0])
     assert ratio == pytest.approx(want, rel=1e-12)
     assert np.array_equal(worst, want_x)
+
+
+def test_contractivity_rotates_no_sample(monkeypatch):
+    # the samples are scored in the frame; only the worst is rotated back,
+    # and its own frame gives the reported ratio again
+    rng = np.random.default_rng(10)
+    a, b = random_hpd(4, rng), random_hpd(4, rng)
+    spec = KernelSpec("sinhComboRatio", {"r": 0.9, "rp": -1.2, "s1": 2.1,
+                                         "s2": 0.4, "alpha": 0.3,
+                                         "beta": 0.8})
+
+    def no_rotation(*args):
+        raise AssertionError("a sample was rotated into the frame")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Frame, "of", no_rotation)
+        ratio, worst = contractivity_check(spec, a, b, 50, rng)
+    frame = Frame.of(a, worst, b)
+    base = frame.scaled()
+    mapped = kernel_eval(spec, frame.d) * base
+    fans = np.cumsum(svd_values(np.array([mapped, base])), axis=-1)
+    assert ratio == pytest.approx(np.max(fans[0] / fans[1]), rel=1e-12)
 
 
 def oracle_fan(m, k):
@@ -181,6 +267,15 @@ def test_contractivity_identity_kernel():
         KernelSpec("constant", {"value": 1.0}), a, b, 20, rng)
     assert ratio == pytest.approx(1.0, abs=1e-10)
     assert worst is not None
+
+
+def test_contractivity_overflow_has_no_worst_sample():
+    # cosh(800 d) overflows the grid off the diagonal: NaN, and no witness
+    a = HpdMatrix.from_spectrum([np.e ** 2, 1.0], np.eye(2))
+    ratio, worst = contractivity_check(
+        KernelSpec("coshScaled", {"c": 800.0}), a, a, 5,
+        np.random.default_rng(0))
+    assert np.isnan(ratio) and worst is None
 
 
 def test_contractivity_degenerate_ratio():

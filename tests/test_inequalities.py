@@ -91,6 +91,22 @@ def test_evaluate_names_missing_parameters(cid, params, missing):
             iq.evaluate(iq.get_case(cid), inst, params, override=override)
 
 
+@pytest.mark.parametrize("cid, params, unknown", [
+    ("eq1.2", {"nu": 0.3, "alpha": 0.7, "nuu": 0.1}, "nuu"),
+    ("eq1.4-alpha-mono", {"alpha": 0.1}, "alpha"),
+    ("eq1.2", {"nu": 0.1, "alpha": 0.5, "nuu": 0.1, "beta": 1.0},
+     "beta, nuu"),
+], ids=["eq1.2-typo", "eq1.4-alpha-mono-takes-none", "eq1.2-out-of-range"])
+def test_evaluate_refuses_unknown_parameters(cid, params, unknown):
+    # as fuzz does, and before the range check: the last set is also out
+    # of range
+    inst = iq.make_instance(1, 0, 2, 0)[0]
+    for override in (False, True):
+        with pytest.raises(UnknownParameterError,
+                           match=f"no parameter {unknown};"):
+            iq.evaluate(iq.get_case(cid), inst, params, override=override)
+
+
 def test_out_of_range_raises_without_override():
     inst = scalar_instance(4.0, 1.0, 1.0)
     case = iq.get_case("eq1.2")

@@ -227,6 +227,12 @@ def test_eig_of_power_is_powered_spectrum():
     assert np.allclose(w, expected, rtol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_from_spectrum_needs_finite_positive_eigenvalues(bad):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        HpdMatrix.from_spectrum([bad, 1.0], np.eye(2))
+
+
 def test_from_spectrum_sorts_descending_keeping_tie_order():
     rng = np.random.default_rng(3)
     w = np.array([1.0, 3.0, 2.0, 3.0, 0.5, 2.0])
