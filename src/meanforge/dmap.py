@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadIntervalError, DimMismatchError, PoleError,
-                     UnknownParameterError)
+from .errors import (BadIntervalError, DimMismatchError,
+                     NumericalFailureError, PoleError, UnknownParameterError)
 from .linalg import (Frame, HpdMatrix, adjoint, frame_apply, random_complex,
                      svd_values)
 # ky_fan is looked up here by benchmarks/tracer.py.
@@ -263,7 +263,8 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     [K, 1] times the scaled Xt stack goes through one singular value
     call; only the worst sample is rotated back, to X = U_A Xt U_B*.  A
     grid that overflows is not warned about: its NaN singular values make
-    max_ratio NaN.
+    the ratio NaN, and a max_ratio that is not finite raises
+    NumericalFailureError, so the ratio returned is always finite.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -277,7 +278,7 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     ratios = np.where(fans[1] == 0.0, -np.inf, fans[0] / fans[1])
     worst = np.unravel_index(np.argmax(ratios), ratios.shape)
     max_ratio = float(ratios[worst])
-    if not max_ratio > -np.inf:  # NaN or no order to compare
-        return max_ratio, None
+    if not math.isfinite(max_ratio):  # -inf: no order to compare
+        raise NumericalFailureError(f"maxRatio {max_ratio} is not finite")
     return max_ratio, (a.eigenvectors @ xt[worst[0]]
                        @ adjoint(b.eigenvectors))

@@ -40,3 +40,7 @@ class UnknownCaseError(MeanforgeError):
 class UnknownParameterError(MeanforgeError):
     """Parameter name that a case or kernel does not take, or a kernel
     parameter left out."""
+
+
+class NumericalFailureError(MeanforgeError):
+    """A verdict that came out NaN or infinite: no finding to report."""

@@ -25,8 +25,9 @@ import numpy as np
 
 from .dmap import (RATIONAL_FAMILIES, KernelSpec, heinz_average,
                    kernel_eval, kernel_in_hypothesis, sinch)
-from .errors import (DimMismatchError, RangeViolationError,
-                     UnknownCaseError, UnknownParameterError)
+from .errors import (DimMismatchError, NumericalFailureError,
+                     RangeViolationError, UnknownCaseError,
+                     UnknownParameterError)
 from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, adjoint,
                      complex_gaussian, gaussian_unitary, log_range,
                      random_complex, random_hpd, spawned_streams,
@@ -705,9 +706,10 @@ def run_suite(dims, samples: int, seed: int,
 @dataclass
 class FuzzFinding:
     """What ``fuzz`` found: the parameters it ran with, the worst raw and
-    normalized margins of the witness ``instance``, the best frame point
-    as A = diag(a), B = diag(b) and X = Xt, whether the normalized margin
-    is below -tolerance, and the evaluations it spent."""
+    normalized margins of the witness ``instance``, both finite, the best
+    frame point as A = diag(a), B = diag(b) and X = Xt, whether the
+    normalized margin is below -tolerance, and the evaluations it
+    spent."""
     case_id: str
     params: dict
     margin: float
@@ -800,15 +802,20 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     lowest rank starts the descent: each sweep moves z by +-step along
     each of its coordinates in turn, scaled by max(1, max |Xt_ij|) for
     Xt, and takes the first lowest-ranked of these 2 len(z) moves if it
-    lowers the raw margin, else halves the step.  Restarts and moves
+    ranks below the best by more than 1e-15, else halves the step.  A
+    NaN or infinite margin ranks as +inf, so it never replaces a finite
+    best, and a finite move always replaces a NaN one.  Restarts and moves
     alike are scored as frame stacks of up to CELL_BLOCK points, and the
     last sweep is cut so that the evaluations never exceed the budget.
     The witness is the frame itself, A = diag(a), B = diag(b) and
     X = Xt; its margins are scored once more as ``evaluate`` scores it
     (not counted as an evaluation), so that a replay gives the finding's
-    bits."""
-    if budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf:
-        raise ValueError("need budget, dim >= 1 and a finite tolerance >= 0")
+    bits.  If those margins are not finite, there is no finding:
+    NumericalFailureError."""
+    if (budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf
+            or not all(map(np.isfinite, overrides.values()))):
+        raise ValueError("need budget, dim >= 1, a finite tolerance >= 0 "
+                         "and finite overrides")
     params = dict(case.sampler(rng))
     _refuse_unknown(case, params, overrides)
     params.update(overrides)
@@ -823,6 +830,7 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
             yield np.concatenate([ab, xt.real, xt.imag], axis=1)
 
     raw, _, z = _lowest(case, params, dim, restarts())
+    best = _rank(raw)
     evals = n_random
 
     x_scale = max(1.0, float(np.max(np.abs(_unpack(z, dim)[2]))))
@@ -833,9 +841,8 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
         evals += count
         cand_raw, _, cand = _lowest(case, params, dim,
                                     _moves(z, step, dirs, count, dim))
-        # against the rank, so any finite candidate beats a NaN
-        if cand_raw < _rank(raw) - 1e-15:
-            raw, z = cand_raw, cand
+        if (cand_rank := _rank(cand_raw)) < best - 1e-15:
+            best, z = cand_rank, cand
         else:
             step *= 0.5
 
@@ -843,7 +850,9 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     eye = np.eye(dim)
     inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(la), eye),
                           HpdMatrix.from_spectrum(np.exp(lb), eye), xt)
-    raw, normalized = _instance_margin(
-        case, Frame.of(inst.a, inst.x, inst.b), params)
-    return FuzzFinding(case.id, params, float(raw), float(normalized),
-                       bool(normalized < -tolerance), inst, evals)
+    raw, normalized = map(float, _instance_margin(
+        case, Frame.of(inst.a, inst.x, inst.b), params))
+    if not np.isfinite([raw, normalized]).all():
+        raise NumericalFailureError("the worst margin is not finite")
+    return FuzzFinding(case.id, params, raw, normalized,
+                       normalized < -tolerance, inst, evals)

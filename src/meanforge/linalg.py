@@ -161,7 +161,7 @@ class HpdMatrix:
     def from_spectrum(cls, eigenvalues, eigenvectors) -> "HpdMatrix":
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(eigenvectors, dtype=complex)
-        if not ((w > 0.0) & (w < np.inf)).all():
+        if not 0.0 < w.min() <= w.max() < np.inf:  # False for a NaN
             raise ValueError("eigenvalues must be finite and strictly "
                              "positive")
         order = np.argsort(-w, kind="stable")
@@ -247,8 +247,9 @@ def gaussian_unitary(g: np.ndarray) -> np.ndarray:
     """
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = d / np.where(np.abs(d) == 0.0, 1.0, np.abs(d))
-    return q * phases.conj()[..., None, :]
+    size = np.abs(d)
+    q *= (d / np.where(size == 0.0, 1.0, size)).conj()[..., None, :]
+    return q
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -357,8 +358,13 @@ def spawned_streams(seed: int, keys) -> list[np.random.Generator]:
 
 def complex_gaussian(g: np.ndarray) -> np.ndarray:
     """Standard complex Gaussian matrices from real standard normal
-    pairs g[..., 0, :, :] (real parts) and g[..., 1, :, :] (imaginary)."""
-    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    pairs g[..., 0, :, :] (real parts) and g[..., 1, :, :] (imaginary),
+    written into one array and scaled in place: the bits of
+    (g0 + 1j g1) / sqrt(2) for nonzero g0 and g1."""
+    z = np.empty(g[..., 0, :, :].shape, complex)
+    z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
+    z /= np.sqrt(2.0)
+    return z
 
 
 def random_complex(dim: int, rng: np.random.Generator,

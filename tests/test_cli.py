@@ -164,6 +164,13 @@ def test_process_exit_status(argv, code, tmp_path):
     assert "DLASCL" not in proc.stdout
 
 
+def test_fuzz_numerical_failure_writes_no_witness(tmp_path):
+    # a witness without a finite margin is no finding: nothing to write
+    out = tmp_path / "w.json"
+    assert cli.main(FUZZ_EQ11_POLE + ["--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):
     from test_inequalities import nan_first_step
     monkeypatch.setitem(iq.REGISTRY, "eq1.2",

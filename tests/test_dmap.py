@@ -7,7 +7,8 @@ from meanforge import dmap, inequalities as iq
 from meanforge.dmap import (DMap, KernelSpec, contractivity_check,
                             kernel_eval, kernel_in_hypothesis)
 from meanforge.errors import (BadIntervalError, DimMismatchError,
-                              PoleError, UnknownParameterError)
+                              NumericalFailureError, PoleError,
+                              UnknownParameterError)
 from meanforge.linalg import (Frame, HpdMatrix, random_complex, random_hpd,
                               svd_values)
 
@@ -270,12 +271,12 @@ def test_contractivity_identity_kernel():
 
 
 def test_contractivity_overflow_has_no_worst_sample():
-    # cosh(800 d) overflows the grid off the diagonal: NaN, and no witness
+    # cosh(800 d) overflows the grid off the diagonal: a NaN maxRatio is
+    # no verdict, so there is neither a ratio nor a witness to return
     a = HpdMatrix.from_spectrum([np.e ** 2, 1.0], np.eye(2))
-    ratio, worst = contractivity_check(
-        KernelSpec("coshScaled", {"c": 800.0}), a, a, 5,
-        np.random.default_rng(0))
-    assert np.isnan(ratio) and worst is None
+    with pytest.raises(NumericalFailureError):
+        contractivity_check(KernelSpec("coshScaled", {"c": 800.0}), a, a, 5,
+                            np.random.default_rng(0))
 
 
 def test_contractivity_degenerate_ratio():

@@ -9,8 +9,8 @@ import pytest
 
 from meanforge import inequalities as iq
 from meanforge import linalg
-from meanforge.errors import (RangeViolationError, UnknownCaseError,
-                              UnknownParameterError)
+from meanforge.errors import (NumericalFailureError, RangeViolationError,
+                              UnknownCaseError, UnknownParameterError)
 from meanforge.linalg import (Frame, HpdMatrix, log_range, random_complex,
                               random_hpd)
 from meanforge.means import heron_kernel, p_sum_kernel
@@ -554,12 +554,33 @@ def test_fuzz_rejects_unknown_parameter():
     {"dim": 0},
     {"tolerance": float("nan")},  # would pass a raw margin of -8.79
     {"tolerance": -1.0},
-], ids=["budget-0", "dim-0", "nan-tolerance", "negative-tolerance"])
+    # would spend its budget on NaN margins
+    {"overrides": {"nu": float("nan"), "alpha": 0.5}},
+], ids=["budget-0", "dim-0", "nan-tolerance", "negative-tolerance",
+        "nan-override"])
 def test_fuzz_rejects_degenerate_input(kwargs):
-    run = {"budget": 30, "dim": 1, **kwargs}
+    run = {"overrides": {"nu": 0.1, "alpha": 0.5}, "budget": 30, "dim": 1,
+           **kwargs}
     with pytest.raises(ValueError):
-        iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5},
-                rng=np.random.default_rng(0), **run)
+        iq.fuzz(iq.get_case("eq1.2"), rng=np.random.default_rng(0), **run)
+
+
+# (case, overrides, budget, dim) whose witness has no finite margin, at
+# seed 0: the inputs of FUZZ_EQ11_POLE, FUZZ_NU_800 with budget 3 and
+# FUZZ_EQ213_POLE in test_cli.py
+NON_FINITE_FUZZ = {
+    "eq1.1-pole": ("eq1.1", {"t": -2.0}, 12, 2),
+    "eq1.2-nu-800": ("eq1.2", {"nu": 800.0, "alpha": 0.5}, 3, 1),
+    "eq2.13-pole": ("eq2.13", {"p": 0.5, "r": 0.25}, 30, 2),
+}
+
+
+@pytest.mark.parametrize("cid, overrides, budget, dim",
+                         NON_FINITE_FUZZ.values(), ids=list(NON_FINITE_FUZZ))
+def test_fuzz_non_finite_witness_raises(cid, overrides, budget, dim):
+    with pytest.raises(NumericalFailureError):
+        iq.fuzz(iq.get_case(cid), overrides, budget,
+                np.random.default_rng(0), dim=dim)
 
 
 def test_fuzz_out_of_range_finds_violation():
@@ -653,6 +674,29 @@ def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
     assert not lands_at(finding.instance, z)
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
+
+
+def test_fuzz_descent_never_takes_an_infinite_move(monkeypatch):
+    # every move of the first sweep scores -inf, which ranks as +inf: the
+    # sweep only halves the step, as one whose moves all score +inf does
+    def finding(value):
+        def first_sweep(call, raw, normalized):
+            if call == 1:
+                raw[:] = normalized[:] = value
+
+        with monkeypatch.context() as m:
+            sizes = hook_stacks(m, first_sweep)
+            f = iq.fuzz(iq.get_case("eq1.3"), {}, 30,
+                        np.random.default_rng(1))
+        # one finite restart stack, then the sweeps
+        assert sizes[0] == 10 and len(sizes) > 1
+        assert np.isfinite(f.margin)
+        return f
+
+    low, high = finding(-np.inf), finding(np.inf)
+    assert (low.margin, low.normalized_margin, low.evaluations) == (
+        high.margin, high.normalized_margin, high.evaluations)
+    assert np.array_equal(low.instance.x, high.instance.x)
 
 
 # Findings of the eigenframe fuzzer: (case, overrides, dim, budget, seed)
