@@ -262,8 +262,9 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     rotation.  The kernel grid K of the frame's d is evaluated once, and
     [K, 1] times the scaled Xt stack goes through one singular value
     call; only the worst sample is rotated back, to X = U_A Xt U_B*.  A
-    grid that overflows is not warned about: its NaN singular values make
-    the ratio NaN, and a max_ratio that is not finite raises
+    grid that overflows is not warned about: its NaN singular values,
+    like those svd_values gives a stack whose SVD fails to converge,
+    make the ratio NaN, and a max_ratio that is not finite raises
     NumericalFailureError, so the ratio returned is always finite.
     """
     if sample_count < 1:

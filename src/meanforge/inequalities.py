@@ -127,22 +127,24 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     return np.concatenate(margins), np.concatenate(scales)
 
 
-_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
-
-
 def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
-    """step_margins of a case's steps on a frame, whose Xt is scaled to
-    the case's degree; NaN if an SVD fails.  Callers hold
-    ``np.errstate(**_QUIET)``: overflow, division by zero and an inf
-    over an inf are not warned about, as they count or rank NaN and
-    inf."""
-    grids, steps = case.builder(frame.d, params)
-    try:
-        return step_margins(grids, steps, frame.scaled(params.get("p")))
-    except np.linalg.LinAlgError:
-        count = sum(len(step.rhs[0][1]) for step in steps)
-        nan = np.full((count, *np.shape(frame.xt)[:-1]), np.nan)
-        return nan, nan[..., 0]
+    """The verdict stage: (margins, normalized) of a case's steps on a
+    frame, whose Xt is scaled to the case's degree.  margins are those
+    of step_margins; normalized (comparisons, ...) is each comparison's
+    worst margin over its scale.  Overflow, division by zero and an inf
+    over an inf are not warned about: like an SVD that fails, which
+    svd_values turns into NaN, they make NaN or inf margins, which the
+    callers count or rank."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        grids, steps = case.builder(frame.d, params)
+        margins, scales = step_margins(grids, steps,
+                                       frame.scaled(params.get("p")))
+        return margins, margins.min(axis=-1) / scales
+
+
+def _rank(raw):
+    """A NaN or infinite margin ranks as +inf, so a finite one beats it."""
+    return np.where(np.isfinite(raw), raw, np.inf)
 
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
@@ -159,9 +161,7 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
-    frame = Frame.of(inst.a, inst.x, inst.b)
-    with np.errstate(**_QUIET):
-        return list(_margins(case, frame, params)[0])
+    return list(_margins(case, Frame.of(inst.a, inst.x, inst.b), params)[0])
 
 
 def _refuse_unknown(case: InequalityCase, taken, given):
@@ -619,25 +619,22 @@ def _run_case_dim(task) -> CaseResult:
     tolerance, dim, samples, frame, params), evaluated as one frame stack
     with per-sample parameters as (samples, 1, 1) arrays.  A cell of at
     most CELL_BLOCK samples is one piece, so this runs once per cell;
-    a larger cell runs it once per piece."""
+    a larger cell runs it once per piece.  The normalized margins of
+    _margins are ranked by _rank: a NaN or inf one ranks as +inf, which
+    counts as a numerical failure, neither a pass nor a violation, and
+    stays out of the minima."""
     # benchmarks/ times this call per cell and reads task[0] and task[2]
     case_id, tolerance, dim, samples, frame, params = task
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
-    with np.errstate(**_QUIET):
-        margins, scales = _margins(REGISTRY[case_id], frame, params)
-        normalized = margins.min(axis=-1) / scales
-    # NaN or infinite margins count as numerical failures, neither a pass
-    # nor a violation, and stay out of the minima
-    finite = np.isfinite(normalized)
-    clean = np.where(finite, normalized, np.inf)
+    clean = _rank(_margins(REGISTRY[case_id], frame, params)[1])
     worst = clean.min(axis=0)
     i = int(np.argmin(worst))
     return CaseResult(case_id, float(worst[i]),
                       int(np.count_nonzero(clean < -tolerance)),
                       [dim, samples[i]] if worst[i] < np.inf else [0, 0],
                       clean.min(axis=1).tolist(),
-                      int(np.count_nonzero(~finite)))
+                      int(np.count_nonzero(clean == np.inf)))
 
 
 def _run_pass(task) -> list[CaseResult]:
@@ -719,21 +716,15 @@ class FuzzFinding:
     evaluations: int
 
 
-@np.errstate(**_QUIET)
 def _instance_margin(case, frame: Frame, params) -> tuple:
     """Worst raw and normalized margins over all steps and Ky Fan orders
-    of a frame: numbers for one instance, arrays for a stack.  A NaN
-    margin makes the worst one NaN."""
-    margins, scales = _margins(case, frame, params)
+    of a frame, the latter read from _margins: numbers for one instance,
+    arrays for a stack.  A NaN margin makes the worst one NaN."""
+    margins, normalized = _margins(case, frame, params)
     raw = margins.min(axis=-1)
     if len(raw) == 1:  # one comparison
-        return raw[0], raw[0] / scales[0]
-    return raw.min(axis=0), (raw / scales).min(axis=0)
-
-
-def _rank(raw):
-    """A NaN or infinite margin ranks as +inf, so a finite one beats it."""
-    return np.where(np.isfinite(raw), raw, np.inf)
+        return raw[0], normalized[0]
+    return raw.min(axis=0), normalized.min(axis=0)
 
 
 def _unpack(z, n: int) -> tuple:

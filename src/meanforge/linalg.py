@@ -57,7 +57,8 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def svd_values(m: np.ndarray) -> np.ndarray:
     """Singular values of a matrix or of each matrix in a stack,
     descending along the last axis; NaN for a matrix with a NaN or inf
-    entry, which LAPACK rejects.
+    entry, which LAPACK rejects, and for every matrix of a stack whose
+    LAPACK call fails to converge.
 
     Taken from the SVD itself, by LAPACK: going through the eigenvalues
     of m* m would square the condition number and lose the small values.
@@ -86,7 +87,10 @@ def svd_values(m: np.ndarray) -> np.ndarray:
 
 
 def _lapack(m):
-    return np.linalg.svd(m, compute_uv=False)
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return np.full((*m.shape[:-2], min(m.shape[-2:])), np.nan)
 
 
 # 0-d arrays: numpy combines them with arrays faster than Python floats

@@ -308,6 +308,13 @@ def test_contractivity_report_only_out_of_hypothesis():
     assert code == 0
 
 
+def test_contractivity_svd_failure_exits_3(monkeypatch):
+    from test_linalg import fail_lapack
+    fail_lapack(monkeypatch)
+    assert cli.main(["contractivity", "--kernel", "sinch", "--dim", "3",
+                     "--samples", "3"]) == 3
+
+
 def test_contractivity_missing_param():
     assert cli.main(["contractivity", "--kernel", "part1",
                      "--set", "r=1"]) == 2

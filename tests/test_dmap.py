@@ -13,6 +13,7 @@ from meanforge.linalg import (Frame, HpdMatrix, random_complex, random_hpd,
                               svd_values)
 
 import product_oracle as oracle
+from test_linalg import fail_lapack
 
 
 def test_sinch_limit():
@@ -277,6 +278,16 @@ def test_contractivity_overflow_has_no_worst_sample():
     with pytest.raises(NumericalFailureError):
         contractivity_check(KernelSpec("coshScaled", {"c": 800.0}), a, a, 5,
                             np.random.default_rng(0))
+
+
+def test_contractivity_svd_failure_raises(monkeypatch):
+    # LAPACK fails on the dim-3 stack: its NaN singular values are no
+    # verdict, as an overflowed grid's are
+    rng = np.random.default_rng(7)
+    a, b = random_hpd(3, rng), random_hpd(3, rng)
+    fail_lapack(monkeypatch)
+    with pytest.raises(NumericalFailureError):
+        contractivity_check(KernelSpec("sinch"), a, b, 5, rng)
 
 
 def test_contractivity_degenerate_ratio():

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from meanforge.means import heron_kernel, p_sum_kernel
 
 from draw_oracle import sample_draws, sample_frame
 from scalar_oracle import oracle_margins
+from test_linalg import fail_lapack
 
 REFERENCE = (Path(__file__).resolve().parents[1] / "benchmarks"
              / "reference_sweep_20240801.json")
@@ -477,9 +479,9 @@ def test_worst_margins_replay_from_their_seeds():
         inst, rng = iq.make_instance(seed, iq.CASE_IDS.index(case.id), dim,
                                      sample)
         params = iq.get_case(case.id).sampler(rng)
-        margins, scales = iq._margins(iq.get_case(case.id),
-                                      Frame.of(inst.a, inst.x, inst.b), params)
-        replayed = min(float(np.min(m)) / s for m, s in zip(margins, scales))
+        _, normalized = iq._margins(iq.get_case(case.id),
+                                    Frame.of(inst.a, inst.x, inst.b), params)
+        replayed = float(np.min(normalized))
         assert replayed == pytest.approx(case.min_margin, abs=1e-13), case.id
 
 
@@ -514,18 +516,26 @@ def test_non_finite_margins_are_counted_not_passed(monkeypatch):
 
 
 def test_svd_failure_counts_its_block(monkeypatch):
-    margins = iq.step_margins
-
-    def fail_at_dim_2(grids, steps, xt=1.0):
-        if np.shape(xt)[-1] == 2:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return margins(grids, steps, xt)
-
-    monkeypatch.setattr(iq, "step_margins", fail_at_dim_2)
-    report = iq.run_suite([1, 2], 4, seed=3, case_ids=["eq1.3", "eq1.2"])
-    # every (step, sample) margin of the dim-2 cells fails; dim 1 is checked
+    # LAPACK fails on every stack it is given: those of the dim-3 cells,
+    # as orders 1 and 2 take the closed forms and never reach it
+    fail_lapack(monkeypatch)
+    report = iq.run_suite([1, 3], 4, seed=3, case_ids=["eq1.3", "eq1.2"])
+    # every (step, sample) margin of the dim-3 cells fails; dim 1 is checked
     assert [c.numerical_failures for c in report.cases] == [2 * 4, 1 * 4]
     assert all(np.isfinite(c.min_margin) for c in report.cases)
+
+
+def test_margins_hold_their_own_error_state():
+    # eq1.2 at nu = 800 overflows cosh in its Heinz kernel: called outside
+    # any np.errstate, _margins warns of nothing, and its normalized
+    # margins are not finite
+    frame = Frame(np.array([4.0, 0.25]), np.array([0.25, 4.0]),
+                  np.eye(2, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, normalized = iq._margins(iq.get_case("eq1.2"), frame,
+                                    {"nu": 800.0, "alpha": 0.5})
+    assert not np.isfinite(normalized).any()
 
 
 def test_report_round_trip():
@@ -1021,12 +1031,11 @@ def test_fuzz_witness_replays_bit_for_bit(cid, overrides):
             f = iq.fuzz(case, dict(overrides), 300,
                         np.random.default_rng(seed), dim=dim)
             replay = iq.evaluate(case, f.instance, f.params, override=True)
-            _, scales = iq._margins(
+            _, normalized = iq._margins(
                 case, Frame.of(f.instance.a, f.instance.x, f.instance.b),
                 f.params)
             raw = min(float(np.min(m)) for m in replay)
-            normalized = min(float(np.min(m) / s)
-                             for m, s in zip(replay, scales))
+            normalized = float(np.min(normalized))
             assert (raw.hex(), normalized.hex()) == (
                 f.margin.hex(), f.normalized_margin.hex()), (dim, seed)
 
@@ -1251,10 +1260,10 @@ def _one_svd_of(monkeypatch, cid, count, comparisons):
     case = iq.get_case(cid)
     params = {k: np.array([p[k] for p in params])[:, None, None]
               for k in params[0]}
-    margins, scales = iq._margins(case, frame, params)
+    margins, normalized = iq._margins(case, frame, params)
     assert calls == [count]
     assert margins.shape == (comparisons, 4, 3)
-    assert scales.shape == (comparisons, 4)
+    assert normalized.shape == (comparisons, 4)
 
 
 def test_f_nu_sends_each_distinct_grid_to_the_svd_once(monkeypatch):

@@ -72,6 +72,29 @@ def test_svd_values_of_non_finite_matrices_are_nan():
     assert np.isnan(values[1:]).all()
 
 
+def fail_lapack(monkeypatch):
+    """Every np.linalg.svd call raises, as one does when LAPACK's SVD
+    fails to converge."""
+    def fail(m, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 3), (3, 5), (2, 4, 6)])
+def test_svd_values_of_a_failed_lapack_call_are_nan(monkeypatch, shape):
+    # NaN rows of min(rows, cols) values for the stack LAPACK fails on;
+    # orders 1 and 2 take the closed forms and never reach it
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal(shape) + 0j
+    small = random_complex(2, rng, 4)
+    fail_lapack(monkeypatch)
+    values = svd_values(m)
+    assert values.shape == (*shape[:-2], min(shape[-2:]))
+    assert np.isnan(values).all()
+    assert np.isfinite(svd_values(small)).all()
+
+
 EPS = np.finfo(float).eps
 
 
