@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except (BadIntervalError, UnknownCaseError, UnknownParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    except (MeanforgeError, np.linalg.LinAlgError) as exc:
+    except MeanforgeError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -9,10 +9,6 @@ class NotHermitianError(MeanforgeError):
     """Input matrix fails the Hermitian symmetry check."""
 
 
-class NoConvergenceError(MeanforgeError):
-    """Eigensolver failed to converge."""
-
-
 class DimMismatchError(MeanforgeError):
     """Operands have incompatible dimensions."""
 
@@ -43,4 +39,6 @@ class UnknownParameterError(MeanforgeError):
 
 
 class NumericalFailureError(MeanforgeError):
-    """A verdict that came out NaN or infinite: no finding to report."""
+    """A result that cannot be reported: a verdict that came out NaN or
+    infinite or compared nothing, or a LAPACK eigensolver or QR that
+    failed."""

@@ -257,35 +257,36 @@ def _make_avg_builder(lo, hi, factor):
     return build
 
 
+def _p_family(kernel, d, p, x) -> tuple:
+    """K(r) and K(p) + t K(x) of the degree-p kernel K = kernel(., p),
+    from one kernel call on the three exponents on a leading axis."""
+    pw = p["p"]
+    k = kernel(d, _leading(np.array([p["r"], pw, x]), d), pw)
+    return k[0], k[1] + p["t"] * k[2]
+
+
 def _build_eq210(d, p):
-    pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    lhs = p_sum_kernel(d, r, pw)
     # A^p X + X B^p + t (A^nu X B^(p-nu) + A^(p-nu) X B^nu)
-    rhs = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
-    return np.array([lhs, rhs]), [Step([(1.0 + t, [0])], [(1.0, [1])])]
+    lhs, rhs = _p_family(p_sum_kernel, d, p, p["nu"])
+    return np.array([lhs, rhs]), [Step([(1.0 + p["t"], [0])], [(1.0, [1])])]
 
 
 def _build_eq211(d, p):
     # perturbation written as t (A^(p-nu) X B^nu - A^nu X B^(p-nu)) so the
     # underlying kernel is sinh(pD) + t sinh((p-2 nu)D) for nu <= p/2
-    pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    lhs = p_diff_kernel(d, r, pw)
-    rhs = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, pw - nu, pw)
-    return (np.array([lhs, rhs]),
-            [Step([(1.0 + t, [0])], [(abs(pw - 2.0 * r), [1])])])
+    lhs, rhs = _p_family(p_diff_kernel, d, p, p["p"] - p["nu"])
+    weight = abs(p["p"] - 2.0 * p["r"])
+    return np.array([lhs, rhs]), [Step([(1.0 + p["t"], [0])], [(weight, [1])])]
 
 
 def _build_eq212(d, p):
-    pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    big = p_sum_kernel(d, r, pw)
-    small = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
-    return np.array([small, big]), [Step([(1.0, [0])], [(1.0 + t, [1])])]
+    big, small = _p_family(p_sum_kernel, d, p, p["nu"])
+    return np.array([small, big]), [Step([(1.0, [0])], [(1.0 + p["t"], [1])])]
 
 
 def _build_eq213(d, p):
     pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
-    big = p_diff_kernel(d, r, pw)
-    small = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, nu, pw)
+    big, small = _p_family(p_diff_kernel, d, p, nu)
     # +-inf or NaN at p = 2r: non-finite margins, as for any pole
     factor = np.divide((1.0 + t) * pw - 2.0 * t * nu, pw - 2.0 * r)
     return np.array([small, big]), [Step([(1.0, [0])], [(factor, [1])])]
@@ -346,16 +347,10 @@ def _sample_prop(rng, kind):
     return p
 
 
-def _sample_eq210(rng):
-    pw = uniform(rng, 0.05, 2.0)
-    nu = uniform(rng, 0.0, pw)
-    r = uniform(rng, nu / 2.0, pw / 2.0)
-    return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
-
-
-def _sample_eq211(rng):
-    pw = uniform(rng, 1.0, 3.0)
-    nu = uniform(rng, 0.0, min(pw / 2.0, pw - 1.0))
+def _sample_forward(p_range, nu_cap, rng):
+    # eq2.10 and eq2.11: p, then nu in [0, nu_cap(p)] and r in [nu/2, p/2]
+    pw = uniform(rng, *p_range)
+    nu = uniform(rng, 0.0, nu_cap(pw))
     r = uniform(rng, nu / 2.0, pw / 2.0)
     return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
 
@@ -381,6 +376,17 @@ def _prop_case(cid, kind) -> InequalityCase:
         f"sampled contractivity of the {kind} kernel family",
         lambda rng: _sample_prop(rng, kind),
         lambda p: kernel_in_hypothesis(KernelSpec(kind, p))["abs"])
+
+
+def _interpolant_case(cid, half, nu0, label) -> InequalityCase:
+    # H_nu <= (1-b) H_nu0 + b H_{1/4} <= Heron on the window 1/2 +- half,
+    # whose ends are exact in binary
+    return InequalityCase(
+        cid, {"nu": (0.5 - half, 0.5 + half), "alpha": (0.5, np.inf),
+              "beta": (0.5, 1.0)},
+        lambda d, p: _chain(_heinz(d, p), _mix(d, p["beta"], nu0, 0.25),
+                            _heron(d, p)),
+        f"interpolant (1-b) {label} + b H_{{1/4}}")
 
 
 def _build_registry() -> dict[str, InequalityCase]:
@@ -411,24 +417,9 @@ def _build_registry() -> dict[str, InequalityCase]:
         InequalityCase(
             "eq1.4-alpha-mono", {}, _build_alpha_mono,
             "Heron norm nondecreasing in alpha past 1/2"),
-        InequalityCase(
-            "eq2.2", {"nu": (3 / 8, 5 / 8), "alpha": (0.5, np.inf),
-                      "beta": (0.5, 1.0)},
-            lambda d, p: _chain(_heinz(d, p), _mix(d, p["beta"], 0.5, 0.25),
-                                _heron(d, p)),
-            "interpolant (1-b) geometric + b H_{1/4}"),
-        InequalityCase(
-            "eq2.3", {"nu": (5 / 16, 11 / 16), "alpha": (0.5, np.inf),
-                      "beta": (0.5, 1.0)},
-            lambda d, p: _chain(_heinz(d, p), _mix(d, p["beta"], 3 / 8, 0.25),
-                                _heron(d, p)),
-            "interpolant (1-b) H_{3/8} + b H_{1/4}"),
-        InequalityCase(
-            "eq2.7", {"nu": (9 / 32, 23 / 32), "alpha": (0.5, np.inf),
-                      "beta": (0.5, 1.0)},
-            lambda d, p: _chain(_heinz(d, p), _mix(d, p["beta"], 5 / 16, 0.25),
-                                _heron(d, p)),
-            "interpolant (1-b) H_{5/16} + b H_{1/4}"),
+        _interpolant_case("eq2.2", 1 / 8, 0.5, "geometric"),
+        _interpolant_case("eq2.3", 3 / 16, 3 / 8, "H_{3/8}"),
+        _interpolant_case("eq2.7", 7 / 32, 5 / 16, "H_{5/16}"),
         InequalityCase(
             "eq2.8", {"nu": (11 / 32, 21 / 32), "alpha": (0.5, np.inf),
                       "beta": (0.5, 1.0), "gamma": (0.5, 1.0)},
@@ -454,12 +445,13 @@ def _build_registry() -> dict[str, InequalityCase]:
         InequalityCase(
             "eq2.10", {"t": (-1.0, 1.0)}, _build_eq210,
             "(1+t) p-Heinz sum vs endpoint sum plus t perturbation",
-            # nu in [0, p] and r in [nu/2, p/2]
-            _sample_eq210, lambda p: 0.0 <= p["nu"] <= 2.0 * p["r"] <= p["p"]),
+            partial(_sample_forward, (0.05, 2.0), lambda pw: pw),
+            lambda p: 0.0 <= p["nu"] <= 2.0 * p["r"] <= p["p"]),
         InequalityCase(
             "eq2.11", {"t": (-1.0, 1.0)}, _build_eq211,
             "p-Heinz difference vs |p-2r| scaled endpoint difference",
-            _sample_eq211),
+            partial(_sample_forward, (1.0, 3.0),
+                    lambda pw: min(pw / 2.0, pw - 1.0))),
         InequalityCase(
             "eq2.12", {"t": (0.0, np.inf)}, _build_eq212,
             "reversed sum inequality for r <= 0 <= p", _sample_eq212),
@@ -801,8 +793,9 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     The witness is the frame itself, A = diag(a), B = diag(b) and
     X = Xt; its margins are scored once more as ``evaluate`` scores it
     (not counted as an evaluation), so that a replay gives the finding's
-    bits.  If those margins are not finite, there is no finding:
-    NumericalFailureError."""
+    bits.  If those margins are not finite, or the witness's
+    (ab)^(p/2) o Xt underflowed to zero in every entry, so that nothing
+    was compared, there is no finding: NumericalFailureError."""
     if (budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf
             or not all(map(np.isfinite, overrides.values()))):
         raise ValueError("need budget, dim >= 1, a finite tolerance >= 0 "
@@ -841,9 +834,13 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     eye = np.eye(dim)
     inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(la), eye),
                           HpdMatrix.from_spectrum(np.exp(lb), eye), xt)
-    raw, normalized = map(float, _instance_margin(
-        case, Frame.of(inst.a, inst.x, inst.b), params))
+    frame = Frame.of(inst.a, inst.x, inst.b)
+    raw, normalized = map(float, _instance_margin(case, frame, params))
     if not np.isfinite([raw, normalized]).all():
         raise NumericalFailureError("the worst margin is not finite")
+    # finite margins: no entry of the scaled Xt is infinite
+    if not frame.scaled(params.get("p")).any():
+        raise NumericalFailureError(
+            "the witness's (ab)^(p/2) o Xt is zero: nothing was compared")
     return FuzzFinding(case.id, params, raw, normalized,
                        normalized < -tolerance, inst, evals)

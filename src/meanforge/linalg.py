@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, NoConvergenceError, NotHermitianError
+from .errors import (DimMismatchError, NotHermitianError,
+                     NumericalFailureError)
 
 HERMITIAN_RTOL = 1e-12
 # eigenvalue range of random instances unless a caller gives another
@@ -41,15 +42,16 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, V) with eigenvalues real and descending and the
-    columns of V orthonormal, so that m = V diag(w) V*.
+    columns of V orthonormal, so that m = V diag(w) V*.  A failed
+    eigensolver raises NumericalFailureError.
     """
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     try:
         w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(str(exc)) from exc
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
@@ -247,9 +249,13 @@ def gaussian_unitary(g: np.ndarray) -> np.ndarray:
     for each matrix in a stack.
 
     Column phases are fixed from the R diagonal so the result is a
-    deterministic function of the draw.
+    deterministic function of the draw.  A failed QR raises
+    NumericalFailureError.
     """
-    q, r = np.linalg.qr(g)
+    try:
+        q, r = np.linalg.qr(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(str(exc)) from exc
     d = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(d)
     q *= (d / np.where(size == 0.0, 1.0, size)).conj()[..., None, :]

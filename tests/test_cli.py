@@ -105,6 +105,9 @@ EXIT_CODES = {
                                     "t=-3", "--budget", "60", "--dim", "2",
                                     "--expect-violation"], 0),
     "fuzz-eq2.13-pole": (FUZZ_EQ213_POLE, 3),
+    # the witness's (ab)^(p/2) o Xt underflows to zero: nothing compared
+    "fuzz-eq2.12-underflow": (["fuzz", "--case", "eq2.12", "--set", "p=300",
+                               "--dim", "1", "--budget", "30"], 3),
     # out of range, a violation found without --expect-violation: exit 1
     "fuzz-violation-not-expected": (["fuzz", "--case", "eq1.2", "--set",
                                      "nu=0.1", "--set", "alpha=0.5",
@@ -313,6 +316,18 @@ def test_contractivity_svd_failure_exits_3(monkeypatch):
     fail_lapack(monkeypatch)
     assert cli.main(["contractivity", "--kernel", "sinch", "--dim", "3",
                      "--samples", "3"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--dim", "2", "--out", "i.json"],
+    ["verify", "--dims", "2", "--samples", "2", "--cases", "eq1.2"],
+], ids=["gen", "verify"])
+def test_qr_failure_exits_3(argv, monkeypatch, tmp_path):
+    from test_linalg import fail_lapack
+    monkeypatch.chdir(tmp_path)
+    fail_lapack(monkeypatch, "qr")
+    assert cli.main(argv) == 3
+    assert not (tmp_path / "i.json").exists()
 
 
 def test_contractivity_missing_param():

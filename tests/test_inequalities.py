@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from meanforge import linalg
 from meanforge.errors import (NumericalFailureError, RangeViolationError,
                               UnknownCaseError, UnknownParameterError)
 from meanforge.linalg import (Frame, HpdMatrix, log_range, random_complex,
-                              random_hpd)
-from meanforge.means import heron_kernel, p_sum_kernel
+                              random_hpd, uniform)
+from meanforge.means import (heinz_kernel, heron_kernel, p_diff_kernel,
+                             p_sum_kernel)
 
 from draw_oracle import sample_draws, sample_frame
 from scalar_oracle import oracle_margins
@@ -593,6 +595,14 @@ def test_fuzz_non_finite_witness_raises(cid, overrides, budget, dim):
                 np.random.default_rng(0), dim=dim)
 
 
+def test_fuzz_witness_that_compares_nothing_raises():
+    # at p = 300 the witness's (ab)^(p/2) o Xt underflows to zero in every
+    # entry: its margins are 0, finite, but nothing was compared
+    with pytest.raises(NumericalFailureError, match="nothing was compared"):
+        iq.fuzz(iq.get_case("eq2.12"), {"p": 300.0}, 30,
+                np.random.default_rng(0), dim=1)
+
+
 def test_fuzz_out_of_range_finds_violation():
     rng = np.random.default_rng(0)
     finding = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5},
@@ -1151,6 +1161,144 @@ def test_f_nu_grids_are_per_nu_kernels(per_sample, count):
         assert np.all(np.abs(grids[i] - want) <= bound * want), i
         assert np.all(np.abs(grids[i] - p_sum_kernel(d, grid[-1 - i], pw))
                       <= bound * want), i
+
+
+# The eq2.2/eq2.3/eq2.7 interpolants and the eq2.10-eq2.13 p-family
+# written out case by case, each with its own constants: the reference
+# for the ranges, draws, grids, weights and index arrays that the family
+# helpers make.
+def _old_interpolant(nu0):
+    def build(d, p):
+        mix = ((1.0 - p["beta"]) * heinz_kernel(d, nu0)
+               + p["beta"] * heinz_kernel(d, 0.25))
+        return (np.array([heinz_kernel(d, p["nu"]), mix,
+                          heron_kernel(d, p["alpha"])]),
+                [iq.Step([(None, np.arange(2))], [(None, np.arange(1, 3))])])
+    return build
+
+
+def _old_eq210(d, p):
+    pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
+    lhs = p_sum_kernel(d, r, pw)
+    rhs = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
+    return np.array([lhs, rhs]), [iq.Step([(1.0 + t, [0])], [(1.0, [1])])]
+
+
+def _old_eq211(d, p):
+    pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
+    lhs = p_diff_kernel(d, r, pw)
+    rhs = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, pw - nu, pw)
+    return (np.array([lhs, rhs]),
+            [iq.Step([(1.0 + t, [0])], [(abs(pw - 2.0 * r), [1])])])
+
+
+def _old_eq212(d, p):
+    pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
+    big = p_sum_kernel(d, r, pw)
+    small = p_sum_kernel(d, pw, pw) + t * p_sum_kernel(d, nu, pw)
+    return np.array([small, big]), [iq.Step([(1.0, [0])], [(1.0 + t, [1])])]
+
+
+def _old_eq213(d, p):
+    pw, nu, r, t = p["p"], p["nu"], p["r"], p["t"]
+    big = p_diff_kernel(d, r, pw)
+    small = p_diff_kernel(d, pw, pw) + t * p_diff_kernel(d, nu, pw)
+    factor = np.divide((1.0 + t) * pw - 2.0 * t * nu, pw - 2.0 * r)
+    return np.array([small, big]), [iq.Step([(1.0, [0])], [(factor, [1])])]
+
+
+def _old_sample_eq210(rng):
+    pw = uniform(rng, 0.05, 2.0)
+    nu = uniform(rng, 0.0, pw)
+    r = uniform(rng, nu / 2.0, pw / 2.0)
+    return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
+
+
+def _old_sample_eq211(rng):
+    pw = uniform(rng, 1.0, 3.0)
+    nu = uniform(rng, 0.0, min(pw / 2.0, pw - 1.0))
+    r = uniform(rng, nu / 2.0, pw / 2.0)
+    return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
+
+
+def _interpolant_ranges(lo, hi):
+    return {"nu": (lo, hi), "alpha": (0.5, np.inf), "beta": (0.5, 1.0)}
+
+
+# case id -> (ranges, description, builder, sampler) as each case had them
+OLD_FAMILIES = {
+    "eq2.2": (_interpolant_ranges(3 / 8, 5 / 8),
+              "interpolant (1-b) geometric + b H_{1/4}",
+              _old_interpolant(0.5), None),
+    "eq2.3": (_interpolant_ranges(5 / 16, 11 / 16),
+              "interpolant (1-b) H_{3/8} + b H_{1/4}",
+              _old_interpolant(3 / 8), None),
+    "eq2.7": (_interpolant_ranges(9 / 32, 23 / 32),
+              "interpolant (1-b) H_{5/16} + b H_{1/4}",
+              _old_interpolant(5 / 16), None),
+    "eq2.10": ({"t": (-1.0, 1.0)},
+               "(1+t) p-Heinz sum vs endpoint sum plus t perturbation",
+               _old_eq210, _old_sample_eq210),
+    "eq2.11": ({"t": (-1.0, 1.0)},
+               "p-Heinz difference vs |p-2r| scaled endpoint difference",
+               _old_eq211, _old_sample_eq211),
+    "eq2.12": ({"t": (0.0, np.inf)}, "reversed sum inequality for r <= 0 <= p",
+               _old_eq212, iq._sample_eq212),
+    "eq2.13": ({"t": (0.0, np.inf)},
+               "reversed difference inequality with the (p, nu, r) factor",
+               _old_eq213, iq._sample_eq212),
+}
+
+
+@pytest.mark.parametrize("cid", OLD_FAMILIES)
+def test_family_ranges_and_draws_unchanged(cid):
+    ranges, description, _, sampler = OLD_FAMILIES[cid]
+    case = iq.get_case(cid)
+    assert list(case.ranges.items()) == list(ranges.items())
+    assert case.description == description
+    if sampler is None:
+        sampler = partial(iq._sample_ranges, ranges)
+    for seed in range(40):
+        got = case.sampler(np.random.default_rng(seed))
+        want = sampler(np.random.default_rng(seed))
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [
+            v.hex() for v in want.values()], seed
+
+
+def _assert_same_build(got, want):
+    (grids, steps), (want_grids, want_steps) = got, want
+    assert grids.shape == want_grids.shape
+    assert np.array_equal(grids, want_grids)
+    assert len(steps) == len(want_steps)
+    for step, want_step in zip(steps, want_steps):
+        for side, want_side in ((step.lhs, want_step.lhs),
+                                (step.rhs, want_step.rhs)):
+            assert len(side) == len(want_side)
+            for (c, i), (want_c, want_i) in zip(side, want_side):
+                assert (c is None) == (want_c is None)
+                assert c is None or np.array_equal(c, want_c)
+                assert np.array_equal(i, want_i)
+
+
+@pytest.mark.parametrize("cid", OLD_FAMILIES)
+@pytest.mark.parametrize("per_sample", [False, True])
+@pytest.mark.parametrize("count", [None, 5])
+def test_family_builders_unchanged(cid, per_sample, count):
+    # scalar parameters or (5, 1, 1) ones, as a cell stacks them, on a
+    # single frame's d or a stack of five, with d = 0 at one entry and
+    # |d| large at another
+    build = OLD_FAMILIES[cid][2]
+    case = iq.get_case(cid)
+    d = _grid_frame(3, count)
+    d[..., 0, 0] = 0.0
+    d[..., 1, 0] = -6.5
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        draws = [case.sampler(rng) for _ in range(5)]
+        params = ({k: np.array([p[k] for p in draws])[:, None, None]
+                   for k in draws[0]} if per_sample else draws[0])
+        _assert_same_build(case.builder(d, params), build(d, params))
 
 
 def _svd_spy(monkeypatch) -> list:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from meanforge.errors import NotHermitianError
+from meanforge.errors import NotHermitianError, NumericalFailureError
 from meanforge.linalg import (Frame, HpdMatrix, _Generated, hermitian_eig,
                               random_complex, random_hpd, random_unitary,
                               spawned_streams, svd_values)
@@ -72,13 +72,25 @@ def test_svd_values_of_non_finite_matrices_are_nan():
     assert np.isnan(values[1:]).all()
 
 
-def fail_lapack(monkeypatch):
-    """Every np.linalg.svd call raises, as one does when LAPACK's SVD
-    fails to converge."""
-    def fail(m, compute_uv=True):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def fail_lapack(monkeypatch, name="svd"):
+    """Every np.linalg.<name> call raises, as one does when LAPACK fails
+    to converge."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, name, fail)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("eigh", lambda: hermitian_eig(np.eye(2))),
+    ("qr", lambda: random_unitary(3, np.random.default_rng(0))),
+    ("qr", lambda: random_hpd(2, np.random.default_rng(0))),
+], ids=["eigh", "qr-unitary", "qr-hpd"])
+def test_failed_factorization_is_a_numerical_failure(monkeypatch, name,
+                                                     call):
+    fail_lapack(monkeypatch, name)
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        call()
 
 
 @pytest.mark.parametrize("shape", [(4, 3, 3), (3, 5), (2, 4, 6)])
