@@ -347,12 +347,16 @@ def _sample_prop(rng, kind):
     return p
 
 
-def _sample_forward(p_range, nu_cap, rng):
-    # eq2.10 and eq2.11: p, then nu in [0, nu_cap(p)] and r in [nu/2, p/2]
-    pw = uniform(rng, *p_range)
-    nu = uniform(rng, 0.0, nu_cap(pw))
-    r = uniform(rng, nu / 2.0, pw / 2.0)
-    return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
+def _forward(p_range, nu_cap) -> tuple:
+    """eq2.10's or eq2.11's sampler, p on p_range, then nu in [0, nu_cap(p)]
+    and r in [nu/2, p/2], and its coupling as the hypothesis."""
+    def sample(rng):
+        pw = uniform(rng, *p_range)
+        nu = uniform(rng, 0.0, nu_cap(pw))
+        r = uniform(rng, nu / 2.0, pw / 2.0)
+        return {"p": pw, "nu": nu, "r": r, "t": uniform(rng, -1.0, 1.0)}
+    return sample, lambda p: (0.0 <= p["nu"] <= nu_cap(p["p"])
+                              and p["nu"] <= 2.0 * p["r"] <= p["p"])
 
 
 def _sample_eq212(rng):
@@ -393,6 +397,10 @@ def _build_registry() -> dict[str, InequalityCase]:
     # the Heinz window nu in [1/4, 3/4] and the Heron alpha >= 1/2
     window = {"nu": (0.25, 0.75), "alpha": (0.5, np.inf)}
     alpha = {"alpha": (0.5, np.inf)}
+    # the coupled hypotheses of eq2.10-eq2.13 are read off their samplers
+    # and eq2.12's description: the paper's statements are not at hand
+    reverse = (_sample_eq212, lambda p: (p["r"] <= 0.0 <= p["p"]
+                                         and p["r"] <= p["nu"] <= p["p"] / 2))
     cases = [
         InequalityCase(
             "eq1.1", {"nu": (0.25, 0.75), "t": (-2.0, 2.0)}, _build_eq11,
@@ -445,20 +453,18 @@ def _build_registry() -> dict[str, InequalityCase]:
         InequalityCase(
             "eq2.10", {"t": (-1.0, 1.0)}, _build_eq210,
             "(1+t) p-Heinz sum vs endpoint sum plus t perturbation",
-            partial(_sample_forward, (0.05, 2.0), lambda pw: pw),
-            lambda p: 0.0 <= p["nu"] <= 2.0 * p["r"] <= p["p"]),
+            *_forward((0.05, 2.0), lambda pw: pw)),
         InequalityCase(
             "eq2.11", {"t": (-1.0, 1.0)}, _build_eq211,
             "p-Heinz difference vs |p-2r| scaled endpoint difference",
-            partial(_sample_forward, (1.0, 3.0),
-                    lambda pw: min(pw / 2.0, pw - 1.0))),
+            *_forward((1.0, 3.0), lambda pw: min(pw / 2.0, pw - 1.0))),
         InequalityCase(
             "eq2.12", {"t": (0.0, np.inf)}, _build_eq212,
-            "reversed sum inequality for r <= 0 <= p", _sample_eq212),
+            "reversed sum inequality for r <= 0 <= p", *reverse),
         InequalityCase(
             "eq2.13", {"t": (0.0, np.inf)}, _build_eq213,
             "reversed difference inequality with the (p, nu, r) factor",
-            _sample_eq212),
+            *reverse),
         InequalityCase(
             "f-nu-shape", {"p": (0.5, 2.0)}, _build_f_nu_shape,
             "nu profile of the p-Heinz sum norm: V-shape and convexity"),
@@ -696,9 +702,8 @@ def run_suite(dims, samples: int, seed: int,
 class FuzzFinding:
     """What ``fuzz`` found: the parameters it ran with, the worst raw and
     normalized margins of the witness ``instance``, both finite, the best
-    frame point as A = diag(a), B = diag(b) and X = Xt, whether the
-    normalized margin is below -tolerance, and the evaluations it
-    spent."""
+    point as _witness writes it, whether the normalized margin is below
+    -tolerance, and the evaluations it spent."""
     case_id: str
     params: dict
     margin: float
@@ -713,24 +718,32 @@ def _instance_margin(case, frame: Frame, params) -> tuple:
     of a frame, the latter read from _margins: numbers for one instance,
     arrays for a stack.  A NaN margin makes the worst one NaN."""
     margins, normalized = _margins(case, frame, params)
-    raw = margins.min(axis=-1)
-    if len(raw) == 1:  # one comparison
-        return raw[0], normalized[0]
-    return raw.min(axis=0), normalized.min(axis=0)
+    return margins.min(axis=-1).min(axis=0), normalized.min(axis=0)
 
 
 def _unpack(z, n: int) -> tuple:
-    """(log a, log b, Xt) of frame points z = (log a, log b, Re Xt,
-    Im Xt), rows of 2n + 2n^2 reals."""
+    """(log a, log b, Y) of points z = (log a, log b, Re Y, Im Y), rows
+    of 2n + 2n^2 reals."""
     k = n * n
-    xt = z[..., 2 * n:2 * n + k] + 1j * z[..., 2 * n + k:]
-    return z[..., :n], z[..., n:2 * n], xt.reshape(*z.shape[:-1], n, n)
+    y = z[..., 2 * n:2 * n + k] + 1j * z[..., 2 * n + k:]
+    return z[..., :n], z[..., n:2 * n], y.reshape(*z.shape[:-1], n, n)
 
 
 def _score(case, params, z, n: int) -> tuple:
-    """Worst raw and normalized margins of the stacked frame points z."""
-    ab, xt = np.exp(z[..., :2 * n]), _unpack(z, n)[2]
-    return _instance_margin(case, Frame(ab[..., :n], ab[..., n:], xt), params)
+    """Worst raw and normalized margins of the stacked points z."""
+    la, lb, y = _unpack(z, n)
+    frame = Frame(np.exp(la), np.exp(lb), y)
+    frame.log_geo = 0.0  # Y is the scaled Xt at every degree
+    return _instance_margin(case, frame, params)
+
+
+def _witness(z, n: int, params) -> InstanceTriple:
+    """A = diag(a), B = diag(b) and X = (ab)^(-p/2) o Y of a point z, its
+    logs shifted by their mean so that log_geo has mean 0."""
+    ea, eb = np.exp(z[:2 * n].reshape(2, n) - z[:2 * n].mean())
+    x = Frame(ea, eb, _unpack(z, n)[2]).scaled(-params.get("p", 1.0))
+    return InstanceTriple(HpdMatrix.from_spectrum(ea, np.eye(n)),
+                          HpdMatrix.from_spectrum(eb, np.eye(n)), x)
 
 
 def _lowest(case, params, n: int, blocks) -> tuple:
@@ -760,8 +773,8 @@ def _directions(scale) -> np.ndarray:
 
 def _moves(z, step, dirs, count: int, n: int):
     """Candidate blocks of the first count moves of a sweep from the
-    frame point z, z + step dirs[r] for move r, with the eigenvalues
-    kept inside e^+-80 so that powers never overflow."""
+    point z, z + step dirs[r] for move r, with the logs kept inside
+    +-80 so that the witness's eigenvalues stay finite."""
     for block in _blocks(count):
         cand = z + step * dirs[block.start:block.stop]
         logs = cand[:, :2 * n]
@@ -776,26 +789,19 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     coordinate descent in the joint eigenframe.  Overrides must name
     parameters that the case's sampler produces.
 
-    Ky Fan norms are unitarily invariant, so a margin depends only on the
-    frame point z = (log a, log b, Re Xt, Im Xt).  The restarts are drawn
-    from ``rng`` as frame points, block arrays of up to CELL_BLOCK of
-    them: log a and log b uniform on the logs of FUZZ_CONDITION_RANGE,
-    then Xt standard complex Gaussian, the law of U_A* X U_B for a
-    Gaussian X and unitaries independent of it.  The first with the
-    lowest rank starts the descent: each sweep moves z by +-step along
-    each of its coordinates in turn, scaled by max(1, max |Xt_ij|) for
-    Xt, and takes the first lowest-ranked of these 2 len(z) moves if it
-    ranks below the best by more than 1e-15, else halves the step.  A
-    NaN or infinite margin ranks as +inf, so it never replaces a finite
-    best, and a finite move always replaces a NaN one.  Restarts and moves
-    alike are scored as frame stacks of up to CELL_BLOCK points, and the
-    last sweep is cut so that the evaluations never exceed the budget.
-    The witness is the frame itself, A = diag(a), B = diag(b) and
-    X = Xt; its margins are scored once more as ``evaluate`` scores it
-    (not counted as an evaluation), so that a replay gives the finding's
-    bits.  If those margins are not finite, or the witness's
-    (ab)^(p/2) o Xt underflowed to zero in every entry, so that nothing
-    was compared, there is no finding: NumericalFailureError."""
+    A case's terms all have one degree p, so a margin depends only on the
+    degree-free point z = (log a, log b, Re Y, Im Y), Y = (ab)^(p/2) o Xt.
+    Restarts and moves are scored as stacks of up to CELL_BLOCK points
+    and ranked by raw margin (_rank).  The restarts, drawn from ``rng``,
+    have logs uniform on those of FUZZ_CONDITION_RANGE and Y standard
+    complex Gaussian.  The first lowest-ranked starts the descent: a
+    sweep moves each coordinate of z in turn by +-step, times
+    max(1, max |Y_ij|) for Y, and takes the first lowest-ranked move if
+    it ranks below the best by more than 1e-15, else halves the step;
+    the last sweep is cut to the budget.  p enters only at _witness(z),
+    scored once more as ``evaluate`` scores it (not counted as an
+    evaluation), so that a replay gives the finding's bits.  If its
+    margins are not finite, as when X overflows: NumericalFailureError."""
     if (budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf
             or not all(map(np.isfinite, overrides.values()))):
         raise ValueError("need budget, dim >= 1, a finite tolerance >= 0 "
@@ -810,8 +816,8 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     def restarts():
         for k in map(len, _blocks(n_random)):
             ab = uniform(rng, *logs, (k, 2 * dim))
-            xt = random_complex(dim, rng, k).reshape(k, -1)
-            yield np.concatenate([ab, xt.real, xt.imag], axis=1)
+            y = random_complex(dim, rng, k).reshape(k, -1)
+            yield np.concatenate([ab, y.real, y.imag], axis=1)
 
     raw, _, z = _lowest(case, params, dim, restarts())
     best = _rank(raw)
@@ -830,17 +836,11 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
         else:
             step *= 0.5
 
-    la, lb, xt = _unpack(z, dim)
-    eye = np.eye(dim)
-    inst = InstanceTriple(HpdMatrix.from_spectrum(np.exp(la), eye),
-                          HpdMatrix.from_spectrum(np.exp(lb), eye), xt)
-    frame = Frame.of(inst.a, inst.x, inst.b)
+    with np.errstate(over="ignore", invalid="ignore"):  # X may overflow
+        inst = _witness(z, dim, params)
+        frame = Frame.of(inst.a, inst.x, inst.b)
     raw, normalized = map(float, _instance_margin(case, frame, params))
     if not np.isfinite([raw, normalized]).all():
         raise NumericalFailureError("the worst margin is not finite")
-    # finite margins: no entry of the scaled Xt is infinite
-    if not frame.scaled(params.get("p")).any():
-        raise NumericalFailureError(
-            "the witness's (ab)^(p/2) o Xt is zero: nothing was compared")
     return FuzzFinding(case.id, params, raw, normalized,
                        normalized < -tolerance, inst, evals)

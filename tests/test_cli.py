@@ -105,9 +105,10 @@ EXIT_CODES = {
                                     "t=-3", "--budget", "60", "--dim", "2",
                                     "--expect-violation"], 0),
     "fuzz-eq2.13-pole": (FUZZ_EQ213_POLE, 3),
-    # the witness's (ab)^(p/2) o Xt underflows to zero: nothing compared
-    "fuzz-eq2.12-underflow": (["fuzz", "--case", "eq2.12", "--set", "p=300",
-                               "--dim", "1", "--budget", "30"], 3),
+    # a large degree: the search scores Y = (ab)^(p/2) o Xt directly, so
+    # nothing underflows and a finding is compared
+    "fuzz-eq2.12-large-p": (["fuzz", "--case", "eq2.12", "--set", "p=300",
+                             "--dim", "1", "--budget", "30"], 0),
     # out of range, a violation found without --expect-violation: exit 1
     "fuzz-violation-not-expected": (["fuzz", "--case", "eq1.2", "--set",
                                      "nu=0.1", "--set", "alpha=0.5",
@@ -172,6 +173,19 @@ def test_fuzz_numerical_failure_writes_no_witness(tmp_path):
     out = tmp_path / "w.json"
     assert cli.main(FUZZ_EQ11_POLE + ["--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_fuzz_large_degree_writes_a_finite_witness(tmp_path):
+    # p enters only at the witness X = (ab)^(-p/2) o Y, on logs less their
+    # mean: at p = 400 every entry it writes is finite, and it loads
+    out = tmp_path / "w.json"
+    assert cli.main(["fuzz", "--case", "f-nu-shape", "--set", "p=400",
+                     "--dim", "2", "--budget", "1000",
+                     "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())
+    assert all(np.isfinite(entries[k]).all() for k in ("A", "B", "X"))
+    inst = io.load_instance(out)
+    assert inst.dim == 2 and np.isfinite(inst.x).all()
 
 
 def test_verify_numerical_failure_exits_3(monkeypatch, tmp_path):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanforge import inequalities as iq
 from meanforge import linalg
@@ -123,14 +125,24 @@ def test_out_of_range_raises_without_override():
     ("eq2.10", {"p": 1.0, "nu": 0.4, "r": 0.6, "t": 0.5}),
     ("eq2.10", {"p": 1.0, "nu": -0.1, "r": 0.0, "t": 0.5}),
     ("eq2.10", {"p": 1.0, "nu": 1.1, "r": 0.5, "t": 0.5}),
+    ("eq2.11", {"p": 2.0, "nu": 1.9, "r": 0.0, "t": 0.5}),
+    ("eq2.11", {"p": 1.5, "nu": 0.6, "r": 0.5, "t": 0.5}),
+    ("eq2.12", {"p": 1.0, "nu": 0.5, "r": 0.3, "t": 1.0}),
+    ("eq2.12", {"p": 1.0, "nu": -0.5, "r": -0.4, "t": 1.0}),
+    ("eq2.13", {"p": 1.0, "nu": 0.5, "r": 0.3, "t": 1.0}),
+    ("eq2.13", {"p": -0.2, "nu": -0.2, "r": -0.5, "t": 1.0}),
     ("prop2.1-1", {"s1": 0.1, "s2": 0.9, "r": 5.0, "t": 0.5}),
     ("prop2.1-2", {"s1": 0.9, "s2": 0.1, "r": 0.2, "rp": 0.2,
                    "alpha": 0.5, "beta": 0.2}),
 ], ids=["eq2.10-r<nu/2", "eq2.10-r>p/2", "eq2.10-nu<0", "eq2.10-nu>p",
-        "prop2.1-1-s2>s1", "prop2.1-2-beta<1/2"])
+        "eq2.11-nu>p/2", "eq2.11-nu>p-1", "eq2.12-r>0", "eq2.12-nu<r",
+        "eq2.13-r>0", "eq2.13-p<0", "prop2.1-1-s2>s1",
+        "prop2.1-2-beta<1/2"])
 def test_coupled_hypotheses_raise_without_override(cid, params):
     # the ranges' t alone would let these through: r < nu/2, r > p/2,
-    # nu outside [0, p], and kernel parameters off kernel_in_hypothesis
+    # nu outside [0, p] (eq2.10) or [0, min(p/2, p-1)] (eq2.11), r > 0,
+    # nu < r and p < 0 (eq2.12, eq2.13), and kernel parameters off
+    # kernel_in_hypothesis
     inst = iq.make_instance(1, 0, 2, 0)[0]
     case = iq.get_case(cid)
     assert not case.in_range(params)
@@ -142,8 +154,12 @@ def test_coupled_hypotheses_raise_without_override(cid, params):
 @pytest.mark.parametrize("cid, params", [
     ("eq2.10", {"p": 1.0, "nu": 1.0, "r": 0.5, "t": -1.0}),
     ("eq2.10", {"p": 1.0, "nu": 0.0, "r": 0.0, "t": 1.0}),
+    ("eq2.11", {"p": 2.0, "nu": 1.0, "r": 0.5, "t": -1.0}),
+    ("eq2.12", {"p": 1.0, "nu": 0.5, "r": 0.0, "t": 8.0}),
+    ("eq2.13", {"p": 0.5, "nu": -1.5, "r": -1.5, "t": 0.0}),
     ("prop2.1-1", {"s1": 0.9, "s2": 0.1, "r": -0.5, "t": 1.0}),
-], ids=["eq2.10-nu=p", "eq2.10-nu=0", "prop2.1-1-r=-mid"])
+], ids=["eq2.10-nu=p", "eq2.10-nu=0", "eq2.11-nu=p/2=p-1=2r",
+        "eq2.12-r=0-nu=p/2", "eq2.13-nu=r", "prop2.1-1-r=-mid"])
 def test_coupled_hypotheses_keep_their_boundary(cid, params):
     inst = iq.make_instance(1, 0, 2, 0)[0]
     assert len(iq.evaluate(iq.get_case(cid), inst, params)) == 1
@@ -155,6 +171,13 @@ def test_sampler_stays_in_ranges(cid):
     for seed in range(200):
         params = case.sampler(np.random.default_rng(seed))
         assert case.in_range(params), (seed, params)
+    # and 10^4 draws of one stream: every draw meets the case's ranges
+    # and its coupled hypothesis, so the sweep never tests a point that
+    # the case does not claim
+    rng = np.random.default_rng(iq.CASE_IDS.index(cid))
+    for _ in range(10 ** 4):
+        params = case.sampler(rng)
+        assert case.in_range(params), params
 
 
 @pytest.mark.parametrize("ranges", [
@@ -182,7 +205,8 @@ def test_default_sampler_draws_each_range_in_order(ranges):
 
 @pytest.mark.parametrize("cid, params", [
     ("eq1.1", {"nu": 0.5, "t": -2.0}),
-    ("eq2.13", {"p": 0.5, "nu": 0.1, "r": 0.25, "t": 1.0}),
+    # p = 2r meets eq2.13's hypothesis r <= 0 <= p only at p = r = 0
+    ("eq2.13", {"p": 0.0, "nu": 0.0, "r": 0.0, "t": 1.0}),
 ], ids=["eq1.1-t=-2", "eq2.13-p=2r"])
 def test_weight_poles_give_non_finite_margins(cid, params):
     # in-range points where a step's weight has a pole: +-inf or NaN
@@ -579,11 +603,13 @@ def test_fuzz_rejects_degenerate_input(kwargs):
 
 # (case, overrides, budget, dim) whose witness has no finite margin, at
 # seed 0: the inputs of FUZZ_EQ11_POLE, FUZZ_NU_800 with budget 3 and
-# FUZZ_EQ213_POLE in test_cli.py
+# FUZZ_EQ213_POLE in test_cli.py, and a restart whose logs spread so far
+# that the witness's X = (ab)^(-p/2) o Y overflows at p = 400
 NON_FINITE_FUZZ = {
     "eq1.1-pole": ("eq1.1", {"t": -2.0}, 12, 2),
     "eq1.2-nu-800": ("eq1.2", {"nu": 800.0, "alpha": 0.5}, 3, 1),
     "eq2.13-pole": ("eq2.13", {"p": 0.5, "r": 0.25}, 30, 2),
+    "f-nu-shape-x-overflow": ("f-nu-shape", {"p": 400.0}, 3, 2),
 }
 
 
@@ -593,14 +619,6 @@ def test_fuzz_non_finite_witness_raises(cid, overrides, budget, dim):
     with pytest.raises(NumericalFailureError):
         iq.fuzz(iq.get_case(cid), overrides, budget,
                 np.random.default_rng(0), dim=dim)
-
-
-def test_fuzz_witness_that_compares_nothing_raises():
-    # at p = 300 the witness's (ab)^(p/2) o Xt underflows to zero in every
-    # entry: its margins are 0, finite, but nothing was compared
-    with pytest.raises(NumericalFailureError, match="nothing was compared"):
-        iq.fuzz(iq.get_case("eq2.12"), {"p": 300.0}, 30,
-                np.random.default_rng(0), dim=1)
 
 
 def test_fuzz_out_of_range_finds_violation():
@@ -645,17 +663,20 @@ def hook_lowest(monkeypatch) -> list:
 
 
 def lands_at(inst, z) -> bool:
-    """Whether the witness inst is the frame point z, bit for bit up to
-    the witness's sort of the eigenvalues: its eigenvalues are exp of z's
-    logs, sorted descending, and its frame's Xt is z's under the sort
+    """Whether the witness inst is written from the point z of a case of
+    degree 1, bit for bit up to the witness's sort of the eigenvalues:
+    its eigenvalues are exp of z's logs less their mean, sorted
+    descending, and its frame's Xt is (ab)^(-1/2) o Y under the sort
     permutations."""
-    la, lb, xt = iq._unpack(z, inst.dim)
-    ea, eb = np.exp(la), np.exp(lb)
+    la, lb, y = iq._unpack(z, inst.dim)
+    shift = np.mean(z[:2 * inst.dim])
+    ea, eb = np.exp(la - shift), np.exp(lb - shift)
+    x = Frame(ea, eb, y).scaled(-1.0)
     pa, pb = (np.argsort(-e, kind="stable") for e in (ea, eb))
     return bool(np.array_equal(inst.a.eigenvalues, ea[pa])
                 and np.array_equal(inst.b.eigenvalues, eb[pb])
                 and np.array_equal(Frame.of(inst.a, inst.x, inst.b).xt,
-                                   xt[pa][:, pb]))
+                                   x[pa][:, pb]))
 
 
 def test_fuzz_nan_restart_never_stays_best(monkeypatch):
@@ -723,33 +744,34 @@ def test_fuzz_descent_never_takes_an_infinite_move(monkeypatch):
 # -> float.hex of the raw and normalized margins, evaluations and the
 # first 16 hex digits of the SHA-256 of the witness's eigenvalues,
 # eigenvectors and X.  Budget 1000 has 333 restarts, more than one
-# CELL_BLOCK.  They were recorded anew when the restarts came to be
-# drawn as frame points (log a, log b, Xt), the law of the earlier
-# draw's, with the frame itself as the witness: every entry kept its
-# evaluations and its violation flag.  No QR is left in the search, and
-# singular values of order 1 and 2 are taken in closed form, so the
-# dims-1-2 bits do not depend on LAPACK; those of dims 3-4 depend on its
-# SVD rounding.  They were recorded with numpy 2.4.6 on scipy-openblas
-# 0.3.31 (x86_64, one BLAS thread), so on another BLAS build a mismatch
-# at dims 3-4 need not mean that the search changed.
-# ``PYTHONPATH=src python tests/test_inequalities.py`` prints the list
-# as this setup finds it.
+# CELL_BLOCK.  They were last recorded anew when the search moved to
+# the degree-free point (log a, log b, Y), Y scored as the scaled Xt,
+# with the witness X = (ab)^(-p/2) o Y on logs less their mean: the
+# search ranks other numbers, so margins and digests moved, and every
+# entry kept its evaluations and its violation flag (the comments).  No
+# QR is left in the search, and singular values of order 1 and 2 are
+# taken in closed form, so the dims-1-2 bits do not depend on LAPACK;
+# those of dims 3-4 depend on its SVD rounding.  They were recorded with
+# numpy 2.4.6 on scipy-openblas 0.3.31 (x86_64, one BLAS thread), so on
+# another BLAS build a mismatch at dims 3-4 need not mean that the
+# search changed.  ``PYTHONPATH=src python tests/test_inequalities.py``
+# prints the list as this setup finds it.
 FUZZ_GOLDEN = [
     (("eq1.2", {"nu": 0.1, "alpha": 0.5}, 4, 300, 0),
-     ("-0x1.eae83db44ec20p+7", "-0x1.325fb4c05b3ddp-4", 300,
-      "bfacf0667d2a9427")),
+     ("-0x1.49818c1c2a470p+0", "-0x1.0bc690c329a19p-4", 300,
+      "8e5adc380a315e87")),  # violation: True
     (("eq2.9", {"nu": 0.05, "alpha": 0.5}, 4, 1000, 1),
-     ("-0x1.8cb1d018448c0p+15", "-0x1.7d0ac40f8a4f0p+1", 1000,
-      "676502f1fdf8eeb6")),
+     ("-0x1.5806826ebbb01p+11", "-0x1.5218445949ea0p+2", 1000,
+      "3696f51909948932")),  # violation: True
     (("eq1.4-chain", {"alpha": 0.2}, 2, 1000, 2),
-     ("-0x1.05736a7644730p+17", "-0x1.14fd8002d3ba4p-3", 1000,
-      "97e81e5b63156fc8")),
+     ("-0x1.51ae074545588p+4", "-0x1.44b7bbcabbe94p-3", 1000,
+      "22bc5c2de136062e")),  # violation: True
     (("eq1.4-chain", {"alpha": 0.5}, 3, 300, 3),
-     ("0x1.391c5c0389400p-11", "0x1.6d7ebc15f3e3cp-12", 300,
-      "edeccc3e66113aed")),
+     ("0x1.3015d86bf4b80p-6", "0x1.f6b530d718d12p-9", 300,
+      "494cfb93e136a2ac")),  # violation: False
     (("eq1.2", {"nu": 0.3, "alpha": 0.5}, 2, 1000, 4),
-     ("0x1.0a53bee880000p-23", "0x1.fd4e8107ed73cp-24", 1000,
-      "009f55c43e49b93a")),
+     ("0x1.3b3f61d900000p-19", "0x1.45144ded26af8p-20", 1000,
+      "2a9e24bad2fd3050")),  # violation: False
 ]
 
 
@@ -774,6 +796,44 @@ def test_fuzz_findings_unchanged(config, expected):
     got, f = golden_of(config)
     assert got == expected
     assert f.violation == (f.normalized_margin < -iq.DEFAULT_TOLERANCE)
+
+
+# every case that takes p, and two of degree 1
+DEGREE_FREE_CASES = ["eq1.2", "eq2.9", "eq2.10", "eq2.11", "eq2.12",
+                     "eq2.13", "f-nu-shape"]
+
+
+@st.composite
+def degree_free_points(draw):
+    """(case, params, dim, z): a case, parameters its sampler draws, and
+    a point z = (log a, log b, Re Y, Im Y) with logs in the log range of
+    FUZZ_CONDITION_RANGE and Y entries in [-3, 3]."""
+    case = iq.get_case(draw(st.sampled_from(DEGREE_FREE_CASES)))
+    params = case.sampler(np.random.default_rng(draw(st.integers(0, 999))))
+    dim = draw(st.integers(1, 4))
+    logs = st.floats(*log_range(iq.FUZZ_CONDITION_RANGE))
+    z = draw(st.lists(logs, min_size=2 * dim, max_size=2 * dim))
+    z += draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * dim * dim,
+                       max_size=2 * dim * dim))
+    return case, params, dim, np.array(z)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(degree_free_points())
+def test_fuzz_scores_the_margins_of_its_witness(point):
+    # the degree-free reduction: the worst margins the search scores for
+    # a point (log a, log b, Y) are those evaluate gives the witness
+    # written from it, X = (ab)^(-p/2) o Y, to within 1e-12 of the scale
+    case, params, dim, z = point
+    raw, normalized = iq._score(case, params, z[None], dim)
+    inst = iq._witness(z, dim, params)
+    frame = Frame.of(inst.a, inst.x, inst.b)
+    _, scales = iq.step_margins(*case.builder(frame.d, params),
+                                frame.scaled(params.get("p")))
+    want = min(float(np.min(m)) for m in iq.evaluate(case, inst, params))
+    assert abs(raw[0] - want) <= 1e-12 * np.max(scales)
+    want = float(np.min(iq._margins(case, frame, params)[1]))
+    assert abs(normalized[0] - want) <= 1e-12
 
 
 def test_fuzz_draws_no_unitary(monkeypatch):
@@ -937,16 +997,17 @@ def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
     ("f-nu-shape", {}, 4),
 ])
 def test_sweep_stack_scores_as_single_frames(cid, overrides, dim):
-    # a sweep scored as one stack gives each frame point the bits it gets
-    # on its own single frame
+    # a sweep scored as one stack gives each point the bits it gets on its
+    # own single frame, whose log_geo is 0 so that Y is its scaled Xt
     case = iq.get_case(cid)
     params = {**case.sampler(np.random.default_rng(dim)), **overrides}
     cands = _sweep(_restart(dim, seed=dim), dim, 0.5, 1.5)
     raws, norms = iq._score(case, params, cands, dim)
     for c, r, s in zip(cands, raws, norms):
-        la, lb, xt = iq._unpack(c, dim)
-        one_raw, one_norm = iq._instance_margin(
-            case, Frame(np.exp(la), np.exp(lb), xt), params)
+        la, lb, y = iq._unpack(c, dim)
+        frame = Frame(np.exp(la), np.exp(lb), y)
+        frame.log_geo = np.zeros_like(frame.d)
+        one_raw, one_norm = iq._instance_margin(case, frame, params)
         assert (r.hex(), s.hex()) == (float(one_raw).hex(),
                                        float(one_norm).hex())
 
@@ -1443,13 +1504,14 @@ def test_alpha_mono_herons_are_heron_kernels(count):
 
 
 if __name__ == "__main__":
-    # FUZZ_GOLDEN as this setup finds it, in the form written above
+    # FUZZ_GOLDEN as this setup finds it, in the form written above, each
+    # entry's violation flag as a trailing comment
     print("FUZZ_GOLDEN = [")
     for config, _ in FUZZ_GOLDEN:
         cid, overrides, *ints = config
-        raw, normalized, evals, digest = golden_of(config)[0]
+        (raw, normalized, evals, digest), f = golden_of(config)
         print(f"    (({json.dumps(cid)}, {json.dumps(overrides)}, "
               f"{', '.join(map(str, ints))}),")
         print(f'     ("{raw}", "{normalized}", {evals},')
-        print(f'      "{digest}")),')
+        print(f'      "{digest}")),  # violation: {f.violation}')
     print("]")
