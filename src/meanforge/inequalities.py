@@ -701,8 +701,8 @@ def run_suite(dims, samples: int, seed: int,
 @dataclass
 class FuzzFinding:
     """What ``fuzz`` found: the parameters it ran with, the worst raw and
-    normalized margins of the witness ``instance``, both finite, the best
-    point as _witness writes it, whether the normalized margin is below
+    normalized margins that _margins gives on the frame of the witness
+    ``instance``, both finite, whether the normalized one is below
     -tolerance, and the evaluations it spent."""
     case_id: str
     params: dict
@@ -713,12 +713,12 @@ class FuzzFinding:
     evaluations: int
 
 
-def _instance_margin(case, frame: Frame, params) -> tuple:
-    """Worst raw and normalized margins over all steps and Ky Fan orders
-    of a frame, the latter read from _margins: numbers for one instance,
-    arrays for a stack.  A NaN margin makes the worst one NaN."""
-    margins, normalized = _margins(case, frame, params)
-    return margins.min(axis=-1).min(axis=0), normalized.min(axis=0)
+def _instance_margin(case, frame: Frame, params) -> np.ndarray:
+    """The worst raw margin over all steps and Ky Fan orders of each
+    point of a frame stack, (points,); a NaN margin makes it NaN.  The
+    fuzzer's one engine call per scored block of points."""
+    # benchmarks/ cuts each fuzz probe's time at this call
+    return _margins(case, frame, params)[0].min(axis=-1).min(axis=0)
 
 
 def _unpack(z, n: int) -> tuple:
@@ -727,14 +727,6 @@ def _unpack(z, n: int) -> tuple:
     k = n * n
     y = z[..., 2 * n:2 * n + k] + 1j * z[..., 2 * n + k:]
     return z[..., :n], z[..., n:2 * n], y.reshape(*z.shape[:-1], n, n)
-
-
-def _score(case, params, z, n: int) -> tuple:
-    """Worst raw and normalized margins of the stacked points z."""
-    la, lb, y = _unpack(z, n)
-    frame = Frame(np.exp(la), np.exp(lb), y)
-    frame.log_geo = 0.0  # Y is the scaled Xt at every degree
-    return _instance_margin(case, frame, params)
 
 
 def _witness(z, n: int, params) -> InstanceTriple:
@@ -746,17 +738,20 @@ def _witness(z, n: int, params) -> InstanceTriple:
                           HpdMatrix.from_spectrum(eb, np.eye(n)), x)
 
 
-def _lowest(case, params, n: int, blocks) -> tuple:
-    """(raw, normalized, z) of the first lowest-ranked frame point z among
-    blocks of at most CELL_BLOCK of them, scored one block per engine
-    call."""
-    best = best_rank = None
-    for z in blocks:
-        raws, norms = _score(case, params, z, n)
-        ranks = _rank(raws)
+def _lowest(case, params, n: int, points) -> tuple:
+    """(rank, point) of the first lowest-ranked (_rank) of the points
+    (points, 2n + 2n^2), each scored as a frame whose scaled Xt is its
+    Y: blocks of at most CELL_BLOCK of them, one _instance_margin call
+    each."""
+    best = np.inf, points[0]
+    for block in _blocks(len(points)):
+        la, lb, y = _unpack(points[block.start:block.stop], n)
+        frame = Frame(np.exp(la), np.exp(lb), y)
+        frame.log_geo = 0.0  # Y is the scaled Xt at every degree
+        ranks = _rank(_instance_margin(case, frame, params))
         i = int(ranks.argmin())
-        if best is None or ranks[i] < best_rank:
-            best, best_rank = (raws[i], norms[i], z[i]), ranks[i]
+        if ranks[i] < best[0]:
+            best = ranks[i], points[block.start + i]
     return best
 
 
@@ -771,17 +766,6 @@ def _directions(scale) -> np.ndarray:
     return dirs
 
 
-def _moves(z, step, dirs, count: int, n: int):
-    """Candidate blocks of the first count moves of a sweep from the
-    point z, z + step dirs[r] for move r, with the logs kept inside
-    +-80 so that the witness's eigenvalues stay finite."""
-    for block in _blocks(count):
-        cand = z + step * dirs[block.start:block.stop]
-        logs = cand[:, :2 * n]
-        np.minimum(np.maximum(logs, -80.0, out=logs), 80.0, out=logs)
-        yield cand
-
-
 def fuzz(case: InequalityCase, overrides: dict, budget: int,
          rng: np.random.Generator, dim: int = 1,
          tolerance: float = DEFAULT_TOLERANCE) -> FuzzFinding:
@@ -791,17 +775,19 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     A case's terms all have one degree p, so a margin depends only on the
     degree-free point z = (log a, log b, Re Y, Im Y), Y = (ab)^(p/2) o Xt.
-    Restarts and moves are scored as stacks of up to CELL_BLOCK points
-    and ranked by raw margin (_rank).  The restarts, drawn from ``rng``,
-    have logs uniform on those of FUZZ_CONDITION_RANGE and Y standard
-    complex Gaussian.  The first lowest-ranked starts the descent: a
-    sweep moves each coordinate of z in turn by +-step, times
-    max(1, max |Y_ij|) for Y, and takes the first lowest-ranked move if
-    it ranks below the best by more than 1e-15, else halves the step;
-    the last sweep is cut to the budget.  p enters only at _witness(z),
-    scored once more as ``evaluate`` scores it (not counted as an
-    evaluation), so that a replay gives the finding's bits.  If its
-    margins are not finite, as when X overflows: NumericalFailureError."""
+    The search ranks points by their worst raw margin (_lowest).  The
+    restarts, drawn from ``rng``, have logs uniform on those of
+    FUZZ_CONDITION_RANGE and Y standard complex Gaussian.  The first
+    lowest-ranked starts the descent: a sweep moves each coordinate of z
+    in turn by +-step, times max(1, max |Y_ij|) for Y, and takes the
+    first lowest-ranked move if it ranks below the best by more than
+    1e-15, else halves the step; the last sweep is cut to the budget.
+    Restarts and moves keep their logs within +-L, L = min(80, 300/|p|),
+    so that p |log_geo| <= 600 on the witness and its X stays finite.
+    p enters only at _witness(z), whose margins from _margins on the
+    frame that ``evaluate`` builds (not counted as an evaluation) are
+    the finding's, so that a replay gives its bits.  If they are not
+    finite: NumericalFailureError."""
     if (budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf
             or not all(map(np.isfinite, overrides.values()))):
         raise ValueError("need budget, dim >= 1, a finite tolerance >= 0 "
@@ -809,18 +795,17 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     params = dict(case.sampler(rng))
     _refuse_unknown(case, params, overrides)
     params.update(overrides)
+    bound = 300.0 / max(abs(params.get("p", 1.0)), 3.75)
+    lo, hi = np.clip(log_range(FUZZ_CONDITION_RANGE), -bound, bound)
 
-    n_random = max(1, budget // 3)
-    logs = log_range(FUZZ_CONDITION_RANGE)
-
-    def restarts():
-        for k in map(len, _blocks(n_random)):
-            ab = uniform(rng, *logs, (k, 2 * dim))
-            y = random_complex(dim, rng, k).reshape(k, -1)
-            yield np.concatenate([ab, y.real, y.imag], axis=1)
-
-    raw, _, z = _lowest(case, params, dim, restarts())
-    best = _rank(raw)
+    n_random, k = max(1, budget // 3), dim * dim
+    z = np.empty((n_random, 2 * dim + 2 * k))
+    for block in _blocks(n_random):
+        rows = z[block.start:block.stop]
+        rows[:, :2 * dim] = uniform(rng, lo, hi, (len(rows), 2 * dim))
+        y = random_complex(dim, rng, len(rows)).reshape(len(rows), k)
+        rows[:, 2 * dim:2 * dim + k], rows[:, 2 * dim + k:] = y.real, y.imag
+    best, z = _lowest(case, params, dim, z)
     evals = n_random
 
     x_scale = max(1.0, float(np.max(np.abs(_unpack(z, dim)[2]))))
@@ -829,17 +814,18 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     while evals < budget and step > 1e-6:
         count = min(len(dirs), budget - evals)
         evals += count
-        cand_raw, _, cand = _lowest(case, params, dim,
-                                    _moves(z, step, dirs, count, dim))
-        if (cand_rank := _rank(cand_raw)) < best - 1e-15:
-            best, z = cand_rank, cand
+        cands = z + step * dirs[:count]
+        logs = cands[:, :2 * dim]
+        np.clip(logs, -bound, bound, out=logs)
+        rank, cand = _lowest(case, params, dim, cands)
+        if rank < best - 1e-15:
+            best, z = rank, cand
         else:
             step *= 0.5
 
-    with np.errstate(over="ignore", invalid="ignore"):  # X may overflow
-        inst = _witness(z, dim, params)
-        frame = Frame.of(inst.a, inst.x, inst.b)
-    raw, normalized = map(float, _instance_margin(case, frame, params))
+    inst = _witness(z, dim, params)
+    raw, normalized = (float(np.min(m)) for m in _margins(
+        case, Frame.of(inst.a, inst.x, inst.b), params))
     if not np.isfinite([raw, normalized]).all():
         raise NumericalFailureError("the worst margin is not finite")
     return FuzzFinding(case.id, params, raw, normalized,

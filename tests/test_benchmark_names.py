@@ -69,6 +69,19 @@ def test_sweep_cells_are_cut_at_step_margins(tmp_path):
         assert sum(pieces) == pytest.approx(cell, rel=1e-9, abs=1e-12)
 
 
+def test_fuzz_probes_are_cut_at_instance_margin():
+    # the fuzz workload times each probe in pieces that end at its
+    # _instance_margin calls, one per scored block of points
+    size = workloads.FUZZ_SMOKE
+    result = workloads.fuzz_pass(workloads.MASTER_SEED, size)
+    assert (result.failed, result.errors) == (0, [])
+    assert len(result.task_s) == len(workloads.fuzz_probes(size["dims"]))
+    assert len(result.piece_s) == len(result.task_s)
+    for probe, pieces in zip(result.task_s, result.piece_s):
+        assert len(pieces) > 1
+        assert sum(pieces) == pytest.approx(probe, rel=1e-9, abs=1e-12)
+
+
 def test_tracer_records_each_cell_once(tmp_path):
     # the tracer's cell hook reads the case id and dim from
     # _run_case_dim's task and records nothing when the layout changes

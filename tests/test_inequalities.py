@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanforge import inequalities as iq
-from meanforge import linalg
+from meanforge import io, linalg
 from meanforge.errors import (NumericalFailureError, RangeViolationError,
                               UnknownCaseError, UnknownParameterError)
 from meanforge.linalg import (Frame, HpdMatrix, log_range, random_complex,
@@ -603,13 +603,11 @@ def test_fuzz_rejects_degenerate_input(kwargs):
 
 # (case, overrides, budget, dim) whose witness has no finite margin, at
 # seed 0: the inputs of FUZZ_EQ11_POLE, FUZZ_NU_800 with budget 3 and
-# FUZZ_EQ213_POLE in test_cli.py, and a restart whose logs spread so far
-# that the witness's X = (ab)^(-p/2) o Y overflows at p = 400
+# FUZZ_EQ213_POLE in test_cli.py
 NON_FINITE_FUZZ = {
     "eq1.1-pole": ("eq1.1", {"t": -2.0}, 12, 2),
     "eq1.2-nu-800": ("eq1.2", {"nu": 800.0, "alpha": 0.5}, 3, 1),
     "eq2.13-pole": ("eq2.13", {"p": 0.5, "r": 0.25}, 30, 2),
-    "f-nu-shape-x-overflow": ("f-nu-shape", {"p": 400.0}, 3, 2),
 }
 
 
@@ -619,6 +617,24 @@ def test_fuzz_non_finite_witness_raises(cid, overrides, budget, dim):
     with pytest.raises(NumericalFailureError):
         iq.fuzz(iq.get_case(cid), overrides, budget,
                 np.random.default_rng(0), dim=dim)
+
+
+@pytest.mark.parametrize("budget", [3, 30])
+def test_fuzz_large_degree_keeps_its_witness_finite(budget):
+    # logs within +-300/p keep X = (ab)^(-p/2) o Y finite at p = 400:
+    # every run ends with finite margins and a witness that io writes and
+    # loads back unchanged
+    case = iq.get_case("f-nu-shape")
+    for seed in range(4):
+        f = iq.fuzz(case, {"p": 400.0}, budget, np.random.default_rng(seed),
+                    dim=2)
+        assert np.isfinite([f.margin, f.normalized_margin]).all(), seed
+        loaded = io.instance_from_dict(
+            json.loads(json.dumps(io.instance_to_dict(f.instance))))
+        for m, want in ((loaded.a.matrix, f.instance.a.matrix),
+                        (loaded.b.matrix, f.instance.b.matrix),
+                        (loaded.x, f.instance.x)):
+            assert np.isfinite(want).all() and np.array_equal(m, want)
 
 
 def test_fuzz_out_of_range_finds_violation():
@@ -632,34 +648,49 @@ def test_fuzz_out_of_range_finds_violation():
 
 def hook_stacks(monkeypatch, rig=None) -> list:
     """Wrap inequalities._instance_margin: the size of each frame stack it
-    scores goes to the returned list, and rig(call, raw, normalized) may
-    change the stack's margins in place.  A single frame, the witness's
-    re-score, passes through."""
+    scores goes to the returned list, and rig(call, raw, frame) may
+    change the stack's worst raw margins in place."""
     sizes, margin = [], iq._instance_margin
 
     def hooked(case, frame, params):
-        raw, normalized = margin(case, frame, params)
-        if np.ndim(frame.xt) == 3:
-            sizes.append(len(raw))
-            if rig is not None:
-                rig(len(sizes) - 1, raw, normalized)
-        return raw, normalized
+        raw = margin(case, frame, params)
+        sizes.append(len(raw))
+        if rig is not None:
+            rig(len(sizes) - 1, raw, frame)
+        return raw
 
     monkeypatch.setattr(iq, "_instance_margin", hooked)
     return sizes
 
 
-def hook_lowest(monkeypatch) -> list:
-    """Record every (raw, normalized, z, ...) that inequalities._lowest
-    returns: the best restart first, then each sweep's best move."""
+def hook_lowest(monkeypatch, start=None) -> list:
+    """Record (points, (rank, point)) of every inequalities._lowest call:
+    the restarts first, then each sweep's moves.  With a ``start`` point,
+    the restarts are replaced by that one point."""
     found, lowest = [], iq._lowest
 
-    def hooked(*args):
-        found.append(lowest(*args))
-        return found[-1]
+    def hooked(case, params, n, points):
+        if start is not None and not found:
+            points = start[None]
+        found.append((points, lowest(case, params, n, points)))
+        return found[-1][1]
 
     monkeypatch.setattr(iq, "_lowest", hooked)
     return found
+
+
+def replay_sweeps(found, dim):
+    """(moves, z, step, x_scale) of each sweep that hook_lowest recorded,
+    replayed from the best restart by the descent's rule."""
+    best, z = found[0][1]
+    x_scale = max(1.0, np.max(np.abs(iq._unpack(z, dim)[2])))
+    step = 0.5
+    for moves, (rank, point) in found[1:]:
+        yield moves, z, step, x_scale
+        if rank < best - 1e-15:
+            best, z = rank, point
+        else:
+            step /= 2
 
 
 def lands_at(inst, z) -> bool:
@@ -683,18 +714,18 @@ def test_fuzz_nan_restart_never_stays_best(monkeypatch):
     # the first random restart of the stack evaluates to NaN and so does
     # every descent candidate: a finite restart must be the finding.
     # Budget 30 has 10 restarts, one stack and so the first call.
-    def first_nan(call, raw, normalized):
+    def first_nan(call, raw, frame):
         if call:  # a descent sweep
-            raw[:] = normalized[:] = np.nan
+            raw[:] = np.nan
         else:
-            raw[0] = normalized[0] = np.nan
+            raw[0] = np.nan
 
     sizes = hook_stacks(monkeypatch, first_nan)
     found = hook_lowest(monkeypatch)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
     assert sizes[0] == 10 and len(sizes) > 1
-    raw, _, z = found[0]
-    assert np.isfinite(raw)
+    _, (rank, z) = found[0]
+    assert np.isfinite(rank)
     assert lands_at(finding.instance, z)
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
@@ -702,16 +733,16 @@ def test_fuzz_nan_restart_never_stays_best(monkeypatch):
 
 def test_fuzz_descent_leaves_a_nan_best(monkeypatch):
     # every random restart is NaN; the first finite candidate replaces it
-    def nan_restarts(call, raw, normalized):
+    def nan_restarts(call, raw, frame):
         if call == 0:  # the one restart stack of budget 30
-            raw[:] = normalized[:] = np.nan
+            raw[:] = np.nan
 
     sizes = hook_stacks(monkeypatch, nan_restarts)
     found = hook_lowest(monkeypatch)
     finding = iq.fuzz(iq.get_case("eq1.3"), {}, 30, np.random.default_rng(1))
     assert sizes[0] == 10 and len(sizes) > 1
-    raw, _, z = found[0]
-    assert np.isnan(raw)
+    _, (rank, z) = found[0]
+    assert rank == np.inf  # the rank of a NaN margin
     assert not lands_at(finding.instance, z)
     assert np.isfinite(finding.margin)
     assert np.isfinite(finding.normalized_margin)
@@ -721,9 +752,9 @@ def test_fuzz_descent_never_takes_an_infinite_move(monkeypatch):
     # every move of the first sweep scores -inf, which ranks as +inf: the
     # sweep only halves the step, as one whose moves all score +inf does
     def finding(value):
-        def first_sweep(call, raw, normalized):
+        def first_sweep(call, raw, frame):
             if call == 1:
-                raw[:] = normalized[:] = value
+                raw[:] = value
 
         with monkeypatch.context() as m:
             sizes = hook_stacks(m, first_sweep)
@@ -821,19 +852,18 @@ def degree_free_points(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(degree_free_points())
 def test_fuzz_scores_the_margins_of_its_witness(point):
-    # the degree-free reduction: the worst margins the search scores for
-    # a point (log a, log b, Y) are those evaluate gives the witness
-    # written from it, X = (ab)^(-p/2) o Y, to within 1e-12 of the scale
+    # the degree-free reduction: the worst raw margin by which the search
+    # ranks a point (log a, log b, Y) is the one evaluate gives the
+    # witness written from it, X = (ab)^(-p/2) o Y, to within 1e-12 of
+    # the scale
     case, params, dim, z = point
-    raw, normalized = iq._score(case, params, z[None], dim)
+    rank, _ = iq._lowest(case, params, dim, z[None])
     inst = iq._witness(z, dim, params)
     frame = Frame.of(inst.a, inst.x, inst.b)
     _, scales = iq.step_margins(*case.builder(frame.d, params),
                                 frame.scaled(params.get("p")))
     want = min(float(np.min(m)) for m in iq.evaluate(case, inst, params))
-    assert abs(raw[0] - want) <= 1e-12 * np.max(scales)
-    want = float(np.min(iq._margins(case, frame, params)[1]))
-    assert abs(normalized[0] - want) <= 1e-12
+    assert abs(rank - want) <= 1e-12 * np.max(scales)
 
 
 def test_fuzz_draws_no_unitary(monkeypatch):
@@ -856,25 +886,20 @@ def test_fuzz_draws_no_unitary(monkeypatch):
 def test_fuzz_restarts_are_frame_points(monkeypatch):
     # a case that draws no parameter leaves the stream to the restarts:
     # budget 3 is one restart, the point _restart draws
-    scored, score = [], iq._score
-
-    def kept(case, params, z, n):
-        scored.append(z.copy())
-        return score(case, params, z, n)
-
-    monkeypatch.setattr(iq, "_score", kept)
+    found = hook_lowest(monkeypatch)
     for dim in (1, 3):
-        scored.clear()
+        found.clear()
         iq.fuzz(iq.get_case("eq1.4-alpha-mono"), {}, 3,
                 np.random.default_rng(dim), dim=dim)
-        assert scored[0].tobytes() == _restart(dim, seed=dim)[None].tobytes()
+        assert found[0][0].tobytes() == _restart(dim, seed=dim)[None].tobytes()
 
 
 def test_fuzz_scores_frames_not_matrices(monkeypatch):
-    # one evaluator call per stack of restarts or of descent moves, and
-    # one on the witness's frame; the witness is the only HpdMatrix built
+    # one verdict-stage call per stack of restarts or of descent moves,
+    # through _instance_margin, and one on the witness's frame; the
+    # witness is the only HpdMatrix built
     sizes, built = [], []
-    margin = iq._instance_margin
+    margin = iq._margins
     spectrum = iq.HpdMatrix.from_spectrum.__func__
 
     def counted(case, frame, params):
@@ -885,7 +910,7 @@ def test_fuzz_scores_frames_not_matrices(monkeypatch):
         built.append(None)
         return spectrum(cls, *args)
 
-    monkeypatch.setattr(iq, "_instance_margin", counted)
+    monkeypatch.setattr(iq, "_margins", counted)
     monkeypatch.setattr(iq.HpdMatrix, "from_spectrum",
                         classmethod(counted_spectrum))
     f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 1000,
@@ -919,37 +944,42 @@ def _sweep(z, dim, step, x_scale):
 
 
 def _tiled_moves(z, step, count, scale, n):
-    """A sweep's candidate blocks as the fuzzer built them before its
+    """A sweep's first count moves as the fuzzer built them before its
     direction table: z tiled once per move, each move's coordinate
     stepped by a fancy-index add, the logs clipped to +-80."""
-    for block in iq._blocks(count):
-        r = np.asarray(block)
-        j = r // 2
-        cand = np.tile(z, (len(r), 1))
-        cand[r - block.start, j] += np.where(r % 2, -step, step) * scale[j]
-        cand[:, :2 * n] = np.clip(cand[:, :2 * n], -80.0, 80.0)
-        yield cand
+    r = np.arange(count)
+    j = r // 2
+    cand = np.tile(z, (count, 1))
+    cand[r, j] += np.where(r % 2, -step, step) * scale[j]
+    cand[:, :2 * n] = np.clip(cand[:, :2 * n], -80.0, 80.0)
+    return cand
+
+
+# budgets that end in a sweep cut short: after 20, 36 and 302 restarts,
+# sweeps of 8, 24 and 288 moves (two blocks, 256 and 32) and a last one
+# of 1, 1 and 29
+TILED_BUDGETS = {1: 61, 2: 109, 8: 907}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
-def test_direction_table_moves_equal_tiled_moves(dim):
-    # bit for bit, signed zeros included: whole sweeps, a last sweep cut
-    # short (two blocks of 256 and 29 at dim 8) and a single move, near
-    # the clip bounds
-    z = _restart(dim, seed=dim)
-    z[:2] = 79.8, -79.9
-    z[-2:] = 0.0, -0.0
-    m = len(z)
-    scale = np.where(np.arange(m) < 2 * dim, 1.0, 1.75)
-    dirs = iq._directions(scale)
-    assert dirs.shape == (2 * m, m)
-    for step in (0.5, 0.375, 2.0 ** -20):
-        for count in (2 * m, 2 * m - 3, 1):
-            got = list(iq._moves(z, step, dirs, count, dim))
-            want = list(_tiled_moves(z, step, count, scale, dim))
-            assert [len(c) for c in got] == [len(c) for c in want]
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes(), (step, count)
+def test_direction_table_moves_equal_tiled_moves(monkeypatch, dim):
+    # bit for bit, signed zeros included: every sweep of a descent that
+    # starts near the clip bounds, the whole ones and the last
+    start = _restart(dim, seed=dim)
+    start[:2] = 79.8, -79.9
+    start[-2:] = 0.0, -0.0
+    found = hook_lowest(monkeypatch, start)
+    budget = TILED_BUDGETS[dim]
+    f = iq.fuzz(iq.get_case("eq1.3"), {}, budget,
+                np.random.default_rng(dim), dim=dim)
+    sweeps = list(replay_sweeps(found, dim))
+    assert f.evaluations == budget
+    assert sum(len(s[0]) for s in sweeps) == budget - budget // 3
+    assert 0 < len(sweeps[-1][0]) < len(sweeps[0][0]) == 2 * len(start)
+    for moves, z, step, x_scale in sweeps:
+        scale = np.where(np.arange(len(z)) < 2 * dim, 1.0, x_scale)
+        want = _tiled_moves(z, step, len(moves), scale, dim)
+        assert moves.tobytes() == want.tobytes(), step
 
 
 def _restart(dim, seed):
@@ -964,30 +994,14 @@ def _restart(dim, seed):
 def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
     # the stacks the fuzzer scores are the restarts, then the loop-built
     # sweeps around each accepted point
-    scored = []
-    score = iq._score
-
-    def kept(case, params, z, n):
-        raws, norms = score(case, params, z, n)
-        scored.append((z.copy(), raws))
-        return raws, norms
-
-    monkeypatch.setattr(iq, "_score", kept)
+    found = hook_lowest(monkeypatch)
     dim = 2
     iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 300,
             np.random.default_rng(7), dim=dim)
-    (zs, raws), sweeps = scored[0], scored[1:]
-    z, raw = zs[int(np.argmin(raws))], np.min(raws)
-    x_scale = max(1.0, np.max(np.abs(iq._unpack(z, dim)[2])))
-    step = 0.5
-    for cands, cand_raws in sweeps:
-        want = _sweep(z, dim, step, x_scale)[:len(cands)]
-        assert np.array_equal(cands, want)
-        i = int(np.argmin(cand_raws))
-        if cand_raws[i] < raw - 1e-15:
-            z, raw = cands[i], cand_raws[i]
-        else:
-            step /= 2
+    sweeps = list(replay_sweeps(found, dim))
+    for moves, z, step, x_scale in sweeps:
+        want = _sweep(z, dim, step, x_scale)[:len(moves)]
+        assert np.array_equal(moves, want)
     assert len(sweeps) > 3
 
 
@@ -996,20 +1010,22 @@ def test_sweep_moves_follow_the_coordinate_order(monkeypatch):
     ("eq2.9", {"nu": 0.05, "alpha": 0.5}, 3),
     ("f-nu-shape", {}, 4),
 ])
-def test_sweep_stack_scores_as_single_frames(cid, overrides, dim):
+def test_sweep_stack_scores_as_single_frames(monkeypatch, cid, overrides,
+                                             dim):
     # a sweep scored as one stack gives each point the bits it gets on its
     # own single frame, whose log_geo is 0 so that Y is its scaled Xt
     case = iq.get_case(cid)
     params = {**case.sampler(np.random.default_rng(dim)), **overrides}
     cands = _sweep(_restart(dim, seed=dim), dim, 0.5, 1.5)
-    raws, norms = iq._score(case, params, cands, dim)
-    for c, r, s in zip(cands, raws, norms):
+    margin, raws = iq._instance_margin, []
+    hook_stacks(monkeypatch, lambda call, raw, frame: raws.extend(raw))
+    iq._lowest(case, params, dim, cands)
+    assert len(raws) == len(cands)
+    for c, r in zip(cands, raws):
         la, lb, y = iq._unpack(c, dim)
         frame = Frame(np.exp(la), np.exp(lb), y)
         frame.log_geo = np.zeros_like(frame.d)
-        one_raw, one_norm = iq._instance_margin(case, frame, params)
-        assert (r.hex(), s.hex()) == (float(one_raw).hex(),
-                                       float(one_norm).hex())
+        assert r.hex() == float(margin(case, frame, params)).hex()
 
 
 def test_fuzz_budget_not_a_multiple_of_the_sweep(monkeypatch):
@@ -1023,27 +1039,25 @@ def test_fuzz_budget_not_a_multiple_of_the_sweep(monkeypatch):
 
 @pytest.mark.parametrize("rigged, accepted", [
     # move 3 (first block) ties with moves 270 and 280 (second block)
-    ({3: (-1.0, -0.125), 270: (-1.0, -0.25), 280: (-1.0, -0.5)},
-     (-1.0, -0.125)),
+    ({3: -1.0, 270: -1.0, 280: -1.0}, 3),
     # moves 270 and 280 tie below the first block's best
-    ({3: (-0.5, -0.125), 270: (-1.0, -0.25), 280: (-1.0, -0.5)},
-     (-1.0, -0.25)),
+    ({3: -0.5, 270: -1.0, 280: -1.0}, 270),
 ], ids=["tie-across-blocks", "best-in-second-block"])
 def test_sweep_across_blocks_accepts_the_first_global_best(
         monkeypatch, rigged, accepted):
     # dim 8: a sweep has 2 (16 + 128) = 288 moves, scored as blocks of 256
-    # and 32; the rigged moves get the given (raw, normalized) margins,
-    # every other move 1, and the normalized margin tells which was the
-    # sweep's best; the witness is that move's point
+    # and 32; the rigged moves get the given raw margins, every other
+    # move 1; the sweep takes the accepted move's point, and the witness
+    # is written from it
     assert iq.CELL_BLOCK == 256
 
-    def rig(call, raw, normalized):
+    def rig(call, raw, frame):
         if call:  # the blocks of the sweep
             lo = 256 * (call - 1)
-            raw[:], normalized[:] = 1.0, 1.0
-            for move, (r, s) in rigged.items():
+            raw[:] = 1.0
+            for move, r in rigged.items():
                 if lo <= move < lo + len(raw):
-                    raw[move - lo], normalized[move - lo] = r, s
+                    raw[move - lo] = r
 
     sizes = hook_stacks(monkeypatch, rig)
     found = hook_lowest(monkeypatch)
@@ -1052,8 +1066,9 @@ def test_sweep_across_blocks_accepts_the_first_global_best(
                 dim=8)
     assert sizes == [144, 256, 32]
     assert f.evaluations == 432
-    _, (raw, normalized, z) = found
-    assert (raw, normalized) == accepted
+    _, (moves, (rank, z)) = found
+    assert rank == rigged[accepted]
+    assert z.tobytes() == moves[accepted].tobytes()
     assert lands_at(f.instance, z)
 
 
@@ -1161,6 +1176,49 @@ def test_cases_are_homogeneous_of_their_degree():
                                  iq.evaluate(case, inst, params)):
                 assert np.max(np.abs(got - factor * base)) <= 1e-11 * (
                     factor * np.max(np.abs(base))), (cid, dim)
+
+
+def _related_frames(inst, rng) -> dict:
+    """The frames of inst under each relation that leaves every margin
+    unchanged, with unitaries and permutations drawn from rng: unitary
+    covariance (UAU*, VBV*, UXV*); a permutation of A's eigenvalues with
+    Xt's rows, and of B's with its columns; and the swap (B, A, X*),
+    which maps each grid g(d) to g(-d) transposed on Xt*, every registry
+    kernel being even or odd in d."""
+    u, v = (linalg.random_unitary(inst.dim, rng) for _ in range(2))
+    pa, pb = rng.permutation(inst.dim), rng.permutation(inst.dim)
+    a, b = inst.a.eigenvalues, inst.b.eigenvalues
+    xt = Frame.of(inst.a, inst.x, inst.b).xt
+
+    def rotated(m, w):
+        m = w @ m.matrix @ linalg.adjoint(w)
+        return HpdMatrix.from_matrix(0.5 * (m + linalg.adjoint(m)))
+
+    return {"unitary": Frame.of(rotated(inst.a, u),
+                                u @ inst.x @ linalg.adjoint(v),
+                                rotated(inst.b, v)),
+            "permute-a": Frame(a[pa], b, xt[pa]),
+            "permute-b": Frame(a, b[pb], xt[:, pb]),
+            "swap": Frame.of(inst.b, linalg.adjoint(inst.x), inst.a)}
+
+
+@pytest.mark.parametrize("cid", iq.CASE_IDS)
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(sample=st.integers(0, 10 ** 6))
+def test_margins_are_invariant_under_frame_relations(cid, sample):
+    # every margin, at dims 1-4, to within 1e-12 of its comparison's
+    # scale (the largest change seen is 3.3e-14, eq2.13's unitary one)
+    case = iq.get_case(cid)
+    for dim in (1, 2, 3, 4):
+        inst, rng = iq.make_instance(13, iq.CASE_IDS.index(cid), dim, sample)
+        params = case.sampler(rng)
+        frame = Frame.of(inst.a, inst.x, inst.b)
+        margins, _ = iq._margins(case, frame, params)
+        _, scales = iq.step_margins(*case.builder(frame.d, params),
+                                    frame.scaled(params.get("p")))
+        for name, related in _related_frames(inst, rng).items():
+            change = np.abs(iq._margins(case, related, params)[0] - margins)
+            assert np.all(change.max(axis=-1) <= 1e-12 * scales), (name, dim)
 
 
 def _grid_frame(seed, count):
