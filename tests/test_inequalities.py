@@ -829,6 +829,111 @@ def test_fuzz_findings_unchanged(config, expected):
     assert f.violation == (f.normalized_margin < -iq.DEFAULT_TOLERANCE)
 
 
+# Reports of run_suite(range(1, 7), 20, seed): case id -> float.hex of
+# its minMargin and the first 16 hex digits of the SHA-256 of its
+# per-step minima, as float.hex joined by commas.  Dims 1-2 take their
+# singular values in closed form; dims 3-6 depend on LAPACK's SVD
+# rounding, so they hold for the numpy and BLAS build FUZZ_GOLDEN names.
+# ``PYTHONPATH=src python tests/test_inequalities.py`` prints the list
+# as this setup finds it.
+REPORT_GOLDEN = [
+    (20240801, {
+        "eq1.1": ("0x1.d8b68c4826616p-13", "0a11679bef158222"),
+        "eq1.2": ("0x1.33797f2bb9430p-17", "05b145e6f61cebd6"),
+        "eq1.3": ("0x1.1ea6576467555p-15", "333386704067d049"),
+        "refAli": ("0x1.d663314c8c6c8p-17", "18525a6c5605a9d6"),
+        "eq1.4-chain": ("0x1.6445ca72f027fp-27", "8c347d3b97eba525"),
+        "eq1.4-alpha-mono": ("0x1.48932552135d9p-15", "8ab72d4d8258ee81"),
+        "eq2.2": ("0x1.c92aaf69069dcp-14", "c3bb9e82e6ce92a7"),
+        "eq2.3": ("0x1.86503b953ba63p-14", "3388944253008836"),
+        "eq2.7": ("0x1.c6e955ab6f1dcp-12", "f51c8017e174ee8e"),
+        "eq2.8": ("0x1.882b68812a08dp-20", "ad9d1ab218220622"),
+        "eq2.9": ("0x1.63f7d65dfbfd4p-20", "d3f62f1cfc6d3cf0"),
+        "avg-12": ("0x1.e22962c82e5a1p-11", "63705ef1ce6ffb81"),
+        "avg-14": ("0x1.1032a792c9b92p-11", "8cc58554f96c4064"),
+        "avg-716": ("0x1.97f24320b72a0p-11", "e556371cfeed8e07"),
+        "avg-516": ("0x1.4af234b8c69dbp-17", "b8c15dd95b71771f"),
+        "eq2.10": ("0x1.206a05a3936c4p-11", "dfab8377630ea0a2"),
+        "eq2.11": ("0x1.9f82fa99fe345p-12", "dc0dc85811800679"),
+        "eq2.12": ("0x1.6e41a4eef1861p-7", "775d7ccdd777fea1"),
+        "eq2.13": ("0x1.d6c85efbe7c60p-6", "be9c029e97a8a9cd"),
+        "f-nu-shape": ("0x1.08dc09aedd60cp-19", "8dd1ec1c4a2441b2"),
+        "prop2.1-1": ("0x1.e03bd66a08dc1p-28", "5b8f5d98e663469a"),
+        "prop2.1-2": ("0x1.4e74ea5d291b4p-12", "fc901f62844dc31c"),
+        "prop2.1-3": ("0x1.f8fda235dc6bdp-6", "5ee4ac32c88304bc"),
+        "prop2.1-4": ("0x1.37e2566d97387p-6", "cbdf173f352e2538"),
+    }),
+    (7, {
+        "eq1.1": ("0x1.35db7f660b5a0p-14", "f05fd75b2f07dad0"),
+        "eq1.2": ("0x1.416d7e243e90cp-17", "d68298f5a17c2880"),
+        "eq1.3": ("0x1.6ea044ff04205p-18", "5390bba91b337bb0"),
+        "refAli": ("0x1.593aa9498b1fcp-12", "d73e673b5a836d48"),
+        "eq1.4-chain": ("0x1.d934fa8b21dadp-19", "b48baea7bcafe54e"),
+        "eq1.4-alpha-mono": ("0x1.09d197b5227f4p-11", "395c0d6ebf8d5df8"),
+        "eq2.2": ("0x1.fae531a84869bp-17", "5946ef50fe9823b7"),
+        "eq2.3": ("0x1.4d3943b52b5c2p-9", "6ccaff0622834cfa"),
+        "eq2.7": ("0x1.8a649698ed320p-15", "632d4b1394e72fd6"),
+        "eq2.8": ("0x1.59a9a3330a1dfp-14", "c8f4311cf51b62ff"),
+        "eq2.9": ("0x1.b3bf18805d0c3p-15", "e62ce2e147215841"),
+        "avg-12": ("0x1.5df30d002b96fp-9", "1f9be64041d5abc0"),
+        "avg-14": ("0x1.91e102d0dc1f4p-14", "7b9d2f14179b09ab"),
+        "avg-716": ("0x1.2d29e3e9ebc40p-11", "db8bed0f157b6323"),
+        "avg-516": ("0x1.df1b9c1899781p-26", "eefa750bf36e29f6"),
+        "eq2.10": ("0x1.04665611576f9p-11", "c69f6ae87dd3e4e6"),
+        "eq2.11": ("0x1.109dfa90029f2p-7", "196f9fc05c881b90"),
+        "eq2.12": ("0x1.bf2668d72b815p-11", "d9afc145d66bda34"),
+        "eq2.13": ("0x1.24ca7ba5b0592p-7", "dd2aaa71761512f7"),
+        "f-nu-shape": ("0x1.165c0ee86fa41p-23", "2ec899c0473eb558"),
+        "prop2.1-1": ("0x1.7028782fe5ab0p-13", "ae9662f4887d4c7e"),
+        "prop2.1-2": ("0x1.5ca9516ac47e6p-14", "d28199ae223ab674"),
+        "prop2.1-3": ("0x1.d4c038c74292dp-6", "ecd6be2c07a042d0"),
+        "prop2.1-4": ("0x1.459fd05d8cf2ep-7", "e70a4ad29e563bb4"),
+    }),
+    (90210, {
+        "eq1.1": ("0x1.30586dc322d18p-8", "d3d691dcd5fc7123"),
+        "eq1.2": ("0x1.4ebefc380db79p-6", "97caa439a757d0ec"),
+        "eq1.3": ("0x1.32a81cafa9034p-20", "30e32793bb0f6644"),
+        "refAli": ("0x1.2a283b23481c7p-11", "3c200dbcf1cd3e2d"),
+        "eq1.4-chain": ("0x1.ffac7263e5409p-20", "15409fc4d757490e"),
+        "eq1.4-alpha-mono": ("0x1.883a1125fd133p-18", "5e48de4958ff097e"),
+        "eq2.2": ("0x1.03d6327bae1c7p-18", "2438c82813c0b22b"),
+        "eq2.3": ("0x1.677d1530455eep-12", "6bc88d55913b295d"),
+        "eq2.7": ("0x1.2a23e7ba52fd7p-12", "f223dbd929a8448f"),
+        "eq2.8": ("0x1.c641cbee213a3p-12", "4b4c33d5d8a683cc"),
+        "eq2.9": ("0x1.5a9f2597facaep-19", "9884b82dc09680f4"),
+        "avg-12": ("0x1.70b7c54a24fbep-13", "e128d3e7f4559f92"),
+        "avg-14": ("0x1.c76da6eb0b850p-11", "9d5ffc0e3e1b6701"),
+        "avg-716": ("0x1.294236bce7587p-10", "a1c49726d0c99937"),
+        "avg-516": ("0x1.25d136f4cce92p-19", "a5cb32c08db17d23"),
+        "eq2.10": ("0x1.af5b48b5defbap-11", "f7b1962627995e00"),
+        "eq2.11": ("0x1.930e2470bb10bp-9", "a0cb36fb6c7d6689"),
+        "eq2.12": ("0x1.e2ab2077082c9p-8", "685cd254f0b3afb4"),
+        "eq2.13": ("0x1.c7a6278cadaa4p-11", "d186ae9658bfd563"),
+        "f-nu-shape": ("0x1.58cf76ea9e33dp-18", "aa60c4b5ffd28cc5"),
+        "prop2.1-1": ("0x1.32b641998c02dp-19", "f46674ff5dea844b"),
+        "prop2.1-2": ("0x1.1c2c1faa11b27p-12", "4372cae1ad42ee82"),
+        "prop2.1-3": ("0x1.51d9cfb8d25c7p-5", "7d51fc2c15c83174"),
+        "prop2.1-4": ("0x1.87b1b2038ed60p-6", "ac44ad8042072887"),
+    }),
+]
+
+
+def report_golden_of(seed: int) -> dict:
+    """The REPORT_GOLDEN entry of a fresh run_suite at seed."""
+    report = iq.run_suite(range(1, 7), 20, seed)
+    return {c.id: (float(c.min_margin).hex(), hashlib.sha256(
+        ",".join(map(float.hex, c.steps)).encode()).hexdigest()[:16])
+        for c in report.cases}
+
+
+@pytest.mark.parametrize("seed, expected", REPORT_GOLDEN,
+                         ids=[str(s) for s, _ in REPORT_GOLDEN])
+def test_reports_unchanged(seed, expected):
+    got = report_golden_of(seed)
+    assert list(got) == list(expected)
+    assert {cid: v for cid, v in got.items() if v != expected[cid]} == {}
+
+
 # every case that takes p, and two of degree 1
 DEGREE_FREE_CASES = ["eq1.2", "eq2.9", "eq2.10", "eq2.11", "eq2.12",
                      "eq2.13", "f-nu-shape"]
@@ -1572,4 +1677,12 @@ if __name__ == "__main__":
               f"{', '.join(map(str, ints))}),")
         print(f'     ("{raw}", "{normalized}", {evals},')
         print(f'      "{digest}")),  # violation: {f.violation}')
+    print("]")
+    print()
+    print("REPORT_GOLDEN = [")
+    for seed in (20240801, 7, 90210):
+        print(f"    ({seed}, {{")
+        for cid, (low, steps) in report_golden_of(seed).items():
+            print(f'        "{cid}": ("{low}", "{steps}"),')
+        print("    }),")
     print("]")
