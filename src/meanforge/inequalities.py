@@ -45,15 +45,14 @@ FUZZ_CONDITION_RANGE = (1e-3, 1e3)
 # grows linearly in alpha, so small alpha is the tight regime.
 ALPHA_CAP = 10.0
 
-Term = tuple[float | None, np.ndarray]
+Term = tuple[float | np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class Step:
     """Comparisons sum c |||G[i] o Xt||| over lhs <= the same over rhs,
-    of terms (c, i): a number or per-sample (..., 1, 1) array c, or None
-    for an unweighted term, and an index array i into a grid stack G,
-    all i of a step one length."""
+    of terms (c, i): a number or per-sample (..., 1, 1) array c and an
+    index array i into a grid stack G, all i of a step one length."""
     lhs: list[Term]
     rhs: list[Term]
 
@@ -115,12 +114,12 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     margins, scales = [], []
     for step in steps:
         (c, i), *rest = step.rhs
-        total = fans[i] if c is None else c * fans[i]
+        total = c * fans[i]
         for c, i in rest:
             total = total + c * fans[i]
         scales.append(1.0 + np.abs(total[..., 0, -1]))
         for c, i in step.lhs:
-            total = total - (fans[i] if c is None else c * fans[i])
+            total = total - c * fans[i]
         margins.append(total[..., 0, :])
     if len(steps) == 1:
         return margins[0], scales[0]
@@ -138,7 +137,7 @@ def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         grids, steps = case.builder(frame.d, params)
         margins, scales = step_margins(grids, steps,
-                                       frame.scaled(params.get("p")))
+                                       frame.scaled(params.get("p", 1.0)))
         return margins, margins.min(axis=-1) / scales
 
 
@@ -193,7 +192,7 @@ def _chain(*kernels) -> tuple:
 @cache
 def _chain_step(count: int) -> Step:
     at = np.arange(count)
-    return Step([(None, at[:-1])], [(None, at[1:])])
+    return Step([(1.0, at[:-1])], [(1.0, at[1:])])
 
 
 def _ones(d) -> np.ndarray:
@@ -661,11 +660,13 @@ def run_suite(dims, samples: int, seed: int,
         case_ids = list(CASE_IDS)
     for cid in case_ids:
         get_case(cid)
+    # a TypeError if a count or the seed is not an integer
+    samples, dims = operator.index(samples), list(map(operator.index, dims))
+    seed = operator.index(seed)
     # one merged result per case id, one scored cell per (case, dim)
     for name, ids in (("case ids", case_ids), ("dims", dims)):
         if not ids or len(set(ids)) < len(ids):
             raise ValueError(f"{name} must be nonempty, none repeated")
-    seed = operator.index(seed)  # a TypeError if not an integer
     if min(samples, *dims) < 1 or seed < 0 or not 0.0 <= tolerance < np.inf:
         raise ValueError("need samples, dims >= 1, a seed >= 0 and a finite "
                          "tolerance >= 0")
@@ -691,7 +692,7 @@ def run_suite(dims, samples: int, seed: int,
         if first is not result:
             first.merge(result)
     elapsed = time.perf_counter() - start
-    return VerificationReport(seed, list(dims), samples, tolerance,
+    return VerificationReport(seed, dims, samples, tolerance,
                               list(cases.values()), elapsed)
 
 
@@ -788,6 +789,7 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     frame that ``evaluate`` builds (not counted as an evaluation) are
     the finding's, so that a replay gives its bits.  If they are not
     finite: NumericalFailureError."""
+    budget, dim = operator.index(budget), operator.index(dim)
     if (budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf
             or not all(map(np.isfinite, overrides.values()))):
         raise ValueError("need budget, dim >= 1, a finite tolerance >= 0 "

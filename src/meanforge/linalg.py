@@ -22,20 +22,15 @@ HERMITIAN_RTOL = 1e-12
 DEFAULT_CONDITION_RANGE = (0.05, 20.0)
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.swapaxes(m.conj(), -1, -2)
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    scale = frobenius(m)
-    if scale == 0.0:
-        return True
-    return frobenius(m - adjoint(m)) <= rtol * scale
+    """||m - m*||_F <= rtol ||m||_F: True for a zero matrix, False for
+    one with a NaN entry."""
+    return bool(np.linalg.norm(m - adjoint(m)) <= rtol * np.linalg.norm(m))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +223,10 @@ class Frame:
         part.xt = self.xt[index]
         return part
 
-    def scaled(self, p=None) -> np.ndarray:
+    def scaled(self, p=1.0) -> np.ndarray:
         """(a_i b_j)^(p/2) o Xt, on which the kernels of degree p act;
-        degree 1 if p is None."""
-        log_geo = self.log_geo if p is None else p * self.log_geo
-        return np.exp(log_geo) * self.xt
+        degree 1 by default."""
+        return np.exp(p * self.log_geo) * self.xt
 
 
 def frame_apply(kernel, degree, a: HpdMatrix, x: np.ndarray, b: HpdMatrix,

@@ -1,5 +1,6 @@
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,19 @@ def test_sinch_limit():
     assert kernel_eval(KernelSpec("sinch"), 0.0) == pytest.approx(1.0)
     assert kernel_eval(KernelSpec("sinch"), 1e-6) == pytest.approx(
         np.sinh(1e-6) / 1e-6, rel=1e-14)
+
+
+def test_sinch_is_the_quotient_to_an_ulp_near_zero():
+    # sinh(x)/x with no series, against 50-digit mpmath on +-|x| from
+    # 1e-300 to 1e-4, and 1 at +-0
+    x = np.logspace(-300, -4, 1500)
+    x = np.concatenate([x, -x])
+    with mpmath.workdps(50):
+        for xi, got in zip(x, dmap.sinch(x)):
+            want = mpmath.sinh(mpmath.mpf(xi)) / mpmath.mpf(xi)
+            assert abs(got - want) <= np.spacing(float(want)), xi
+    assert dmap.sinch(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
+    assert dmap.sinch(0.0) == 1.0 and dmap.sinch(-0.0) == 1.0
 
 
 def test_sinh_ratio_limit_at_zero():
@@ -288,6 +302,21 @@ def test_contractivity_svd_failure_raises(monkeypatch):
     fail_lapack(monkeypatch)
     with pytest.raises(NumericalFailureError):
         contractivity_check(KernelSpec("sinch"), a, b, 5, rng)
+
+
+def test_contractivity_sample_count_is_an_integer():
+    # taken by operator.index: a numpy integer runs as an int does, and
+    # a float is a TypeError before the stream is drawn from
+    rng = np.random.default_rng(0)
+    a, b = random_hpd(2, rng), random_hpd(2, rng)
+    ratios = [contractivity_check(KernelSpec("sinch"), a, b, count,
+                                  np.random.default_rng(1))[0]
+              for count in (3, np.int64(3))]
+    assert ratios[0] == ratios[1]
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError):
+        contractivity_check(KernelSpec("sinch"), a, b, 3.0, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_contractivity_degenerate_ratio():

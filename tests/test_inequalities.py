@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import numbers
 import warnings
 from functools import partial
 from pathlib import Path
@@ -444,6 +445,23 @@ def test_numpy_integer_seed_is_the_int_seed(monkeypatch):
         iq.run_suite([2], 2, seed=1.5, case_ids=["eq1.2"])
 
 
+def test_numpy_integer_counts_are_int_counts(monkeypatch):
+    # samples and dims are taken by operator.index, as the seed is: numpy
+    # integers give the int report, and a float is a TypeError before
+    # any pass is drawn
+    want = iq.run_suite([1, 2], 3, seed=5, case_ids=["eq1.2"])
+    got = iq.run_suite([np.int64(1), np.int32(2)], np.int64(3), seed=5,
+                       case_ids=["eq1.2"])
+    assert type(got.samples) is int
+    assert [type(dim) for dim in got.dims] == [int, int]
+    assert ({**got.to_dict(), "elapsedSeconds": 0}
+            == {**want.to_dict(), "elapsedSeconds": 0})
+    monkeypatch.setattr(iq, "_run_pass", _no_pass)
+    for dims, samples in (([1.0], 3), ([1], 2.5)):
+        with pytest.raises(TypeError):
+            iq.run_suite(dims, samples, 1, case_ids=["eq1.2"])
+
+
 def test_uniform_is_generator_uniform_bit_for_bit(monkeypatch):
     # against a twin stream drawing with Generator.uniform: the samplers'
     # scalars on every bound their draws meet, and the eigenvalue arrays
@@ -576,6 +594,24 @@ def test_report_without_numerical_failures_field_loads():
         del c["numericalFailures"]
     restored = iq.VerificationReport.from_dict(d)
     assert restored.total_numerical_failures == 0
+
+
+def test_fuzz_counts_are_int_counts():
+    # budget and dim are taken by operator.index: numpy integers run as
+    # ints do, and a float is a TypeError before the stream is drawn from
+    case, overrides = iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}
+    want = iq.fuzz(case, overrides, 30, np.random.default_rng(0), dim=2)
+    got = iq.fuzz(case, overrides, np.int64(30), np.random.default_rng(0),
+                  dim=np.int64(2))
+    assert type(got.evaluations) is int
+    assert (got.margin, got.normalized_margin) == (
+        want.margin, want.normalized_margin)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for counts in ({"budget": 30.0, "dim": 2}, {"budget": 30, "dim": 2.0}):
+        with pytest.raises(TypeError):
+            iq.fuzz(case, overrides, rng=rng, **counts)
+        assert rng.bit_generator.state == state
 
 
 def test_fuzz_rejects_unknown_parameter():
@@ -934,41 +970,41 @@ def test_reports_unchanged(seed, expected):
     assert {cid: v for cid, v in got.items() if v != expected[cid]} == {}
 
 
-# every case that takes p, and two of degree 1
-DEGREE_FREE_CASES = ["eq1.2", "eq2.9", "eq2.10", "eq2.11", "eq2.12",
-                     "eq2.13", "f-nu-shape"]
-
-
 @st.composite
-def degree_free_points(draw):
-    """(case, params, dim, z): a case, parameters its sampler draws, and
-    a point z = (log a, log b, Re Y, Im Y) with logs in the log range of
-    FUZZ_CONDITION_RANGE and Y entries in [-3, 3]."""
-    case = iq.get_case(draw(st.sampled_from(DEGREE_FREE_CASES)))
+def degree_free_points(draw, case):
+    """(params, points): parameters the case's sampler draws, and for
+    each dim n of 1-4 a point z = (log a, log b, Re Y, Im Y) of 2n + 2n^2
+    reals, with logs in the log range of FUZZ_CONDITION_RANGE and Y
+    entries in [-3, 3]."""
     params = case.sampler(np.random.default_rng(draw(st.integers(0, 999))))
-    dim = draw(st.integers(1, 4))
     logs = st.floats(*log_range(iq.FUZZ_CONDITION_RANGE))
-    z = draw(st.lists(logs, min_size=2 * dim, max_size=2 * dim))
-    z += draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * dim * dim,
-                       max_size=2 * dim * dim))
-    return case, params, dim, np.array(z)
+    points = []
+    for n in (1, 2, 3, 4):
+        z = draw(st.lists(logs, min_size=2 * n, max_size=2 * n))
+        z += draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * n * n,
+                           max_size=2 * n * n))
+        points.append(np.array(z))
+    return params, points
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(degree_free_points())
-def test_fuzz_scores_the_margins_of_its_witness(point):
+@pytest.mark.parametrize("cid", iq.CASE_IDS)
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(data=st.data())
+def test_fuzz_scores_the_margins_of_its_witness(cid, data):
     # the degree-free reduction: the worst raw margin by which the search
     # ranks a point (log a, log b, Y) is the one evaluate gives the
     # witness written from it, X = (ab)^(-p/2) o Y, to within 1e-12 of
-    # the scale
-    case, params, dim, z = point
-    rank, _ = iq._lowest(case, params, dim, z[None])
-    inst = iq._witness(z, dim, params)
-    frame = Frame.of(inst.a, inst.x, inst.b)
-    _, scales = iq.step_margins(*case.builder(frame.d, params),
-                                frame.scaled(params.get("p")))
-    want = min(float(np.min(m)) for m in iq.evaluate(case, inst, params))
-    assert abs(rank - want) <= 1e-12 * np.max(scales)
+    # the scale, at dims 1-4
+    case = iq.get_case(cid)
+    params, points = data.draw(degree_free_points(case))
+    for dim, z in enumerate(points, 1):
+        rank, _ = iq._lowest(case, params, dim, z[None])
+        inst = iq._witness(z, dim, params)
+        frame = Frame.of(inst.a, inst.x, inst.b)
+        _, scales = iq.step_margins(*case.builder(frame.d, params),
+                                    frame.scaled(params.get("p", 1.0)))
+        want = min(float(np.min(m)) for m in iq.evaluate(case, inst, params))
+        assert abs(rank - want) <= 1e-12 * np.max(scales), dim
 
 
 def test_fuzz_draws_no_unitary(monkeypatch):
@@ -1320,7 +1356,7 @@ def test_margins_are_invariant_under_frame_relations(cid, sample):
         frame = Frame.of(inst.a, inst.x, inst.b)
         margins, _ = iq._margins(case, frame, params)
         _, scales = iq.step_margins(*case.builder(frame.d, params),
-                                    frame.scaled(params.get("p")))
+                                    frame.scaled(params.get("p", 1.0)))
         for name, related in _related_frames(inst, rng).items():
             change = np.abs(iq._margins(case, related, params)[0] - margins)
             assert np.all(change.max(axis=-1) <= 1e-12 * scales), (name, dim)
@@ -1397,7 +1433,7 @@ def _old_interpolant(nu0):
                + p["beta"] * heinz_kernel(d, 0.25))
         return (np.array([heinz_kernel(d, p["nu"]), mix,
                           heron_kernel(d, p["alpha"])]),
-                [iq.Step([(None, np.arange(2))], [(None, np.arange(1, 3))])])
+                [iq.Step([(1.0, np.arange(2))], [(1.0, np.arange(1, 3))])])
     return build
 
 
@@ -1500,8 +1536,7 @@ def _assert_same_build(got, want):
                                 (step.rhs, want_step.rhs)):
             assert len(side) == len(want_side)
             for (c, i), (want_c, want_i) in zip(side, want_side):
-                assert (c is None) == (want_c is None)
-                assert c is None or np.array_equal(c, want_c)
+                assert np.array_equal(c, want_c)
                 assert np.array_equal(i, want_i)
 
 
@@ -1664,6 +1699,26 @@ def test_alpha_mono_herons_are_heron_kernels(count):
     assert [(c, list(i)) for c, i in small.lhs] == [
         (1.0, list(range(m, m + k)))]
     assert [(c, list(i)) for c, i in small.rhs] == [(1.0, [0] * k)]
+
+
+@pytest.mark.parametrize("cid", iq.CASE_IDS)
+def test_every_term_carries_a_coefficient(cid):
+    # a number or an array on every term of every step, for scalar
+    # parameters on one frame's d and (5, 1, 1) ones on a stack of five,
+    # at dims 1-4: step_margins multiplies every gather by its weight
+    case = iq.get_case(cid)
+    for dim in (1, 2, 3, 4):
+        rng = np.random.default_rng(dim)
+        la, lb = rng.uniform(*np.log(iq.DEFAULT_CONDITION_RANGE), (2, 5, dim))
+        d = 0.5 * (la[:, :, None] - lb[:, None, :])
+        draws = [case.sampler(rng) for _ in range(5)]
+        stacked = {k: np.array([p[k] for p in draws])[:, None, None]
+                   for k in draws[0]}
+        for grid, params in ((d[0], draws[0]), (d, stacked)):
+            for step in case.builder(grid, params)[1]:
+                for c, _ in step.lhs + step.rhs:
+                    assert isinstance(c, (numbers.Real, np.ndarray)), dim
+                    assert not isinstance(c, bool), dim
 
 
 if __name__ == "__main__":

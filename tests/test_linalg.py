@@ -6,8 +6,8 @@ import pytest
 
 from meanforge.errors import NotHermitianError, NumericalFailureError
 from meanforge.linalg import (Frame, HpdMatrix, _Generated, hermitian_eig,
-                              random_complex, random_hpd, random_unitary,
-                              spawned_streams, svd_values)
+                              is_hermitian, random_complex, random_hpd,
+                              random_unitary, spawned_streams, svd_values)
 
 
 def test_eig_identity():
@@ -31,6 +31,15 @@ def test_eig_pauli_type():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_is_hermitian_at_zero_and_nan():
+    # a zero matrix passes 0 <= rtol * 0 with no case of its own, a NaN
+    # entry fails every comparison; the answer is a plain bool
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    answers = [is_hermitian(m) for m in (np.zeros((3, 3)), nan, np.eye(2))]
+    assert answers == [True, False, True]
+    assert [type(a) for a in answers] == [bool] * 3
 
 
 def test_svd_zero_matrix():

@@ -80,9 +80,9 @@ def log_mean(a: float, b: float) -> float:
 
 
 def test_log_mean_near_coincident():
-    # series branch agrees with the exact formula across the switchover
-    # eps a power of two so a*eps and b are exact; log1p keeps the
-    # reference stable
+    # sinh(d)/d of a tiny d, a plain quotient with no series near 0,
+    # agrees with the exact formula as b approaches a; eps a power of two
+    # so a*eps and b are exact; log1p keeps the reference stable
     for eps in (2.0 ** -23, 2.0 ** -20, 2.0 ** -17, 2.0 ** -13):
         a = 2.0
         b = a * (1.0 + eps)
