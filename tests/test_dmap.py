@@ -357,3 +357,114 @@ def test_out_of_hypothesis_kernel_expands():
     assert kernel_in_hypothesis(spec)["abs"] is False
     ratio, _ = contractivity_check(spec, a, b, 50, rng)
     assert ratio > 1.0 + 1e-6
+
+
+# The contractivity workload's timed draws: seed -> case id of each
+# rational family -> float.hex of max_ratio for draws 0-9, each drawn
+# from SeedSequence(seed + 2, spawn_key=(family, draw)) at dims 2-6 in
+# turn, with 50 samples.  Dim 2 takes its singular values in closed
+# form; dims 3-6 depend on LAPACK's SVD rounding, so they hold for the
+# numpy and BLAS build that tests/test_inequalities.py's FUZZ_GOLDEN
+# names.  ``PYTHONPATH=src python tests/test_dmap.py`` prints the list as
+# this setup finds it.
+CONTRACTIVITY_GOLDEN = [
+    (20240801, {
+        "prop2.1-1": (
+            "0x1.6a1ecdcb59404p-3", "0x1.d68f7d9878372p-1",
+            "0x1.f604268a88f6dp-1", "0x1.6d2ed20f675e0p-1",
+            "0x1.e384b17d1b07ap-1", "0x1.0b8ff734d32bbp-1",
+            "0x1.eacdee3023c62p-1", "0x1.ee95f48264440p-1",
+            "0x1.f0d5845e765afp-1", "0x1.fe1a1180cc077p-1",
+        ),
+        "prop2.1-2": (
+            "0x1.a28f3acc581f7p-1", "0x1.ca5229ae1a272p-1",
+            "0x1.e1cd95fb8d531p-1", "0x1.ecccace1bed69p-1",
+            "0x1.fd30b4ca0b52dp-1", "0x1.e14013c963b23p-1",
+            "0x1.e6befd0858a43p-1", "0x1.d65256c793d63p-1",
+            "0x1.f56fdff8bfb75p-1", "0x1.f3b8463d4cba2p-1",
+        ),
+        "prop2.1-3": (
+            "0x1.06a61b0dd04a7p-1", "0x1.3c9ec80b4cd5dp-1",
+            "0x1.01e3a9f04d8ecp-1", "0x1.aa7bc45a88f56p-2",
+            "0x1.62e10337403e6p-1", "0x1.30e0b3cd56c03p-1",
+            "0x1.623e50e0f3fd0p-1", "0x1.f9be0e96cb75dp-2",
+            "0x1.4d52e1832979cp-1", "0x1.1e41a2c1fdaf1p-2",
+        ),
+        "prop2.1-4": (
+            "0x1.021b6630a7819p-1", "0x1.40b763481bbdfp-1",
+            "0x1.4aa36927c400fp-1", "0x1.0c56302f2b4b7p-1",
+            "0x1.d63a718c00c61p-2", "0x1.174be7d141615p-1",
+            "0x1.950c71f0c81cep-1", "0x1.19428d9089c5bp-1",
+            "0x1.493f6f55782e3p-2", "0x1.af9174da1463ap-2",
+        ),
+    }),
+    (90210, {
+        "prop2.1-1": (
+            "0x1.b242bcce52dbap-1", "0x1.da038235b67ddp-1",
+            "0x1.b488881bb764bp-1", "0x1.1b7971143048dp-1",
+            "0x1.ee02768150aa8p-1", "0x1.c7a3e4db62419p-1",
+            "0x1.ac0ce3f9b136fp-1", "0x1.f25f42a96704cp-1",
+            "0x1.8f02236344ebap-2", "0x1.efcd73a3b7bc3p-1",
+        ),
+        "prop2.1-2": (
+            "0x1.ef9fb47e680ccp-1", "0x1.f83deb3c57576p-1",
+            "0x1.d30d981c9c76ap-1", "0x1.f53d87192c598p-1",
+            "0x1.e112411b09134p-1", "0x1.cf06b41e92f7fp-1",
+            "0x1.f4c48bda2edf5p-1", "0x1.f0ff45f85ee36p-1",
+            "0x1.f5e238a311e44p-1", "0x1.f9945f298bcf0p-1",
+        ),
+        "prop2.1-3": (
+            "0x1.554c4580d9dedp-2", "0x1.9e5dcefc33dbep-1",
+            "0x1.0867533d5cd6ep-1", "0x1.6ce3eec065ffcp-2",
+            "0x1.2d2a6718e27cbp-1", "0x1.f76325bc84cd7p-3",
+            "0x1.11cb832b0d23fp-1", "0x1.a91cdde33ef25p-2",
+            "0x1.0293c10e69fc6p-1", "0x1.021ea2d15db73p-1",
+        ),
+        "prop2.1-4": (
+            "0x1.a5faf7902ff58p-3", "0x1.83359d436a9a3p-2",
+            "0x1.b0d45d33a4ca0p-1", "0x1.5f5d43724768fp-2",
+            "0x1.a4cdee535dbdep-2", "0x1.620cbf5d9b16cp-1",
+            "0x1.19673c343cdf6p-1", "0x1.6f49adb5af617p-1",
+            "0x1.ed0ce8e48cffep-2", "0x1.f1daabc70f76fp-2",
+        ),
+    }),
+]
+
+
+def contractivity_golden_of(seed: int) -> dict:
+    """The CONTRACTIVITY_GOLDEN entry of fresh checks at seed."""
+    golden = {}
+    for family, (cid, kind) in enumerate(iq._PROP_KINDS.items()):
+        ratios = []
+        for draw in range(10):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed + 2, spawn_key=(family, draw)))
+            dim = 2 + draw % 5
+            spec = KernelSpec(kind, iq.get_case(cid).sampler(rng))
+            a, b = random_hpd(dim, rng), random_hpd(dim, rng)
+            ratio, _ = contractivity_check(spec, a, b, 50, rng)
+            ratios.append(ratio.hex())
+        golden[cid] = tuple(ratios)
+    return golden
+
+
+@pytest.mark.parametrize("seed, expected", CONTRACTIVITY_GOLDEN,
+                         ids=[str(s) for s, _ in CONTRACTIVITY_GOLDEN])
+def test_contractivity_ratios_unchanged(seed, expected):
+    assert contractivity_golden_of(seed) == expected
+
+
+if __name__ == "__main__":
+    # CONTRACTIVITY_GOLDEN as this setup finds it, in the form written
+    # above
+    print("CONTRACTIVITY_GOLDEN = [")
+    for seed in (20240801, 90210):
+        print(f"    ({seed}, {{")
+        for cid, ratios in contractivity_golden_of(seed).items():
+            print(f'        "{cid}": (')
+            for i in range(0, len(ratios), 2):
+                print("            "
+                      + " ".join(f'"{r}",' for r in ratios[i:i + 2]))
+            print("        ),")
+        print("    }),")
+    print("]")
