@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BadIntervalError, DimMismatchError,
                      NumericalFailureError, PoleError, UnknownParameterError)
-from .linalg import (Frame, HpdMatrix, adjoint, frame_apply, random_complex,
+from .linalg import (Frame, HpdMatrix, frame_apply, random_complex,
                      svd_values)
 # ky_fan is looked up here by benchmarks/tracer.py.
 from .norms import ky_fan  # noqa: F401
@@ -245,14 +245,15 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
                         sample_count: int, rng: np.random.Generator):
     """Sampled Ky Fan certificate of |||f(D) T||| <= |||T|||.
 
-    Returns (max_ratio, worst_x) where max_ratio is the maximum over
+    Returns (max_ratio, worst_xt) where max_ratio is the maximum over
     random T and Ky Fan orders of ky_fan(f(D)T, k) / ky_fan(T, k); orders
     where ky_fan(T, k) is 0 are skipped.  The sample_count draws are of
     Xt, X in the joint eigenframe of (A, B): a standard complex Gaussian,
     as U_A* X U_B is for a Gaussian X, and Ky Fan norms do not see the
     rotation.  The kernel grid K of the frame's d is evaluated once, and
     [K, 1] times the scaled Xt stack goes through one singular value
-    call; only the worst sample is rotated back, to X = U_A Xt U_B*.  A
+    call.  No eigenvector is read: worst_xt is the worst sample as drawn,
+    in the frame, and X = U_A worst_xt U_B* is the caller's to form.  A
     grid that overflows is not warned about: its NaN singular values,
     like those svd_values gives a stack whose SVD fails to converge,
     make the ratio NaN, and a max_ratio that is not finite raises
@@ -273,5 +274,4 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     max_ratio = float(ratios[worst])
     if not math.isfinite(max_ratio):  # -inf: no order to compare
         raise NumericalFailureError(f"maxRatio {max_ratio} is not finite")
-    return max_ratio, (a.eigenvectors @ xt[worst[0]]
-                       @ adjoint(b.eigenvectors))
+    return max_ratio, xt[worst[0]]

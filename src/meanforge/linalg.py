@@ -10,7 +10,9 @@ docstring says so.  Hermitian positive definite matrices are carried as
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +31,13 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
     """||m - m*||_F <= rtol ||m||_F: True for a zero matrix, False for
-    one with a NaN entry."""
+    one with a NaN entry.  Taken on m scaled by the reciprocal of its
+    largest entry modulus, as ``svd_values`` scales its order-2 form, so
+    that no square in the norms underflows or overflows and the answer
+    does not depend on the scale of m.  A product, not a complex
+    division, which would warn on a NaN entry."""
+    m = np.asarray(m)
+    m = m * (1.0 / np.maximum(np.abs(m).max(), _TINY))
     return bool(np.linalg.norm(m - adjoint(m)) <= rtol * np.linalg.norm(m))
 
 
@@ -133,18 +141,27 @@ class HpdMatrix:
     """Hermitian positive definite matrix with its spectral data.
 
     eigenvalues are descending and strictly positive; the columns of
-    eigenvectors are orthonormal and matrix = V diag(eigenvalues) V*,
-    assembled on first use.
+    eigenvectors are orthonormal and matrix = V diag(eigenvalues) V*.
+    The eigenvectors may be held as a function of no arguments, called on
+    their first read (``random_hpd`` defers its QR so), and the matrix is
+    assembled on its first read; each is formed once and kept, so every
+    read returns the same array.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _eigenvectors: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False,
                                        compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if callable(self._eigenvectors):
+            object.__setattr__(self, "_eigenvectors", self._eigenvectors())
+        return self._eigenvectors
 
     @property
     def matrix(self) -> np.ndarray:
@@ -160,21 +177,24 @@ class HpdMatrix:
 
     @classmethod
     def from_spectrum(cls, eigenvalues, eigenvectors) -> "HpdMatrix":
+        """The matrix of these eigenvalues, checked here, and eigenvector
+        columns: an array, or a function of no arguments that returns one
+        on the first read of ``eigenvectors``.  Both are put in the
+        descending order of the eigenvalues, ties kept in column order."""
         w = np.asarray(eigenvalues, dtype=float)
-        v = np.asarray(eigenvectors, dtype=complex)
         if not 0.0 < w.min() <= w.max() < np.inf:  # False for a NaN
             raise ValueError("eigenvalues must be finite and strictly "
                              "positive")
         order = np.argsort(-w, kind="stable")
-        return cls(eigenvalues=w[order], eigenvectors=v[:, order])
+        vectors = partial(_columns, eigenvectors, order)
+        return cls(w[order], vectors if callable(eigenvectors) else vectors())
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "HpdMatrix":
         w, v = hermitian_eig(m)
         if np.any(w <= 0.0):
             raise ValueError("matrix is not positive definite")
-        return cls(eigenvalues=w, eigenvectors=v,
-                   _matrix=np.asarray(m, dtype=complex))
+        return cls(w, v, np.asarray(m, dtype=complex))
 
     def power(self, t: float) -> np.ndarray:
         """Fractional power V diag(lambda^t) V*."""
@@ -185,6 +205,13 @@ class HpdMatrix:
         w = np.exp(t * self.log_eigenvalues)
         m = (self.eigenvectors * w) @ adjoint(self.eigenvectors)
         return 0.5 * (m + adjoint(m))
+
+
+def _columns(vectors, order) -> np.ndarray:
+    """The columns of vectors, an array or a function that returns one,
+    as a complex array in the given order."""
+    v = vectors() if callable(vectors) else vectors
+    return np.asarray(v, dtype=complex)[:, order]
 
 
 class Frame:
@@ -286,10 +313,19 @@ def uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
 def random_hpd(dim: int, rng: np.random.Generator,
                condition_range=DEFAULT_CONDITION_RANGE) -> HpdMatrix:
     """Random HPD matrix: eigenvalues log-uniform in condition_range, then
-    eigenvectors from the QR of a complex Gaussian.  Raises ValueError for
-    dim < 1, as ``random_complex`` does."""
+    eigenvectors from the QR of a complex Gaussian.  Only the Gaussian's
+    real normals are drawn here, as ``random_complex`` draws them; the
+    Gaussian, its QR (a failed one raises NumericalFailureError) and the
+    column order are formed on the first read of ``eigenvectors``.
+    Raises ValueError for dim < 1, as ``random_complex`` does."""
     eigs = np.exp(uniform(rng, *log_range(condition_range), size=dim))
-    return HpdMatrix.from_spectrum(eigs, random_unitary(dim, rng))
+    return HpdMatrix.from_spectrum(
+        eigs, partial(_unitary_of, _normals(dim, rng)))
+
+
+def _unitary_of(g: np.ndarray) -> np.ndarray:
+    """The unitary of random_unitary's draw, from its real normals g."""
+    return gaussian_unitary(complex_gaussian(g))
 
 
 _MASK32 = (1 << 32) - 1
@@ -375,7 +411,14 @@ def random_complex(dim: int, rng: np.random.Generator,
                    count: int | None = None) -> np.ndarray:
     """dim x dim matrix with iid standard complex Gaussian entries, or a
     stack of ``count`` of them drawn one after another."""
+    return complex_gaussian(_normals(dim, rng, count))
+
+
+def _normals(dim: int, rng: np.random.Generator,
+             count: int | None = None) -> np.ndarray:
+    """The real standard normals of random_complex's draw, pairs
+    (2, dim, dim) or a stack (count, 2, dim, dim) of them."""
     if dim < 1 or (count is not None and count < 1):
         raise ValueError(f"need dim and count >= 1, not {dim} and {count}")
     shape = (2, dim, dim) if count is None else (count, 2, dim, dim)
-    return complex_gaussian(rng.standard_normal(shape))
+    return rng.standard_normal(shape)

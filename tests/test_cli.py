@@ -344,6 +344,18 @@ def test_qr_failure_exits_3(argv, monkeypatch, tmp_path):
     assert not (tmp_path / "i.json").exists()
 
 
+def test_contractivity_forms_no_unitary(monkeypatch, capsys):
+    # the check reads no eigenvector, so a QR that would fail is never
+    # run, and the line printed is the one printed with it working
+    from test_dmap import refuse_unitaries
+    argv = ["contractivity", *PART1, "--dim", "5", "--samples", "20"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    refuse_unitaries(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_contractivity_missing_param():
     assert cli.main(["contractivity", "--kernel", "part1",
                      "--set", "r=1"]) == 2
@@ -410,6 +422,19 @@ def test_load_rejects_non_hermitian(tmp_path):
     from meanforge.errors import NotHermitianError
     with pytest.raises(NotHermitianError):
         io.load_instance(path)
+
+
+def test_load_rejects_non_hermitian_that_underflows():
+    # ||A - A*|| and ||A|| both underflow to 0 for this A; over its
+    # largest entry it is plainly not Hermitian
+    tiny = 1e-170
+    doc = {"dim": 2,
+           "A": [[tiny, 0], [tiny, 0], [-tiny, 0], [tiny, 0]],
+           "B": [[1, 0], [0, 0], [0, 0], [1, 0]],
+           "X": [[0, 0], [0, 0], [0, 0], [0, 0]]}
+    from meanforge.errors import NotHermitianError
+    with pytest.raises(NotHermitianError, match="loaded A"):
+        io.instance_from_dict(doc)
 
 
 @pytest.mark.parametrize("dim", [0, -1, 1.7, 1.0, True, "1", None])

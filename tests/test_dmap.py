@@ -1,10 +1,11 @@
+import math
 from functools import reduce
 
 import mpmath
 import numpy as np
 import pytest
 
-from meanforge import dmap, inequalities as iq
+from meanforge import dmap, inequalities as iq, linalg
 from meanforge.dmap import (DMap, KernelSpec, contractivity_check,
                             kernel_eval, kernel_in_hypothesis)
 from meanforge.errors import (BadIntervalError, DimMismatchError,
@@ -229,7 +230,8 @@ def test_apply_kernel_dim_mismatch():
 
 def test_contractivity_matches_one_sample_at_a_time():
     # the stacked check reproduces the per-sample, per-order Ky Fan loop;
-    # its draws are Xt, so the loop rotates each back to X = U_A Xt U_B*
+    # its draws are Xt, so the loop rotates each to X = U_A Xt U_B*, and
+    # the check returns the worst Xt as drawn
     rng = np.random.default_rng(9)
     a, b = random_hpd(3, rng), random_hpd(3, rng)
     spec = KernelSpec("coshComboRatio", {"r": 0.2, "rp": -0.3, "s1": 0.9,
@@ -243,16 +245,16 @@ def test_contractivity_matches_one_sample_at_a_time():
         xt = random_complex(3, replay)
         x = a.eigenvectors @ xt @ b.eigenvectors.conj().T
         mapped, base = frame.apply(spec, x), oracle.geo(a, x, b)
-        ratios += [(oracle_fan(mapped, k) / oracle_fan(base, k), x)
+        ratios += [(oracle_fan(mapped, k) / oracle_fan(base, k), xt)
                    for k in (1, 2, 3)]
-    want, want_x = max(ratios, key=lambda r: r[0])
+    want, want_xt = max(ratios, key=lambda r: r[0])
     assert ratio == pytest.approx(want, rel=1e-12)
-    assert np.array_equal(worst, want_x)
+    assert np.array_equal(worst, want_xt)
 
 
 def test_contractivity_rotates_no_sample(monkeypatch):
-    # the samples are scored in the frame; only the worst is rotated back,
-    # and its own frame gives the reported ratio again
+    # the samples are scored in the frame and the worst is returned there,
+    # unrotated: its own frame gives the reported ratio again
     rng = np.random.default_rng(10)
     a, b = random_hpd(4, rng), random_hpd(4, rng)
     spec = KernelSpec("sinhComboRatio", {"r": 0.9, "rp": -1.2, "s1": 2.1,
@@ -265,11 +267,34 @@ def test_contractivity_rotates_no_sample(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(Frame, "of", no_rotation)
         ratio, worst = contractivity_check(spec, a, b, 50, rng)
-    frame = Frame.of(a, worst, b)
+    frame = Frame(a.eigenvalues, b.eigenvalues, worst)
     base = frame.scaled()
     mapped = kernel_eval(spec, frame.d) * base
     fans = np.cumsum(svd_values(np.array([mapped, base])), axis=-1)
     assert ratio == pytest.approx(np.max(fans[0] / fans[1]), rel=1e-12)
+
+
+def refuse_unitaries(monkeypatch):
+    """Every QR and every gaussian_unitary call raises."""
+    def no_unitary(g):
+        raise AssertionError("a unitary was formed")
+
+    fail_lapack(monkeypatch, "qr")
+    monkeypatch.setattr(linalg, "gaussian_unitary", no_unitary)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_contractivity_forms_no_unitary(monkeypatch, dim):
+    # random_hpd defers its QR to the first read of eigenvectors, and the
+    # check reads none: A and B are used by their eigenvalues alone
+    rng = np.random.default_rng(dim)
+    refuse_unitaries(monkeypatch)
+    for cid, kind in iq._PROP_KINDS.items():
+        spec = KernelSpec(kind, iq.get_case(cid).sampler(rng))
+        a, b = random_hpd(dim, rng), random_hpd(dim, rng)
+        ratio, worst = contractivity_check(spec, a, b, 10, rng)
+        assert math.isfinite(ratio), cid
+        assert worst.shape == (dim, dim), cid
 
 
 def oracle_fan(m, k):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from meanforge.errors import NotHermitianError, NumericalFailureError
-from meanforge.linalg import (Frame, HpdMatrix, _Generated, hermitian_eig,
-                              is_hermitian, random_complex, random_hpd,
-                              random_unitary, spawned_streams, svd_values)
+from meanforge.linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix,
+                              _Generated, complex_gaussian, gaussian_unitary,
+                              hermitian_eig, is_hermitian, random_complex,
+                              random_hpd, random_unitary, spawned_streams,
+                              svd_values)
 
 
 def test_eig_identity():
@@ -40,6 +42,30 @@ def test_is_hermitian_at_zero_and_nan():
     answers = [is_hermitian(m) for m in (np.zeros((3, 3)), nan, np.eye(2))]
     assert answers == [True, False, True]
     assert [type(a) for a in answers] == [bool] * 3
+
+
+# 1 + 1j off the diagonal, so that m* differs from the transpose
+SKEW_OFF = np.array([[1.0, 1.0 + 1j], [-1.0 - 1j, 1.0]])
+HERMITIAN = np.array([[1.0, 1.0 + 1j], [1.0 - 1j, 2.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-320, 1e-170, 1e-20, 1e170])
+def test_is_hermitian_at_any_scale(scale):
+    # the norms are taken on m over its largest entry modulus: at 1e-170
+    # the squares underflow and at 1e170 they overflow, which made the
+    # plain norms compare 0 <= 0 and inf <= inf, a pass for any m
+    assert not is_hermitian(scale * SKEW_OFF)
+    assert not is_hermitian(scale * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    assert is_hermitian(scale * HERMITIAN)
+
+
+def test_is_hermitian_of_a_scaled_copy():
+    # the answer for [[1, 1], [-1, 1]] 1e-170 is its copies' at 1e+-150
+    m = np.array([[1e-170, 1e-170], [-1e-170, 1e-170]])
+    assert [is_hermitian(m * c) for c in (1.0, 1e-150, 1e150)] == [False] * 3
+    # a complex NaN entry is refused without a warning, as before the
+    # scaling: a complex division by NaN would warn
+    assert not is_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]], complex))
 
 
 def test_svd_zero_matrix():
@@ -93,7 +119,7 @@ def fail_lapack(monkeypatch, name="svd"):
 @pytest.mark.parametrize("name, call", [
     ("eigh", lambda: hermitian_eig(np.eye(2))),
     ("qr", lambda: random_unitary(3, np.random.default_rng(0))),
-    ("qr", lambda: random_hpd(2, np.random.default_rng(0))),
+    ("qr", lambda: random_hpd(2, np.random.default_rng(0)).eigenvectors),
 ], ids=["eigh", "qr-unitary", "qr-hpd"])
 def test_failed_factorization_is_a_numerical_failure(monkeypatch, name,
                                                      call):
@@ -309,6 +335,28 @@ def test_random_hpd_draws_as_generator_uniform(condition_range):
         want = HpdMatrix.from_spectrum(eigs, random_unitary(4, twin))
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_random_hpd_forms_its_unitary_on_first_read(monkeypatch, dim):
+    # the draw keeps the real normals and runs no QR; the first read of
+    # eigenvectors forms the unitary of the replayed draw bit for bit,
+    # and every later read returns the same array
+    for seed in range(5):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        with monkeypatch.context() as patch:
+            fail_lapack(patch, "qr")
+            h = random_hpd(dim, rng)
+        eigs = np.exp(twin.uniform(*np.log(DEFAULT_CONDITION_RANGE),
+                                   size=dim))
+        g = twin.standard_normal((2, dim, dim))
+        assert rng.random() == twin.random()
+        want = HpdMatrix.from_spectrum(
+            eigs, gaussian_unitary(complex_gaussian(g)))
+        assert h.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert h.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert h.eigenvectors is h.eigenvectors
+        assert h.matrix is h.matrix
 
 
 def test_random_hpd_spectrum_in_range():
