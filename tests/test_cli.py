@@ -356,6 +356,12 @@ def test_contractivity_forms_no_unitary(monkeypatch, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_contractivity_default_tolerance():
+    args = cli._build_parser().parse_args(["contractivity", "--kernel",
+                                           "sinch"])
+    assert args.tol == iq.DEFAULT_TOLERANCE
+
+
 def test_contractivity_missing_param():
     assert cli.main(["contractivity", "--kernel", "part1",
                      "--set", "r=1"]) == 2

@@ -374,6 +374,44 @@ def test_hypothesis_readings_differ_for_negative_exponent():
     assert flags["abs"] is False
 
 
+# (s1, s2, r) -> (literal, abs) for the exponent condition alone: the
+# signed r <= (s1+s2)/2 for 0 <= s2 <= s1 and r >= (s1+s2)/2 for
+# s1 <= s2 <= 0, |r| <= |s1+s2|/2 on either order, and neither reading
+# when s2 lies outside [0, s1] and [s1, 0]
+EXPONENT_ORDER = [
+    ((0.0, 0.0, 0.0), (True, True)),  # s1 = s2 = 0, r = +-mid
+    ((0.0, 0.0, 0.5), (False, False)),
+    ((0.0, 0.0, -0.5), (True, False)),
+    ((-2.0, 0.0, -1.0), (True, True)),  # s2 = 0 > s1, r = mid
+    ((-2.0, 0.0, 1.0), (True, True)),  # r = -mid
+    ((-2.0, 0.0, -1.5), (False, False)),
+    ((-2.0, 0.0, 0.5), (True, True)),
+    ((1.5, 1.5, 1.5), (True, True)),  # s1 = s2 > 0, r = mid
+    ((1.5, 1.5, -1.5), (True, True)),  # r = -mid
+    ((1.5, 1.5, -2.0), (True, False)),
+    ((1.5, 1.5, 2.0), (False, False)),
+    ((1.0, 2.0, 1.5), (False, False)),  # s2 > s1 > 0, r = mid
+    ((1.0, 2.0, -1.5), (False, False)),  # r = -mid
+    ((1.0, 2.0, 0.0), (False, False)),
+]
+
+
+@pytest.mark.parametrize("kind", list(dmap.RATIONAL_FAMILIES))
+@pytest.mark.parametrize("exponents, flags", EXPONENT_ORDER)
+def test_hypothesis_exponent_order(kind, exponents, flags):
+    s1, s2, r = exponents
+    sinh, combo = dmap.RATIONAL_FAMILIES[kind]
+    rest = ({"rp": r, "alpha": 0.5, "beta": 1.0} if combo
+            else {"t": 0.5})
+    spec = KernelSpec(kind, {"r": r, "s1": s1, "s2": s2, **rest})
+    # the other hypotheses hold here, but for the sinh families'
+    # |s1 + s2| >= 2, which fails at s1 = s2 = 0 only
+    holds = not (sinh and s1 == s2 == 0.0)
+    literal, in_abs = flags
+    assert kernel_in_hypothesis(spec) == {"literal": literal and holds,
+                                          "abs": in_abs and holds}
+
+
 def test_out_of_hypothesis_kernel_expands():
     rng = np.random.default_rng(8)
     a, b = random_hpd(4, rng, (0.05, 20.0)), random_hpd(4, rng, (0.05, 20.0))

@@ -279,6 +279,14 @@ def test_hpd_power_diagonal_sqrt():
     assert np.allclose(h.power(0.5), np.diag([2.0, 3.0]))
 
 
+@pytest.mark.parametrize("m", [[[1.0, 0.0], [0.0, 0.0]],
+                               [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["zero-eigenvalue", "negative-eigenvalue"])
+def test_from_matrix_refuses_a_hermitian_matrix_not_positive_definite(m):
+    with pytest.raises(ValueError):
+        HpdMatrix.from_matrix(np.array(m, dtype=complex))
+
+
 def test_hpd_power_addition():
     rng = np.random.default_rng(4)
     for _ in range(20):
