@@ -147,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=parse_count, default=4)
     p.add_argument("--samples", type=parse_count, default=100)
     p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--tol", type=parse_tolerance, default=1e-9)
+    p.add_argument("--tol", type=parse_tolerance,
+                   default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--report-only", action="store_true")
 
     p = sub.add_parser("gen", help="generate a random instance file")

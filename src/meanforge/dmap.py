@@ -208,14 +208,10 @@ def kernel_in_hypothesis(spec: KernelSpec) -> dict | None:
     exponents = [p["r"], p["rp"]] if combo else [p["r"]]
     mid = 0.5 * (s1 + s2)
 
-    if 0.0 <= s2 <= s1:
-        literal = all(r <= mid for r in exponents)
-    elif s1 <= s2 <= 0.0:
-        literal = all(r >= mid for r in exponents)
-    else:
-        literal = False
-    in_abs = (0.0 <= s2 <= s1 or s1 <= s2 <= 0.0) and all(
-        abs(r) <= abs(mid) for r in exponents)
+    ordered = 0.0 <= s2 <= s1 or s1 <= s2 <= 0.0
+    literal = ordered and all(r <= mid if s1 >= 0.0 else r >= mid
+                              for r in exponents)
+    in_abs = ordered and all(abs(r) <= abs(mid) for r in exponents)
 
     if combo:
         ok = 0.0 <= p["alpha"] <= 1.0 and p["beta"] >= 0.5

@@ -1,9 +1,9 @@
 """JSON serialization of instances and verification reports.
 
 Instance files hold {"dim": n, "A": M, "B": M, "X": M}, n an integer
->= 1 and each matrix a row-major list of [re, im] pairs.  Python floats
-round-trip exactly through json, so saved instances reload
-bit-faithfully.
+>= 1 and each matrix a row-major list of n^2 [re, im] pairs of finite
+numbers.  Python floats round-trip exactly through json, so saved
+instances reload bit-faithfully.
 """
 
 from __future__ import annotations
@@ -22,11 +22,19 @@ def matrix_to_pairs(m: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
 
 
-def pairs_to_matrix(pairs: list, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    if flat.size != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
-    return flat.reshape(dim, dim)
+def pairs_to_matrix(pairs: list, dim: int, name: str) -> np.ndarray:
+    """The matrix of dim^2 row-major [re, im] pairs of finite numbers
+    (a string or null is not one), with the bits of complex(re, im);
+    else a ValueError naming the matrix."""
+    try:
+        flat = np.asarray(pairs)
+    except ValueError:  # ragged
+        flat = np.empty(0)
+    if (flat.dtype.kind not in "iuf" or flat.shape != (dim * dim, 2)
+            or not np.isfinite(flat).all()):
+        raise ValueError(f"{name} must be {dim * dim} [re, im] pairs of "
+                         f"finite numbers")
+    return flat.astype(float).view(complex).reshape(dim, dim)
 
 
 def instance_to_dict(inst: InstanceTriple) -> dict:
@@ -40,9 +48,7 @@ def instance_from_dict(d: dict) -> InstanceTriple:
     dim = d["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dim must be an integer >= 1, not {dim!r}")
-    a = pairs_to_matrix(d["A"], dim)
-    b = pairs_to_matrix(d["B"], dim)
-    x = pairs_to_matrix(d["X"], dim)
+    a, b, x = (pairs_to_matrix(d[name], dim, name) for name in "ABX")
     for name, m in (("A", a), ("B", b)):
         if not is_hermitian(m):
             raise NotHermitianError(f"loaded {name} is not Hermitian")

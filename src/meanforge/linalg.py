@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -29,16 +29,17 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    """||m - m*||_F <= rtol ||m||_F: True for a zero matrix, False for
-    one with a NaN entry.  Taken on m scaled by the reciprocal of its
-    largest entry modulus, as ``svd_values`` scales its order-2 form, so
-    that no square in the norms underflows or overflows and the answer
-    does not depend on the scale of m.  A product, not a complex
-    division, which would warn on a NaN entry."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """||m - m*||_F <= HERMITIAN_RTOL ||m||_F: True for a zero matrix,
+    False for one with a NaN entry.  Taken on m over its largest entry
+    modulus, as ``svd_values`` scales its order-2 form, so that no square
+    in the norms underflows or overflows and the answer does not depend
+    on the scale of m.  A product, not a complex division, which would
+    warn on a NaN entry."""
     m = np.asarray(m)
     m = m * (1.0 / np.maximum(np.abs(m).max(), _TINY))
-    return bool(np.linalg.norm(m - adjoint(m)) <= rtol * np.linalg.norm(m))
+    return bool(np.linalg.norm(m - adjoint(m))
+                <= HERMITIAN_RTOL * np.linalg.norm(m))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,16 +172,12 @@ class HpdMatrix:
             object.__setattr__(self, "_matrix", 0.5 * (m + adjoint(m)))
         return self._matrix
 
-    @property
-    def log_eigenvalues(self) -> np.ndarray:
-        return np.log(self.eigenvalues)
-
     @classmethod
     def from_spectrum(cls, eigenvalues, eigenvectors) -> "HpdMatrix":
-        """The matrix of these eigenvalues, checked here, and eigenvector
-        columns: an array, or a function of no arguments that returns one
-        on the first read of ``eigenvectors``.  Both are put in the
-        descending order of the eigenvalues, ties kept in column order."""
+        """The one check of a spectrum: finite, strictly positive
+        eigenvalues (else ValueError), put with their eigenvector columns
+        in descending order, ties kept in order.  The columns are an
+        array, or a function of no arguments called on their first read."""
         w = np.asarray(eigenvalues, dtype=float)
         if not 0.0 < w.min() <= w.max() < np.inf:  # False for a NaN
             raise ValueError("eigenvalues must be finite and strictly "
@@ -191,10 +188,10 @@ class HpdMatrix:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "HpdMatrix":
-        w, v = hermitian_eig(m)
-        if np.any(w <= 0.0):
-            raise ValueError("matrix is not positive definite")
-        return cls(w, v, np.asarray(m, dtype=complex))
+        """m, kept as given as ``matrix``, with the spectrum of
+        ``hermitian_eig(m)`` checked by ``from_spectrum``."""
+        return replace(cls.from_spectrum(*hermitian_eig(m)),
+                       _matrix=np.asarray(m, dtype=complex))
 
     def power(self, t: float) -> np.ndarray:
         """Fractional power V diag(lambda^t) V*."""
@@ -202,7 +199,7 @@ class HpdMatrix:
             return np.eye(self.dim, dtype=complex)
         if t == 1.0:
             return self.matrix
-        w = np.exp(t * self.log_eigenvalues)
+        w = np.exp(t * np.log(self.eigenvalues))
         m = (self.eigenvectors * w) @ adjoint(self.eigenvectors)
         return 0.5 * (m + adjoint(m))
 

@@ -1,6 +1,9 @@
+import argparse
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from meanforge import cli, io
 from meanforge import inequalities as iq
 from meanforge.inequalities import InstanceTriple
-from meanforge.linalg import random_complex, random_hpd
+from meanforge.linalg import HpdMatrix, random_complex, random_hpd
 
 
 def test_verify_small_run(tmp_path):
@@ -362,6 +365,46 @@ def test_contractivity_default_tolerance():
     assert args.tol == iq.DEFAULT_TOLERANCE
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """The ``meanforge ...`` lines of the README's sh blocks, each with
+    its backslash continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("meanforge ")]
+
+
+def _subcommands(parser) -> dict:
+    """Subcommand name -> its parser."""
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_readme_cli_examples_parse():
+    # parsed only, not run; every subcommand has an example
+    parser = cli._build_parser()
+    commands = [shlex.split(line)[1:] for line in _readme_commands()]
+    assert {argv[0] for argv in commands} == set(_subcommands(parser))
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+def test_readme_kernel_list_is_the_parsers():
+    text = README.read_text()
+    bullet = re.search(r"- `--kernel` must be one of (.*?)\n  - ", text,
+                       re.S)[1]
+    # `part1`–`part4` stands for part1, part2, part3, part4
+    bullet = re.sub(r"`([a-z]+)(\d+)`–`\1(\d+)`", lambda m: ", ".join(
+        f"`{m[1]}{i}`" for i in range(int(m[2]), int(m[3]) + 1)), bullet)
+    parser = _subcommands(cli._build_parser())["contractivity"]
+    kernel, = (a for a in parser._actions if a.dest == "kernel")
+    assert re.findall(r"`(\w+)`", bullet) == list(kernel.choices)
+
+
 def test_contractivity_missing_param():
     assert cli.main(["contractivity", "--kernel", "part1",
                      "--set", "r=1"]) == 2
@@ -441,6 +484,68 @@ def test_load_rejects_non_hermitian_that_underflows():
     from meanforge.errors import NotHermitianError
     with pytest.raises(NotHermitianError, match="loaded A"):
         io.instance_from_dict(doc)
+
+
+def _identity_doc():
+    one = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    return {"dim": 2, "A": one, "B": [e[:] for e in one],
+            "X": [e[:] for e in one]}
+
+
+@pytest.mark.parametrize("name", ["A", "B", "X"])
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+def test_load_rejects_a_non_finite_entry(name, token):
+    # json reads these tokens; the entry rule refuses them before any
+    # Hermitian check, and without a numpy warning
+    doc = _identity_doc()
+    doc[name][1] = ["__entry__", 0.0]
+    text = json.dumps(doc).replace('"__entry__"', token)
+    with pytest.raises(ValueError, match=f"^{name} must be 4 \\[re, im\\] "
+                       "pairs of finite numbers$"):
+        io.instance_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("name", ["A", "B", "X"])
+@pytest.mark.parametrize("entries", [
+    lambda e: e[:3],  # a short list
+    lambda e: [*e, [0.0, 0.0]],  # a long one
+    lambda e: [[1.0, 0.0, 0.0], *e[1:]],  # a three-element pair
+    lambda e: [[1.0], *e[1:]],  # a one-element pair
+    lambda e: [[1.0, [0.0]], *e[1:]],  # a ragged pair
+    lambda e: [[1.0, None], *e[1:]],  # not a number
+    lambda e: [["1", 0.0], *e[1:]],  # a string, though numpy would read it
+    lambda e: [[10 ** 400, 0.0], *e[1:]],  # too large for a float
+], ids=["short", "long", "triple", "single", "ragged", "null", "string",
+        "huge"])
+def test_load_rejects_entries_of_the_wrong_shape(name, entries):
+    doc = _identity_doc()
+    doc[name] = entries(doc[name])
+    with pytest.raises(ValueError, match=f"^{name} must be 4 "):
+        io.instance_from_dict(doc)
+
+
+def test_load_reads_integer_entries_as_floats():
+    doc = _identity_doc()
+    doc["X"] = [[1, 0], [2, -3], [0, 0], [2 ** 53 + 1, 0]]
+    inst = io.instance_from_dict(doc)
+    assert inst.x.tolist() == [[1, 2 - 3j], [0, complex(2 ** 53 + 1, 0)]]
+    assert inst.a.matrix.tolist() == np.eye(2).tolist()
+
+
+def test_instance_round_trip_keeps_signed_zeros_and_subnormals(tmp_path):
+    tiny = 5e-324
+    a = HpdMatrix.from_matrix(np.array([[2.0 - 0.0j, tiny],
+                                        [tiny, 3.0 - 0.0j]]))
+    b = HpdMatrix.from_matrix(np.array([[1.0, -0.0], [-0.0, 1.0]],
+                                       dtype=complex))
+    x = np.array([[-0.0 - 0.0j, tiny - tiny * 1j],
+                  [-tiny + 0.0j, complex(-0.0, 2.5e-310)]])
+    path = tmp_path / "inst.json"
+    io.save_instance(InstanceTriple(a, b, x), path)
+    loaded = io.load_instance(path)
+    for got, want in ((loaded.a.matrix, a.matrix), (loaded.b.matrix, b.matrix),
+                      (loaded.x, x)):
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("dim", [0, -1, 1.7, 1.0, True, "1", None])

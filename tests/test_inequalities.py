@@ -970,6 +970,23 @@ def test_reports_unchanged(seed, expected):
     assert {cid: v for cid, v in got.items() if v != expected[cid]} == {}
 
 
+@pytest.mark.parametrize("seed", [s for s, _ in REPORT_GOLDEN])
+def test_report_rows_replay_exactly(seed):
+    # every row's worstSeed [dim, sample], drawn as a one-sample pass and
+    # scored as the suite scores a piece, gives back its minMargin bit
+    # for bit; make_instance and Frame.of score HpdMatrix's sorted frame,
+    # where LAPACK's SVD from dim 3 on agrees only to rounding
+    report = iq.run_suite(range(1, 7), 20, seed)
+    assert [row.id for row in report.cases] == list(iq.CASE_IDS)
+    for row in report.cases:
+        dim, sample = row.worst_seed
+        block, = iq._draw_pass(seed, dim, [(row.id, [sample])],
+                               linalg.DEFAULT_CONDITION_RANGE)
+        replay = iq._run_case_dim((row.id, report.tolerance, dim, *block))
+        assert ((replay.min_margin, replay.worst_seed)
+                == (row.min_margin, row.worst_seed)), row.id
+
+
 @st.composite
 def degree_free_points(draw, case):
     """(params, points): parameters the case's sampler draws, and for
