@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -426,6 +427,96 @@ def test_gen_deterministic_and_round_trip(tmp_path):
 
 def test_gen_bad_flags():
     assert cli.main(["gen", "--dim", "0", "--out", "/tmp/x.json"]) == 2
+
+
+# gen flags after --seed 9 -> SHA-256 of the instance file written.  A
+# and B are V diag(w) V* of random_hpd's draw, so the bits of dims 3 and
+# 6 depend on LAPACK's QR and matrix product rounding, and hold for the
+# numpy and BLAS build that tests/test_inequalities.py's FUZZ_GOLDEN
+# names.
+GEN_GOLDEN = {
+    ("--dim", "1"):
+        "32ecee4561ca03739a5ee16e8bbc9385048f46788bdd078b2ebfc80159123a0c",
+    ("--dim", "3"):
+        "be159edc5fe8da802c143df66d289e6d6d0133399ad7fc0a5613d8d4a5d8f989",
+    ("--dim", "6"):
+        "b41ffab41dfdec5b95ca9daa3c7ed4e7586626e6416c4d2747ff41e07233746e",
+    ("--dim", "3", "--cond-lo", "0.01", "--cond-hi", "100"):
+        "0ce908a51683f70e07f7538d47aa8a0d770127ff12d17ac97dadf75e9d968f3f",
+}
+
+
+@pytest.mark.parametrize("flags, digest", GEN_GOLDEN.items(),
+                         ids=[" ".join(f) for f in GEN_GOLDEN])
+def test_gen_output_unchanged(flags, digest, tmp_path):
+    out = tmp_path / "inst.json"
+    assert cli.main(["gen", "--seed", "9", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# subcommand -> option string -> (default, type, required, choices,
+# action class, metavar): every option the parser takes, help text aside
+_HELP = (argparse.SUPPRESS, None, False, None, "_HelpAction", None)
+_SEED = (0, cli.parse_seed, False, None, "_StoreAction", None)
+_TOL = (iq.DEFAULT_TOLERANCE, cli.parse_tolerance, False, None,
+        "_StoreAction", None)
+_SET = ([], cli.parse_override, False, None, "_AppendAction", "NAME=VALUE")
+_COND_LO = (0.05, cli.parse_number, False, None, "_StoreAction", None)
+_COND_HI = (20.0, cli.parse_number, False, None, "_StoreAction", None)
+_OUT = (None, cli.parse_out, False, None, "_StoreAction", None)
+CLI_SURFACE = {
+    "verify": {
+        "--dims": ([1, 2, 3, 4, 5, 6], cli.parse_dims, False, None,
+                   "_StoreAction", None),
+        "--samples": (200, cli.parse_count, False, None, "_StoreAction",
+                      None),
+        "--seed": _SEED, "--tol": _TOL,
+        "--cases": (None, cli.parse_cases, False, None, "_StoreAction",
+                    None),
+        "--cond-lo": _COND_LO, "--cond-hi": _COND_HI,
+        "--workers": (1, cli.parse_count, False, None, "_StoreAction", None),
+        "--out": _OUT,
+    },
+    "fuzz": {
+        "--case": (None, None, True, None, "_StoreAction", None),
+        "--set": _SET,
+        "--budget": (1000, cli.parse_count, False, None, "_StoreAction",
+                     None),
+        "--dim": (1, cli.parse_count, False, None, "_StoreAction", None),
+        "--seed": _SEED, "--tol": _TOL,
+        "--expect-violation": (False, None, False, None, "_StoreTrueAction",
+                               None),
+        "--out": _OUT,
+    },
+    "contractivity": {
+        "--kernel": (None, None, True,
+                     ["constant", "coshScaled", "coshRatioT",
+                      "coshComboRatio", "sinhRatioT", "sinhComboRatio",
+                      "sinch", "heinzAverage", "part1", "part2", "part3",
+                      "part4"], "_StoreAction", None),
+        "--set": _SET,
+        "--dim": (4, cli.parse_count, False, None, "_StoreAction", None),
+        "--samples": (100, cli.parse_count, False, None, "_StoreAction",
+                      None),
+        "--seed": _SEED, "--tol": _TOL,
+        "--report-only": (False, None, False, None, "_StoreTrueAction",
+                          None),
+    },
+    "gen": {
+        "--dim": (None, cli.parse_count, True, None, "_StoreAction", None),
+        "--seed": _SEED, "--cond-lo": _COND_LO, "--cond-hi": _COND_HI,
+        "--out": (None, cli.parse_out, True, None, "_StoreAction", None),
+    },
+}
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_cli_surface_unchanged(command):
+    parser = _subcommands(cli._build_parser())[command]
+    got = {option: (a.default, a.type, a.required, a.choices,
+                    type(a).__name__, a.metavar)
+           for a in parser._actions for option in a.option_strings}
+    assert got == {"-h": _HELP, "--help": _HELP, **CLI_SURFACE[command]}
 
 
 def test_instance_round_trip_exact(tmp_path):
