@@ -25,7 +25,7 @@ from .dmap import (KERNEL_PARAMS, RATIONAL_FAMILIES, KernelSpec,
                    contractivity_check, kernel_in_hypothesis)
 from .errors import (BadIntervalError, MeanforgeError, UnknownCaseError,
                      UnknownParameterError)
-from .linalg import DEFAULT_CONDITION_RANGE, random_complex, random_hpd
+from .linalg import DEFAULT_CONDITION_RANGE, random_hpd
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -104,58 +104,54 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanforge",
         description="Verify Heinz/Heron operator-mean norm inequalities")
+    # the flags that several subcommands share, as parent parsers
+    seed, tol, sets, cond = (argparse.ArgumentParser(add_help=False)
+                             for _ in range(4))
+    seed.add_argument("--seed", type=parse_seed, default=0)
+    tol.add_argument("--tol", type=parse_tolerance,
+                     default=inequalities.DEFAULT_TOLERANCE)
+    sets.add_argument("--set", type=parse_override, action="append",
+                      default=[], metavar="NAME=VALUE",
+                      help="parameter override, e.g. --set nu=0.1")
     cond_lo, cond_hi = DEFAULT_CONDITION_RANGE
+    cond.add_argument("--cond-lo", type=parse_number, default=cond_lo)
+    cond.add_argument("--cond-hi", type=parse_number, default=cond_hi)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the inequality suite")
+    p = sub.add_parser("verify", parents=[seed, tol, cond],
+                       help="run the inequality suite")
     p.add_argument("--dims", type=parse_dims, default=[1, 2, 3, 4, 5, 6])
     p.add_argument("--samples", type=parse_count, default=200)
-    p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--tol", type=parse_tolerance,
-                   default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--cases", type=parse_cases, default=None,
                    help="comma separated case ids (default: all)")
-    p.add_argument("--cond-lo", type=parse_number, default=cond_lo)
-    p.add_argument("--cond-hi", type=parse_number, default=cond_hi)
     p.add_argument("--workers", type=parse_count, default=1,
                    help="worker processes (default: 1)")
     p.add_argument("--out", type=parse_out, default=None)
 
-    p = sub.add_parser("fuzz", help="search for inequality violations")
+    p = sub.add_parser("fuzz", parents=[sets, seed, tol],
+                       help="search for inequality violations")
     p.add_argument("--case", required=True)
-    p.add_argument("--set", type=parse_override, action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="parameter override, e.g. --set nu=0.1")
     p.add_argument("--budget", type=parse_count, default=1000)
     p.add_argument("--dim", type=parse_count, default=1)
-    p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--tol", type=parse_tolerance,
-                   default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--expect-violation", action="store_true",
                    help="exit 0 if a violation is found; without it, exit 0 "
                    "if none is")
     p.add_argument("--out", type=parse_out, default=None,
                    help="write the worst instance to this file")
 
-    p = sub.add_parser("contractivity", help="sampled kernel contractivity")
+    p = sub.add_parser("contractivity", parents=[sets, seed, tol],
+                       help="sampled kernel contractivity")
     p.add_argument("--kernel", required=True,
                    choices=[*KERNEL_PARAMS, *KERNEL_ALIASES],
                    help="kernel kind; part1-part4 name the four rational "
                         "families")
-    p.add_argument("--set", type=parse_override, action="append", default=[],
-                   metavar="NAME=VALUE")
     p.add_argument("--dim", type=parse_count, default=4)
     p.add_argument("--samples", type=parse_count, default=100)
-    p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--tol", type=parse_tolerance,
-                   default=inequalities.DEFAULT_TOLERANCE)
     p.add_argument("--report-only", action="store_true")
 
-    p = sub.add_parser("gen", help="generate a random instance file")
+    p = sub.add_parser("gen", parents=[seed, cond],
+                       help="generate a random instance file")
     p.add_argument("--dim", type=parse_count, required=True)
-    p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--cond-lo", type=parse_number, default=cond_lo)
-    p.add_argument("--cond-hi", type=parse_number, default=cond_hi)
     p.add_argument("--out", type=parse_out, required=True)
     return parser
 
@@ -203,8 +199,7 @@ def cmd_contractivity(args) -> int:
     spec = KernelSpec(KERNEL_ALIASES.get(args.kernel, args.kernel),
                       dict(args.set))
     rng = np.random.default_rng(args.seed)
-    a = random_hpd(args.dim, rng)
-    b = random_hpd(args.dim, rng)
+    a, b = random_hpd(args.dim, rng), random_hpd(args.dim, rng)
     flags = kernel_in_hypothesis(spec)
     stated = (f"literal={flags['literal']} abs={flags['abs']}" if flags
               else f"none stated for {spec.kind}")
@@ -215,11 +210,9 @@ def cmd_contractivity(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    a = random_hpd(args.dim, rng, (args.cond_lo, args.cond_hi))
-    b = random_hpd(args.dim, rng, (args.cond_lo, args.cond_hi))
-    x = random_complex(args.dim, rng)
-    io.save_instance(inequalities.InstanceTriple(a, b, x), args.out)
+    io.save_instance(inequalities.random_instance(
+        args.dim, np.random.default_rng(args.seed),
+        (args.cond_lo, args.cond_hi)), args.out)
     print(f"instance written to {args.out}")
     return EXIT_OK
 

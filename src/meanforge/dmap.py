@@ -146,9 +146,11 @@ def kernel_eval(spec: KernelSpec, d):
         den = tuple(c * e for c, e in zip(den, exponents[len(num):]))
     term = _sinch_scaled if sinh else _cosh_scaled
 
-    e, top = _exponent_stack(exponents, d)
+    e = leading_stack(exponents, d)
+    top = (max(map(abs, exponents)) if _all_scalars(exponents)
+           else np.abs(e).max(axis=0))
     terms = term(e * d, np.abs(d) * top)
-    num, den = (_weighted(side, terms[start:])
+    num, den = (_weighted(zip(side, terms[start:]))
                 for side, start in ((num, 0), (den, len(num))))
     scale = np.maximum(np.abs(num), 1.0)
     if (np.abs(den) <= _POLE_EPS * scale).any():
@@ -156,23 +158,23 @@ def kernel_eval(spec: KernelSpec, d):
     return num / den
 
 
-def _exponent_stack(exponents, d) -> tuple:
-    """Exponents, numbers or arrays that broadcast against d, stacked on
-    a new leading axis that stays leading when broadcast against d, and
-    their largest modulus."""
-    if _all_scalars(exponents):
-        return (np.array(exponents).reshape((-1,) + (1,) * d.ndim),
-                max(map(abs, exponents)))
-    stack = np.array(np.broadcast_arrays(*exponents))
-    ones = (1,) * (d.ndim + 1 - stack.ndim)
-    stack = stack.reshape(stack.shape[:1] + ones + stack.shape[1:])
-    return stack, np.abs(stack).max(axis=0)
+def leading_stack(values, d) -> np.ndarray:
+    """Values, an array (k, ...) or k numbers or arrays that broadcast
+    together, on a new leading axis that stays leading when broadcast
+    against d: their own axes line up with the last ones of d, as numpy
+    lines them up."""
+    if not (isinstance(values, np.ndarray) or _all_scalars(values)):
+        values = np.broadcast_arrays(*values)
+    stack = np.asarray(values)
+    ones = (1,) * (np.ndim(d) + 1 - stack.ndim)
+    return stack.reshape(stack.shape[:1] + ones + stack.shape[1:])
 
 
-def _weighted(coefficients, terms):
-    """c0 T0 + c1 T1 + ..., added in that order."""
-    total = coefficients[0] * terms[0]
-    for c, term in zip(coefficients[1:], terms[1:]):
+def _weighted(terms):
+    """c0 T0 + c1 T1 + ... of pairs (c, T), added in that order."""
+    (c, term), *rest = terms
+    total = c * term
+    for c, term in rest:
         total = total + c * term
     return total
 

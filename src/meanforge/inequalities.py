@@ -23,15 +23,15 @@ from functools import cache, partial
 
 import numpy as np
 
-from .dmap import (RATIONAL_FAMILIES, KernelSpec, heinz_average,
-                   kernel_eval, kernel_in_hypothesis, sinch)
+from .dmap import (RATIONAL_FAMILIES, KernelSpec, _weighted, heinz_average,
+                   kernel_eval, kernel_in_hypothesis, leading_stack, sinch)
 from .errors import (DimMismatchError, NumericalFailureError,
                      RangeViolationError, UnknownCaseError,
                      UnknownParameterError)
-from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, adjoint,
-                     complex_gaussian, gaussian_unitary, log_range,
-                     random_complex, random_hpd, spawned_streams,
-                     svd_values, to_interval, uniform)
+from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, _unitary_of,
+                     adjoint, complex_gaussian, log_range, random_complex,
+                     random_hpd, spawned_streams, svd_values, to_interval,
+                     uniform)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
@@ -113,10 +113,7 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     fans = svd_values(grids * xt).cumsum(-1)[..., None, :]
     margins, scales = [], []
     for step in steps:
-        (c, i), *rest = step.rhs
-        total = c * fans[i]
-        for c, i in rest:
-            total = total + c * fans[i]
+        total = _weighted([(c, fans[i]) for c, i in step.rhs])
         scales.append(1.0 + np.abs(total[..., 0, -1]))
         for c, i in step.lhs:
             total = total - c * fans[i]
@@ -176,14 +173,6 @@ def _refuse_unknown(case: InequalityCase, taken, given):
 # ---------------------------------------------------------------------------
 # Builders: (d, params) -> (stack of kernel grids of d, steps into it)
 
-def _leading(values, d) -> np.ndarray:
-    """values (k, ...) reshaped to broadcast against d with k on a new
-    leading axis, so that one kernel call makes k grids."""
-    values = np.asarray(values)
-    ones = (1,) * (np.ndim(d) + 1 - values.ndim)
-    return values.reshape(values.shape + ones)
-
-
 def _chain(*kernels) -> tuple:
     """k0 <= k1 <= ... as one single-term Step over their stack."""
     return np.array(kernels), [_chain_step(len(kernels))]
@@ -236,7 +225,8 @@ ALPHA_SMALL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4)
 def _build_alpha_mono(d, p):
     # alpha on a leading axis: one cosh(d) for all the Heron grids; the
     # monotone run, then each small alpha against alpha 1/2, grid 0
-    herons = heron_kernel(d, _leading(ALPHA_MONO_GRID + ALPHA_SMALL_GRID, d))
+    alphas = leading_stack(ALPHA_MONO_GRID + ALPHA_SMALL_GRID, d)
+    herons = heron_kernel(d, alphas)
     mono, small = np.split(np.arange(len(herons)), [len(ALPHA_MONO_GRID)])
     return herons, [Step([(1.0, mono[:-1])], [(1.0, mono[1:])]),
                     Step([(1.0, small)], [(1.0, 0 * small)])]
@@ -260,7 +250,7 @@ def _p_family(kernel, d, p, x) -> tuple:
     """K(r) and K(p) + t K(x) of the degree-p kernel K = kernel(., p),
     from one kernel call on the three exponents on a leading axis."""
     pw = p["p"]
-    k = kernel(d, _leading(np.array([p["r"], pw, x]), d), pw)
+    k = kernel(d, leading_stack(np.array([p["r"], pw, x]), d), pw)
     return k[0], k[1] + p["t"] * k[2]
 
 
@@ -309,7 +299,7 @@ def _build_f_nu_shape(d, p):
     grid = np.linspace(pw / 2.0 - 1.0, pw / 2.0 + 1.0, F_NU_GRID_POINTS)
     # the nodes nu <= p/2 on a leading axis, in one call
     grids = p_sum_kernel(
-        d, _leading(grid[:F_NU_GRID_POINTS // 2 + 1], d), pw)
+        d, leading_stack(grid[:F_NU_GRID_POINTS // 2 + 1], d), pw)
     (outer, inner), sides = _F_NU_PAIRS, _F_NU_NEIGHBOURS
     return grids, [Step([(1.0, inner)], [(1.0, outer)]),
                    Step([(2.0, F_NU_NODE[1:-1])], [(1.0, i) for i in sides])]
@@ -553,14 +543,24 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
 
     Counter-derived from the master seed, so any subset of the suite
     reproduces exactly the same instances: the stream, draws and QR are
-    those of the suite's draw passes.
+    those of the suite's draw passes.  ``HpdMatrix`` sorts each
+    spectrum, so from dim 3 on (LAPACK's SVD) ``_margins`` on its
+    ``Frame.of`` agrees with the suite's row only to rounding; the exact
+    replay is a one-sample ``_draw_pass`` scored by ``_run_case_dim``.
     """
     if not 0 <= case_index < len(CASE_IDS):
         raise ValueError(f"no case at index {case_index}")
     rng, = spawned_streams(seed, [(case_index, dim, sample)])
+    return random_instance(dim, rng, condition_range), rng
+
+
+def random_instance(dim: int, rng: np.random.Generator,
+                    condition_range=DEFAULT_CONDITION_RANGE
+                    ) -> InstanceTriple:
+    """A and B by ``random_hpd``, then X by ``random_complex``, from rng."""
     return InstanceTriple(random_hpd(dim, rng, condition_range),
                           random_hpd(dim, rng, condition_range),
-                          random_complex(dim, rng)), rng
+                          random_complex(dim, rng))
 
 
 # Instances drawn and evaluated together: a stack takes memory linear in
@@ -604,7 +604,7 @@ def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
             rng.standard_normal(out=gs[1:])
             params[-1].append(sampler(rng))
     ea, eb = np.exp(to_interval(u, *log_range(condition_range)))
-    q = gaussian_unitary(complex_gaussian(g[:, :2]))
+    q = _unitary_of(g[:, :2])
     x = complex_gaussian(g[:, 2])
     frame = Frame(ea, eb, adjoint(q[:, 0]) @ x @ q[:, 1])
     return [(samples, frame[end - len(samples):end], p)

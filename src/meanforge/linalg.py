@@ -167,9 +167,8 @@ class HpdMatrix:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            v = self.eigenvectors
-            m = (v * self.eigenvalues) @ adjoint(v)
-            object.__setattr__(self, "_matrix", 0.5 * (m + adjoint(m)))
+            m = self._assemble(self.eigenvalues)
+            object.__setattr__(self, "_matrix", m)
         return self._matrix
 
     @classmethod
@@ -199,7 +198,10 @@ class HpdMatrix:
             return np.eye(self.dim, dtype=complex)
         if t == 1.0:
             return self.matrix
-        w = np.exp(t * np.log(self.eigenvalues))
+        return self._assemble(np.exp(t * np.log(self.eigenvalues)))
+
+    def _assemble(self, w) -> np.ndarray:
+        """The Hermitian part of V diag(w) V*, V the eigenvectors."""
         m = (self.eigenvectors * w) @ adjoint(self.eigenvectors)
         return 0.5 * (m + adjoint(m))
 

@@ -95,3 +95,14 @@ def test_tracer_records_each_cell_once(tmp_path):
         t.uninstall()
     assert [(cid, dim) for _, cid, dim in t.cells] == [
         (cid, dim) for dim in size["dims"] for cid in inequalities.CASE_IDS]
+
+
+def test_contractivity_pass_runs():
+    # the contractivity workload's own KernelSpec -> random_hpd ->
+    # contractivity_check calls, one task per (family, draw)
+    inequalities = workloads.traced_modules()["inequalities"]
+    size = workloads.CONTRACTIVITY_SMOKE
+    result = workloads.contractivity_pass(workloads.MASTER_SEED, size)
+    assert (result.failed, result.errors) == (0, [])
+    assert len(result.task_s) == len(inequalities._PROP_KINDS) * size["draws"]
+    assert result.ops == len(result.task_s) * size["samples"]

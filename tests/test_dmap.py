@@ -152,6 +152,25 @@ def test_rational_kernels_match_termwise_reference(case_id):
         assert np.array_equal(kernel_eval(spec, d), _termwise(spec, d))
 
 
+@pytest.mark.parametrize("kind", ["coshRatioT", "sinhComboRatio"])
+def test_array_parameter_broadcasts_as_numpy_does(kind):
+    # r of length n against an n x n grid pairs r[j] with column j, as
+    # numpy broadcasting would: the exponent stack pads on the left
+    case_id, = (cid for cid, k in iq._PROP_KINDS.items() if k == kind)
+    sampler = iq.get_case(case_id).sampler
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5):
+        params = sampler(rng)
+        r = np.array([sampler(rng)["r"] for _ in range(n)])
+        d = rng.normal(scale=3.0, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        grid = kernel_eval(KernelSpec(kind, {**params, "r": r}), d)
+        for j in range(n):
+            column = kernel_eval(KernelSpec(kind, {**params, "r": r[j]}),
+                                 d[:, j])
+            assert grid[:, j].tobytes() == column.tobytes(), (n, j)
+
+
 def test_heinz_average_spec_needs_lo_below_hi():
     # as heinz_nu_average does; per-sample arrays are checked entrywise
     for lo, hi in [(0.6, 0.4), (0.5, 0.5), (0.2, np.array([0.3, 0.1]))]:

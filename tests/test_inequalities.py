@@ -1033,7 +1033,7 @@ def test_fuzz_draws_no_unitary(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(linalg, "gaussian_unitary", refuse)
-    monkeypatch.setattr(iq, "gaussian_unitary", refuse)
+    monkeypatch.setattr(iq, "_unitary_of", refuse)
     f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 300,
                 np.random.default_rng(0), dim=3)
     assert f.violation
