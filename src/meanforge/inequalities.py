@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -45,14 +45,15 @@ FUZZ_CONDITION_RANGE = (1e-3, 1e3)
 # grows linearly in alpha, so small alpha is the tight regime.
 ALPHA_CAP = 10.0
 
-Term = tuple[float | np.ndarray, np.ndarray]
+Term = tuple[float | np.ndarray, np.ndarray | slice]
 
 
 @dataclass(frozen=True)
 class Step:
     """Comparisons sum c |||G[i] o Xt||| over lhs <= the same over rhs,
     of terms (c, i): a number or per-sample (..., 1, 1) array c and an
-    index array i into a grid stack G, all i of a step one length."""
+    index array or a slice i into a grid stack G, all i of a step
+    selecting one count of grids; np.arange(len(G))[i] lists them."""
     lhs: list[Term]
     rhs: list[Term]
 
@@ -100,7 +101,8 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
 
     ``grids`` (T, ..., n, n) are kernel grids that multiply ``xt``
     entrywise or, with ``xt`` left at 1, matrices, all in one batched
-    SVD; a step weighs one gather of their cumulative sums per term.
+    SVD; a step weighs one gather of their cumulative sums per term, a
+    view where its index is a slice.
     Returns, comparisons in listed order, the margins (comparisons, ...,
     n), right minus left for each Ky Fan order, and the scales
     (comparisons, ...), 1 + |the trace norm of the right side|.
@@ -123,18 +125,30 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     return np.concatenate(margins), np.concatenate(scales)
 
 
+# Overflow, division by zero and an inf over an inf are not warned
+# about: like an SVD that fails, which svd_values turns into NaN, they
+# make NaN or inf margins, which the callers count or rank.  Each caller
+# of _raw_margins holds this error state once, around its own scaling
+# and normalization as well.
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
+
+def _raw_margins(case: InequalityCase, d, xt, params) -> tuple:
+    """The raw verdict core: (margins, scales) of step_margins for a
+    case's steps, built on the d grid, on xt, an Xt already scaled to
+    the case's degree; called under np.errstate(**_QUIET)."""
+    return step_margins(*case.builder(d, params), xt)
+
+
 def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
     """The verdict stage: (margins, normalized) of a case's steps on a
-    frame, whose Xt is scaled to the case's degree.  margins are those
-    of step_margins; normalized (comparisons, ...) is each comparison's
-    worst margin over its scale.  Overflow, division by zero and an inf
-    over an inf are not warned about: like an SVD that fails, which
-    svd_values turns into NaN, they make NaN or inf margins, which the
-    callers count or rank."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        grids, steps = case.builder(frame.d, params)
-        margins, scales = step_margins(grids, steps,
-                                       frame.scaled(params.get("p", 1.0)))
+    frame, whose Xt is scaled to the case's degree (Frame.scaled), all
+    under _QUIET.  margins are those of _raw_margins; normalized
+    (comparisons, ...) is each comparison's worst margin over its
+    scale."""
+    with np.errstate(**_QUIET):
+        margins, scales = _raw_margins(
+            case, frame.d, frame.scaled(params.get("p", 1.0)), params)
         return margins, margins.min(axis=-1) / scales
 
 
@@ -157,7 +171,11 @@ def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
-    return list(_margins(case, Frame.of(inst.a, inst.x, inst.b), params)[0])
+    frame = Frame.of(inst.a, inst.x, inst.b)
+    with np.errstate(**_QUIET):
+        return list(_raw_margins(case, frame.d,
+                                 frame.scaled(params.get("p", 1.0)),
+                                 params)[0])
 
 
 def _refuse_unknown(case: InequalityCase, taken, given):
@@ -173,15 +191,14 @@ def _refuse_unknown(case: InequalityCase, taken, given):
 # ---------------------------------------------------------------------------
 # Builders: (d, params) -> (stack of kernel grids of d, steps into it)
 
+# each grid of a stack but the last <= the next, as slices: a chain's
+# fans are views of the stack's, gathered by no copy
+_CHAIN_STEP = Step([(1.0, slice(None, -1))], [(1.0, slice(1, None))])
+
+
 def _chain(*kernels) -> tuple:
     """k0 <= k1 <= ... as one single-term Step over their stack."""
-    return np.array(kernels), [_chain_step(len(kernels))]
-
-
-@cache
-def _chain_step(count: int) -> Step:
-    at = np.arange(count)
-    return Step([(1.0, at[:-1])], [(1.0, at[1:])])
+    return np.array(kernels), [_CHAIN_STEP]
 
 
 def _ones(d) -> np.ndarray:
@@ -716,10 +733,14 @@ class FuzzFinding:
 
 def _instance_margin(case, frame: Frame, params) -> np.ndarray:
     """The worst raw margin over all steps and Ky Fan orders of each
-    point of a frame stack, (points,); a NaN margin makes it NaN.  The
-    fuzzer's one engine call per scored block of points."""
+    point of a fuzz frame stack, (points,); a NaN margin makes it NaN.
+    The frame's xt is Y, the scaled Xt at every degree, so it goes to
+    _raw_margins as it is, and log_geo is not read.  The fuzzer's one
+    engine call per scored block of points."""
     # benchmarks/ cuts each fuzz probe's time at this call
-    return _margins(case, frame, params)[0].min(axis=-1).min(axis=0)
+    with np.errstate(**_QUIET):
+        margins, _ = _raw_margins(case, frame.d, frame.xt, params)
+    return margins.min(axis=(0, -1))
 
 
 def _unpack(z, n: int) -> tuple:
@@ -741,14 +762,13 @@ def _witness(z, n: int, params) -> InstanceTriple:
 
 def _lowest(case, params, n: int, points) -> tuple:
     """(rank, point) of the first lowest-ranked (_rank) of the points
-    (points, 2n + 2n^2), each scored as a frame whose scaled Xt is its
-    Y: blocks of at most CELL_BLOCK of them, one _instance_margin call
-    each."""
+    (points, 2n + 2n^2), each scored as the frame of its a and b with
+    xt = Y (_instance_margin): blocks of at most CELL_BLOCK of them, one
+    _instance_margin call each."""
     best = np.inf, points[0]
     for block in _blocks(len(points)):
         la, lb, y = _unpack(points[block.start:block.stop], n)
         frame = Frame(np.exp(la), np.exp(lb), y)
-        frame.log_geo = 0.0  # Y is the scaled Xt at every degree
         ranks = _rank(_instance_margin(case, frame, params))
         i = int(ranks.argmin())
         if ranks[i] < best[0]:
@@ -818,7 +838,8 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
         evals += count
         cands = z + step * dirs[:count]
         logs = cands[:, :2 * dim]
-        np.clip(logs, -bound, bound, out=logs)
+        np.maximum(logs, -bound, out=logs)
+        np.minimum(logs, bound, out=logs)
         rank, cand = _lowest(case, params, dim, cands)
         if rank < best - 1e-15:
             best, z = rank, cand

@@ -1053,22 +1053,22 @@ def test_fuzz_restarts_are_frame_points(monkeypatch):
 
 
 def test_fuzz_scores_frames_not_matrices(monkeypatch):
-    # one verdict-stage call per stack of restarts or of descent moves,
-    # through _instance_margin, and one on the witness's frame; the
-    # witness is the only HpdMatrix built
+    # one raw verdict-core call per stack of restarts or of descent
+    # moves, through _instance_margin, and one on the witness's frame;
+    # the witness is the only HpdMatrix built
     sizes, built = [], []
-    margin = iq._margins
+    margin = iq._raw_margins
     spectrum = iq.HpdMatrix.from_spectrum.__func__
 
-    def counted(case, frame, params):
-        sizes.append(np.shape(frame.xt)[:-2])
-        return margin(case, frame, params)
+    def counted(case, d, xt, params):
+        sizes.append(np.shape(xt)[:-2])
+        return margin(case, d, xt, params)
 
     def counted_spectrum(cls, *args):
         built.append(None)
         return spectrum(cls, *args)
 
-    monkeypatch.setattr(iq, "_margins", counted)
+    monkeypatch.setattr(iq, "_raw_margins", counted)
     monkeypatch.setattr(iq.HpdMatrix, "from_spectrum",
                         classmethod(counted_spectrum))
     f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 1000,
@@ -1184,6 +1184,49 @@ def test_sweep_stack_scores_as_single_frames(monkeypatch, cid, overrides,
         frame = Frame(np.exp(la), np.exp(lb), y)
         frame.log_geo = np.zeros_like(frame.d)
         assert r.hex() == float(margin(case, frame, params)).hex()
+
+
+def _fuzz_points(dim, seed, count=12) -> np.ndarray:
+    """count fuzz points z of one dim: logs uniform on [-80, 80], the
+    fuzzer's largest range, with a and b of the first two points at +80
+    and -80 and at -80 and +80, and Y standard complex Gaussian, times
+    1e300 on those two so that their kernel grids times Y overflow."""
+    rng = np.random.default_rng(seed)
+    z = np.empty((count, 2 * dim + 2 * dim * dim))
+    z[:, :2 * dim] = iq.uniform(rng, -80.0, 80.0, (count, 2 * dim))
+    z[0, :2 * dim] = np.repeat([80.0, -80.0], dim)
+    z[1, :2 * dim] = np.repeat([-80.0, 80.0], dim)
+    y = random_complex(dim, rng, count).reshape(count, -1)
+    y[:2] *= 1e300
+    z[:, 2 * dim:2 * dim + dim * dim], z[:, 2 * dim + dim * dim:] = (
+        y.real, y.imag)
+    return z
+
+
+@pytest.mark.parametrize("cid", iq.CASE_IDS)
+def test_instance_margin_is_the_verdict_stage_on_y(cid):
+    # the ranking call scores Y as the scaled Xt without the verdict
+    # stage's rescale and normalization: bit for bit the worst raw margin
+    # that _margins gives on the same frame with log_geo zeroed, where
+    # exp(p 0) Y is Y, at dims 1-4, overflowing margins included
+    case = iq.get_case(cid)
+    overflowed = 0
+    for dim in (1, 2, 3, 4):
+        params = case.sampler(np.random.default_rng(dim))
+        la, lb, y = iq._unpack(_fuzz_points(dim, seed=dim), dim)
+        got = iq._instance_margin(case, Frame(np.exp(la), np.exp(lb), y),
+                                  params)
+        frame = Frame(np.exp(la), np.exp(lb), y)
+        frame.log_geo = np.zeros_like(frame.d)
+        margins, _ = iq._margins(case, frame, params)
+        want = margins.min(axis=-1).min(axis=0)
+        assert got.shape == want.shape == (len(y),)
+        assert np.array_equal(got, want, equal_nan=True), dim
+        assert np.isfinite(want[2:]).all()
+        overflowed += np.count_nonzero(~np.isfinite(want[:2]))
+    # the rational kernels of prop2.1 are bounded, so their grids times
+    # a Y near 1e300 stay finite
+    assert overflowed or cid.startswith("prop2.1")
 
 
 def test_fuzz_budget_not_a_multiple_of_the_sweep(monkeypatch):
@@ -1554,7 +1597,10 @@ def _assert_same_build(got, want):
             assert len(side) == len(want_side)
             for (c, i), (want_c, want_i) in zip(side, want_side):
                 assert np.array_equal(c, want_c)
-                assert np.array_equal(i, want_i)
+                # the grids each index selects: a slice equals the index
+                # array it stands for
+                assert np.array_equal(np.arange(len(grids))[i],
+                                      np.arange(len(want_grids))[want_i])
 
 
 @pytest.mark.parametrize("cid", OLD_FAMILIES)
