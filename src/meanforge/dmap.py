@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BadIntervalError, DimMismatchError,
                      NumericalFailureError, PoleError, UnknownParameterError)
-from .linalg import (Frame, HpdMatrix, frame_apply, random_complex,
+from .linalg import (_QUIET, Frame, HpdMatrix, frame_apply, random_complex,
                      svd_values)
 # ky_fan is looked up here by benchmarks/tracer.py.
 from .norms import ky_fan  # noqa: F401
@@ -47,8 +47,6 @@ KERNEL_PARAMS = {
     "sinch": (),
     "heinzAverage": ("lo", "hi"),
 }
-
-_POLE_EPS = 1e-300
 
 
 def sinch(x):
@@ -113,7 +111,9 @@ def kernel_eval(spec: KernelSpec, d):
     """Evaluate the kernel at d (scalar or array), removable
     singularities filled in.  Array parameters broadcast against d; a
     rational family evaluates all its exponential terms in one pass over
-    a (terms, ...) stack."""
+    a (terms, ...) stack.  PoleError where a denominator's terms cancel
+    to 0 or all its weights are 0; where the shared scale alone
+    underflows it, the quotient is +-inf if the ratio overflows."""
     d = np.asarray(d, dtype=float)
     kind, p = spec.kind, spec.params
 
@@ -150,11 +150,16 @@ def kernel_eval(spec: KernelSpec, d):
     top = (max(map(abs, exponents)) if _all_scalars(exponents)
            else np.abs(e).max(axis=0))
     terms = term(e * d, np.abs(d) * top)
-    num, den = (_weighted(zip(side, terms[start:]))
-                for side, start in ((num, 0), (den, len(num))))
-    scale = np.maximum(np.abs(num), 1.0)
-    if (np.abs(den) <= _POLE_EPS * scale).any():
-        raise PoleError(f"kernel {kind} denominator vanishes")
+    weights, bottom = den, terms[len(num):]
+    num, den = _weighted(zip(num, terms)), _weighted(zip(weights, bottom))
+    zero = den == 0.0
+    if zero.any():
+        # terms >= 0 cancel where their |weighted| sum is not 0; where it
+        # is 0 with a weight that is not, the shared scale underflowed
+        size = _weighted(zip(map(np.abs, weights), bottom))
+        if (zero & ((size > 0.0) | (sum(map(np.abs, weights)) == 0.0))
+                ).any():
+            raise PoleError(f"kernel {kind} denominator vanishes")
     return num / den
 
 
@@ -238,7 +243,7 @@ class DMap:
                            self.a, x, self.b)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@np.errstate(**_QUIET)
 def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
                         sample_count: int, rng: np.random.Generator):
     """Sampled Ky Fan certificate of |||f(D) T||| <= |||T|||.
@@ -257,9 +262,7 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     make the ratio NaN, and a max_ratio that is not finite raises
     NumericalFailureError, so the ratio returned is always finite.
     """
-    sample_count = operator.index(sample_count)
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    sample_count = operator.index(sample_count)  # random_complex refuses < 1
     if a.dim != b.dim:
         raise DimMismatchError(f"dims A={a.dim}, B={b.dim} do not match")
     xt = random_complex(a.dim, rng, sample_count)

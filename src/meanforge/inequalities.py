@@ -28,10 +28,10 @@ from .dmap import (RATIONAL_FAMILIES, KernelSpec, _weighted, heinz_average,
 from .errors import (DimMismatchError, NumericalFailureError,
                      RangeViolationError, UnknownCaseError,
                      UnknownParameterError)
-from .linalg import (DEFAULT_CONDITION_RANGE, Frame, HpdMatrix, _unitary_of,
-                     adjoint, complex_gaussian, log_range, random_complex,
-                     random_hpd, spawned_streams, svd_values, to_interval,
-                     uniform)
+from .linalg import (_QUIET, DEFAULT_CONDITION_RANGE, Frame, HpdMatrix,
+                     _unitary_of, adjoint, complex_gaussian, log_range,
+                     random_complex, random_hpd, spawned_streams,
+                     svd_values, to_interval, uniform)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
 from .means import (heinz, heinz_nu_average, heinz_p_diff,  # noqa: F401
@@ -71,11 +71,12 @@ class InstanceTriple:
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """A case: its hypotheses as ``ranges``, name -> (lo, hi), and those
-    that couple parameters as a ``hypothesis`` predicate; a builder of
-    its grids and steps.  Without a sampler, it draws each parameter
-    uniformly on its range, in the order ``ranges`` lists them, and a
-    range open above through ``_sample_alpha``."""
+    """A case: its hypotheses as ``ranges``, name -> (lo, hi), which
+    only finite values meet (``in_range``), and those that couple
+    parameters as a ``hypothesis`` predicate; a builder of its grids and
+    steps.  Without a sampler, it draws each parameter uniformly on its
+    range, in the order ``ranges`` lists them, and a range open above
+    through ``_sample_alpha``."""
     id: str
     ranges: dict
     builder: object  # (d, params) -> (grid stack, list[Step])
@@ -91,7 +92,7 @@ class InequalityCase:
     def in_range(self, params: dict) -> bool:
         for name, (lo, hi) in self.ranges.items():
             value = params.get(name)
-            if value is None or not (lo <= value <= hi):
+            if value is None or not (lo <= value <= hi and np.isfinite(value)):
                 return False
         return self.hypothesis is None or bool(self.hypothesis(params))
 
@@ -125,30 +126,15 @@ def step_margins(grids, steps: list[Step], xt=1.0) -> tuple:
     return np.concatenate(margins), np.concatenate(scales)
 
 
-# Overflow, division by zero and an inf over an inf are not warned
-# about: like an SVD that fails, which svd_values turns into NaN, they
-# make NaN or inf margins, which the callers count or rank.  Each caller
-# of _raw_margins holds this error state once, around its own scaling
-# and normalization as well.
-_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
-
-
-def _raw_margins(case: InequalityCase, d, xt, params) -> tuple:
-    """The raw verdict core: (margins, scales) of step_margins for a
-    case's steps, built on the d grid, on xt, an Xt already scaled to
-    the case's degree; called under np.errstate(**_QUIET)."""
-    return step_margins(*case.builder(d, params), xt)
-
-
 def _margins(case: InequalityCase, frame: Frame, params) -> tuple:
-    """The verdict stage: (margins, normalized) of a case's steps on a
-    frame, whose Xt is scaled to the case's degree (Frame.scaled), all
-    under _QUIET.  margins are those of _raw_margins; normalized
-    (comparisons, ...) is each comparison's worst margin over its
-    scale."""
+    """The verdict stage of evaluate, the suite and fuzz's witness, under
+    _QUIET: (margins, normalized) of step_margins on the case's grids of
+    the frame's d and its Xt scaled to the case's degree (Frame.scaled);
+    normalized (comparisons, ...) is each comparison's worst margin over
+    its scale."""
     with np.errstate(**_QUIET):
-        margins, scales = _raw_margins(
-            case, frame.d, frame.scaled(params.get("p", 1.0)), params)
+        margins, scales = step_margins(*case.builder(frame.d, params),
+                                       frame.scaled(params.get("p", 1.0)))
         return margins, margins.min(axis=-1) / scales
 
 
@@ -159,33 +145,33 @@ def _rank(raw):
 
 def evaluate(case: InequalityCase, inst: InstanceTriple, params: dict,
              override: bool = False) -> list[np.ndarray]:
-    """Per-comparison, per-Ky-Fan-order margins for one instance.  The
-    params must name every parameter that the case's sampler draws, and
-    no other."""
-    taken = case.sampler(np.random.default_rng(0))
-    missing = sorted(set(taken) - set(params))
-    if missing:
-        raise UnknownParameterError(
-            f"{case.id} needs parameter {', '.join(missing)}")
-    _refuse_unknown(case, taken, params)
+    """Per-comparison, per-Ky-Fan-order margins of _margins for one
+    instance, of params that pass _refuse_params whatever ``override``
+    says, and, unless it is set, ``in_range``."""
+    _refuse_params(case, case.sampler(np.random.default_rng(0)), params)
     if not override and not case.in_range(params):
         raise RangeViolationError(
             f"{case.id}: parameters {params} outside validity ranges")
-    frame = Frame.of(inst.a, inst.x, inst.b)
-    with np.errstate(**_QUIET):
-        return list(_raw_margins(case, frame.d,
-                                 frame.scaled(params.get("p", 1.0)),
-                                 params)[0])
+    return list(_margins(case, Frame.of(inst.a, inst.x, inst.b), params)[0])
 
 
-def _refuse_unknown(case: InequalityCase, taken, given):
-    """UnknownParameterError naming every name in ``given`` that is not
-    in ``taken``, the names the case's sampler draws."""
+def _refuse_params(case: InequalityCase, taken, given: dict):
+    """UnknownParameterError naming the names of ``taken`` (the case's
+    sampler's) that ``given`` lacks, else those it has that ``taken``
+    lacks; then ValueError naming each value that is not a finite number
+    (a NaN fails every range, an inf passes one open above)."""
+    missing = sorted(set(taken) - set(given))
+    if missing:
+        raise UnknownParameterError(
+            f"{case.id} needs parameter {', '.join(missing)}")
     unknown = sorted(set(given) - set(taken))
     if unknown:
         raise UnknownParameterError(
             f"{case.id} has no parameter {', '.join(unknown)}; "
             f"it takes {', '.join(sorted(taken)) or 'none'}")
+    bad = [name for name, value in given.items() if not np.isfinite(value)]
+    if bad:
+        raise ValueError(f"parameter {', '.join(bad)} is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +547,9 @@ def make_instance(seed: int, case_index: int, dim: int, sample: int,
     Counter-derived from the master seed, so any subset of the suite
     reproduces exactly the same instances: the stream, draws and QR are
     those of the suite's draw passes.  ``HpdMatrix`` sorts each
-    spectrum, so from dim 3 on (LAPACK's SVD) ``_margins`` on its
-    ``Frame.of`` agrees with the suite's row only to rounding; the exact
-    replay is a one-sample ``_draw_pass`` scored by ``_run_case_dim``.
+    spectrum, so from dim 3 on (LAPACK's SVD) ``evaluate``, ``_margins``
+    on its ``Frame.of``, agrees with the suite's row only to rounding;
+    the exact replay is a one-sample ``_draw_pass`` by ``_run_case_dim``.
     """
     if not 0 <= case_index < len(CASE_IDS):
         raise ValueError(f"no case at index {case_index}")
@@ -735,11 +721,11 @@ def _instance_margin(case, frame: Frame, params) -> np.ndarray:
     """The worst raw margin over all steps and Ky Fan orders of each
     point of a fuzz frame stack, (points,); a NaN margin makes it NaN.
     The frame's xt is Y, the scaled Xt at every degree, so it goes to
-    _raw_margins as it is, and log_geo is not read.  The fuzzer's one
-    engine call per scored block of points."""
+    step_margins as it is, under _QUIET, and log_geo is not read.  The
+    fuzzer's one engine call per scored block of points."""
     # benchmarks/ cuts each fuzz probe's time at this call
     with np.errstate(**_QUIET):
-        margins, _ = _raw_margins(case, frame.d, frame.xt, params)
+        margins, _ = step_margins(*case.builder(frame.d, params), frame.xt)
     return margins.min(axis=(0, -1))
 
 
@@ -792,7 +778,7 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
          tolerance: float = DEFAULT_TOLERANCE) -> FuzzFinding:
     """Hunt for negative margins: random restarts followed by steepest
     coordinate descent in the joint eigenframe.  Overrides must name
-    parameters that the case's sampler produces.
+    parameters that the case's sampler produces, with finite values.
 
     A case's terms all have one degree p, so a margin depends only on the
     degree-free point z = (log a, log b, Re Y, Im Y), Y = (ab)^(p/2) o Xt.
@@ -810,13 +796,11 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     the finding's, so that a replay gives its bits.  If they are not
     finite: NumericalFailureError."""
     budget, dim = operator.index(budget), operator.index(dim)
-    if (budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf
-            or not all(map(np.isfinite, overrides.values()))):
-        raise ValueError("need budget, dim >= 1, a finite tolerance >= 0 "
-                         "and finite overrides")
-    params = dict(case.sampler(rng))
-    _refuse_unknown(case, params, overrides)
-    params.update(overrides)
+    if budget < 1 or dim < 1 or not 0.0 <= tolerance < np.inf:
+        raise ValueError("need budget, dim >= 1 and a finite tolerance >= 0")
+    drawn = case.sampler(rng)
+    params = {**drawn, **overrides}
+    _refuse_params(case, drawn, params)
     bound = 300.0 / max(abs(params.get("p", 1.0)), 3.75)
     lo, hi = np.clip(log_range(FUZZ_CONDITION_RANGE), -bound, bound)
 

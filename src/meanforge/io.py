@@ -45,6 +45,14 @@ def instance_to_dict(inst: InstanceTriple) -> dict:
 
 
 def instance_from_dict(d: dict) -> InstanceTriple:
+    """The instance of a loaded file, or a ValueError that names what is
+    wrong with it (NotHermitianError for a matrix A or B)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"an instance file must be a JSON object, not "
+                         f"{type(d).__name__}")
+    missing = [key for key in ("dim", "A", "B", "X") if key not in d]
+    if missing:
+        raise ValueError(f"instance file lacks {', '.join(missing)}")
     dim = d["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dim must be an integer >= 1, not {dim!r}")

@@ -23,6 +23,11 @@ HERMITIAN_RTOL = 1e-12
 # eigenvalue range of random instances unless a caller gives another
 DEFAULT_CONDITION_RANGE = (0.05, 20.0)
 
+# The verdicts' error state: like a failed SVD (NaN in svd_values), an
+# overflow, a division by zero or inf/inf is not warned about; it makes
+# NaN or inf margins and ratios, which their callers count or refuse.
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
 
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""

@@ -639,6 +639,21 @@ def test_instance_round_trip_keeps_signed_zeros_and_subnormals(tmp_path):
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ([], "must be a JSON object, not list"),
+    ("dim", "must be a JSON object, not str"),
+    (None, "must be a JSON object, not NoneType"),
+    ({"A": [], "B": [], "X": []}, "lacks dim$"),
+    ({"dim": 2, "A": []}, "lacks B, X$"),
+    ({}, "lacks dim, A, B, X$"),
+], ids=["list", "string", "null", "no-dim", "no-B-X", "empty"])
+def test_load_names_a_missing_key_or_a_document_that_is_no_object(doc,
+                                                                   reason):
+    # a KeyError or a TypeError would say neither
+    with pytest.raises(ValueError, match=reason):
+        io.instance_from_dict(doc)
+
+
 @pytest.mark.parametrize("dim", [0, -1, 1.7, 1.0, True, "1", None])
 def test_load_rejects_a_dim_that_is_not_a_count(dim):
     # dim 0 would give a 0 x 0 instance, 1.7 and true would read as 1

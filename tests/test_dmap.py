@@ -60,6 +60,29 @@ def test_pole_error_on_identically_zero_denominator():
         kernel_eval(spec, 0.3)
 
 
+def test_pole_error_where_every_denominator_weight_is_zero():
+    # sinhRatioT's weights are s1 and t s2: both 0 at s1 = s2 = 0
+    spec = KernelSpec("sinhRatioT", {"r": 0.5, "s1": 0.0, "s2": 0.0,
+                                     "t": 0.3})
+    with pytest.raises(PoleError):
+        kernel_eval(spec, [0.3, 0.0])
+
+
+def test_a_denominator_the_shared_scale_underflows_is_no_pole():
+    # cosh(600 d)/cosh(d): both sides are scaled by e^-600|d|, which
+    # takes cosh(d) below 1e-300 from |d| = 1.1522 on, yet the ratio is
+    # finite there, and overflows only from |d| = 1.1851 on
+    spec = KernelSpec("coshRatioT", {"r": 600.0, "s1": 1.0, "s2": 1.0,
+                                     "t": 0.0})
+    with mpmath.workdps(50):
+        d = mpmath.mpf(1.16)
+        want = mpmath.cosh(600 * d) / mpmath.cosh(d)
+        got = kernel_eval(spec, 1.16)
+        assert abs(got - want) <= 1e-13 * want
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert kernel_eval(spec, [-1.2, 1.2]).tolist() == [np.inf, np.inf]
+
+
 @pytest.mark.parametrize("kind", ["coshRatioT", "coshComboRatio",
                                   "sinhRatioT", "sinhComboRatio"])
 def test_rational_kernels_do_not_overflow(kind):
@@ -360,6 +383,9 @@ def test_contractivity_sample_count_is_an_integer():
     state = rng.bit_generator.state
     with pytest.raises(TypeError):
         contractivity_check(KernelSpec("sinch"), a, b, 3.0, rng)
+    # and a count below 1 is random_complex's ValueError, also undrawn
+    with pytest.raises(ValueError, match="count >= 1"):
+        contractivity_check(KernelSpec("sinch"), a, b, 0, rng)
     assert rng.bit_generator.state == state
 
 

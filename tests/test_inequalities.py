@@ -152,6 +152,26 @@ def test_coupled_hypotheses_raise_without_override(cid, params):
     assert len(iq.evaluate(case, inst, params, override=True)) == 1
 
 
+@pytest.mark.parametrize("cid, params, override", [
+    ("eq1.2", {"nu": 0.3, "alpha": float("inf")}, False),
+    ("eq1.2", {"nu": 0.3, "alpha": float("inf")}, True),
+    ("eq1.2", {"nu": float("nan"), "alpha": 0.5}, True),
+    ("eq1.2", {"nu": 0.3, "alpha": float("-inf")}, True),
+    ("eq2.12", {"p": 1.0, "nu": -0.5, "r": -0.5, "t": float("inf")}, False),
+    ("eq2.13", {"p": 1.0, "nu": -0.5, "r": -0.5, "t": float("inf")}, True),
+], ids=["alpha-inf", "alpha-inf-override", "nu-nan-override",
+        "alpha-minus-inf-override", "eq2.12-t-inf", "eq2.13-t-inf-override"])
+def test_evaluate_refuses_non_finite_parameters(cid, params, override):
+    # alpha's range and eq2.12's and eq2.13's t are open above, so an inf
+    # passed lo <= value <= hi and made NaN margins; the override skips
+    # the ranges, not the rule that every value is a finite number
+    case = iq.get_case(cid)
+    assert not case.in_range(params)
+    with pytest.raises(ValueError, match="is not finite"):
+        iq.evaluate(case, iq.make_instance(1, 1, 2, 0)[0], params,
+                    override=override)
+
+
 @pytest.mark.parametrize("cid, params", [
     ("eq2.10", {"p": 1.0, "nu": 1.0, "r": 0.5, "t": -1.0}),
     ("eq2.10", {"p": 1.0, "nu": 0.0, "r": 0.0, "t": 1.0}),
@@ -1053,22 +1073,22 @@ def test_fuzz_restarts_are_frame_points(monkeypatch):
 
 
 def test_fuzz_scores_frames_not_matrices(monkeypatch):
-    # one raw verdict-core call per stack of restarts or of descent
-    # moves, through _instance_margin, and one on the witness's frame;
-    # the witness is the only HpdMatrix built
+    # one step_margins call per stack of restarts or of descent moves,
+    # through _instance_margin, and one on the witness's frame, through
+    # _margins; the witness is the only HpdMatrix built
     sizes, built = [], []
-    margin = iq._raw_margins
+    margin = iq.step_margins
     spectrum = iq.HpdMatrix.from_spectrum.__func__
 
-    def counted(case, d, xt, params):
+    def counted(grids, steps, xt):
         sizes.append(np.shape(xt)[:-2])
-        return margin(case, d, xt, params)
+        return margin(grids, steps, xt)
 
     def counted_spectrum(cls, *args):
         built.append(None)
         return spectrum(cls, *args)
 
-    monkeypatch.setattr(iq, "_raw_margins", counted)
+    monkeypatch.setattr(iq, "step_margins", counted)
     monkeypatch.setattr(iq.HpdMatrix, "from_spectrum",
                         classmethod(counted_spectrum))
     f = iq.fuzz(iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 1000,
