@@ -567,8 +567,9 @@ def random_instance(dim: int, rng: np.random.Generator,
 
 
 # Instances drawn and evaluated together: a stack takes memory linear in
-# its size (f-nu-shape holds 21 grids), so suite cells and fuzz restarts
-# and moves are cut into pieces of at most CELL_BLOCK by _blocks.
+# its size (f-nu-shape holds 21 grids), so suite cells are cut into pieces
+# of at most CELL_BLOCK by _blocks; fuzz holds its restarts and a sweep's
+# moves whole, as points, and scores them in CELL_BLOCK pieces.
 CELL_BLOCK = 256
 
 
@@ -762,17 +763,6 @@ def _lowest(case, params, n: int, points) -> tuple:
     return best
 
 
-def _directions(scale) -> np.ndarray:
-    """The (2m, m) moves of a sweep over m coordinates: row 2j moves
-    coordinate j by +scale[j], row 2j + 1 by -scale[j].  The other
-    entries are -0.0, which leaves any float's bits when added."""
-    m = len(scale)
-    dirs = np.full((2 * m, m), -0.0)
-    j = np.arange(m)
-    dirs[2 * j, j], dirs[2 * j + 1, j] = scale, -scale
-    return dirs
-
-
 def fuzz(case: InequalityCase, overrides: dict, budget: int,
          rng: np.random.Generator, dim: int = 1,
          tolerance: float = DEFAULT_TOLERANCE) -> FuzzFinding:
@@ -786,7 +776,8 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     restarts, drawn from ``rng``, have logs uniform on those of
     FUZZ_CONDITION_RANGE and Y standard complex Gaussian.  The first
     lowest-ranked starts the descent: a sweep moves each coordinate of z
-    in turn by +-step, times max(1, max |Y_ij|) for Y, and takes the
+    in turn by +step, then -step, times max(1, max |Y_ij|) for Y, each
+    move a copy of z with that one entry changed, and takes the
     first lowest-ranked move if it ranks below the best by more than
     1e-15, else halves the step; the last sweep is cut to the budget.
     Restarts and moves keep their logs within +-L, L = min(80, 300/|p|),
@@ -814,13 +805,17 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     best, z = _lowest(case, params, dim, z)
     evals = n_random
 
+    # move 2j is +scale_j on coordinate j, move 2j + 1 is -scale_j
     x_scale = max(1.0, float(np.max(np.abs(_unpack(z, dim)[2]))))
-    dirs = _directions(np.where(np.arange(len(z)) < 2 * dim, 1.0, x_scale))
+    scale = np.where(np.arange(len(z)) < 2 * dim, 1.0, x_scale)
+    coord = np.repeat(np.arange(len(z)), 2)
+    moves = np.outer(scale, [1.0, -1.0]).ravel()
     step = 0.5
     while evals < budget and step > 1e-6:
-        count = min(len(dirs), budget - evals)
+        count = min(len(coord), budget - evals)
         evals += count
-        cands = z + step * dirs[:count]
+        cands = np.repeat(z[None], count, axis=0)
+        cands[np.arange(count), coord[:count]] += step * moves[:count]
         logs = cands[:, :2 * dim]
         np.maximum(logs, -bound, out=logs)
         np.minimum(logs, bound, out=logs)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import numbers
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -600,6 +601,21 @@ def test_margins_hold_their_own_error_state():
         _, normalized = iq._margins(iq.get_case("eq1.2"), frame,
                                     {"nu": 800.0, "alpha": 0.5})
     assert not np.isfinite(normalized).any()
+
+
+@pytest.mark.parametrize("nu, alpha", [(0.3, 0.5), (0.25, 0.5), (0.4, 2.0)])
+def test_eq12_small_spread_limit_at_dim_1(nu, alpha):
+    # a = e^s, b = e^-s give d = s and log_geo = 0, so the scaled Xt is y;
+    # Heron minus Heinz is (alpha - (1 - 2 nu)^2) s^2 / 2 + O(s^4) times
+    # |y|, over the scale 1 + |y| + O(s^2)
+    s, y = 1e-3, 0.7 - 0.4j
+    frame = Frame(np.array([np.exp(s)]), np.array([np.exp(-s)]),
+                  np.array([[y]]))
+    _, normalized = iq._margins(iq.get_case("eq1.2"), frame,
+                                {"nu": nu, "alpha": alpha})
+    kappa, w = (alpha - (1 - 2 * nu) ** 2) / 2, abs(y)
+    assert normalized.item() / s**2 == pytest.approx(kappa * w / (1 + w),
+                                                     rel=1e-5)
 
 
 def test_report_round_trip():
@@ -1256,6 +1272,22 @@ def test_fuzz_budget_not_a_multiple_of_the_sweep(monkeypatch):
                 np.random.default_rng(5), dim=2)
     assert f.evaluations == 250
     assert sizes == [83] + [24] * 6 + [23]
+
+
+def test_fuzz_sweep_memory_is_linear_in_its_moves():
+    # dim 30 has 2 (60 + 1800) = 3720 moves over 1860 coordinates: a
+    # table of every move would take 55 MB; budget 12 scores 4 restarts
+    # and one sweep of 8 moves
+    args = (iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 12)
+    iq.fuzz(*args, np.random.default_rng(0), dim=30)
+    tracemalloc.start()
+    try:
+        f = iq.fuzz(*args, np.random.default_rng(0), dim=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.evaluations == 12
+    assert peak <= 5e6
 
 
 @pytest.mark.parametrize("rigged, accepted", [
