@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (BadIntervalError, DimMismatchError,
                      NumericalFailureError, PoleError, UnknownParameterError)
-from .linalg import (_QUIET, Frame, HpdMatrix, frame_apply, random_complex,
-                     svd_values)
+from .linalg import (_QUIET, Frame, HpdMatrix, _blocks, frame_apply,
+                     random_complex, svd_values)
 # ky_fan is looked up here by benchmarks/tracer.py.
 from .norms import ky_fan  # noqa: F401
 
@@ -253,26 +253,35 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     where ky_fan(T, k) is 0 are skipped.  The sample_count draws are of
     Xt, X in the joint eigenframe of (A, B): a standard complex Gaussian,
     as U_A* X U_B is for a Gaussian X, and Ky Fan norms do not see the
-    rotation.  The kernel grid K of the frame's d is evaluated once, and
-    [K, 1] times the scaled Xt stack goes through one singular value
-    call.  No eigenvector is read: worst_xt is the worst sample as drawn,
-    in the frame, and X = U_A worst_xt U_B* is the caller's to form.  A
-    grid that overflows is not warned about: its NaN singular values,
-    like those svd_values gives a stack whose SVD fails to converge,
-    make the ratio NaN, and a max_ratio that is not finite raises
-    NumericalFailureError, so the ratio returned is always finite.
+    rotation.  K, the kernel on the frame's d, is evaluated once; samples
+    are drawn in pieces of at most CELL_BLOCK, [K, 1] times a piece's
+    scaled Xt goes through one singular value call, and the first maximum
+    in (sample, order) order is kept.  No eigenvector is read: worst_xt
+    is the worst sample as drawn, in the frame, and X = U_A worst_xt U_B*
+    is the caller's to form.  A grid that overflows is not warned about:
+    its NaN singular values, like those svd_values gives a stack whose
+    SVD fails to converge, make the ratio NaN, and a max_ratio that is
+    not finite raises NumericalFailureError, so the ratio is finite.
     """
-    sample_count = operator.index(sample_count)  # random_complex refuses < 1
+    sample_count = operator.index(sample_count)
     if a.dim != b.dim:
         raise DimMismatchError(f"dims A={a.dim}, B={b.dim} do not match")
-    xt = random_complex(a.dim, rng, sample_count)
-    frame = Frame(a.eigenvalues, b.eigenvalues, xt)
+    frame = Frame(a.eigenvalues, b.eigenvalues, None)
     kernel = kernel_eval(spec, frame.d)
     grids = np.array([kernel, np.ones_like(kernel)])[:, None]
-    fans = np.cumsum(svd_values(grids * frame.scaled()), axis=-1)
-    ratios = np.where(fans[1] == 0.0, -np.inf, fans[0] / fans[1])
-    worst = np.unravel_index(np.argmax(ratios), ratios.shape)
-    max_ratio = float(ratios[worst])
-    if not math.isfinite(max_ratio):  # -inf: no order to compare
+    geo = np.exp(frame.log_geo)
+    max_ratio = -math.inf
+    # a count below 1 is one empty piece, whose draw random_complex refuses
+    for piece in _blocks(sample_count) or [range(0)]:
+        xt = random_complex(a.dim, rng, len(piece))
+        fans = np.cumsum(svd_values(grids * (geo * xt)), axis=-1)
+        ratios = np.where(fans[1] == 0.0, -np.inf, fans[0] / fans[1])
+        j = int(ratios.argmax())
+        ratio = float(ratios.flat[j])
+        if not ratio <= max_ratio:  # greater, or NaN: no verdict
+            max_ratio, worst = ratio, xt[j // a.dim]
+            if math.isnan(max_ratio):
+                break
+    if not math.isfinite(max_ratio):  # NaN, or -inf: no order to compare
         raise NumericalFailureError(f"maxRatio {max_ratio} is not finite")
-    return max_ratio, xt[worst[0]]
+    return max_ratio, worst

@@ -23,14 +23,15 @@ from functools import partial
 
 import numpy as np
 
+from . import linalg
 from .dmap import (RATIONAL_FAMILIES, KernelSpec, _weighted, heinz_average,
                    kernel_eval, kernel_in_hypothesis, leading_stack, sinch)
 from .errors import (DimMismatchError, NumericalFailureError,
                      RangeViolationError, UnknownCaseError,
                      UnknownParameterError)
 from .linalg import (_QUIET, DEFAULT_CONDITION_RANGE, Frame, HpdMatrix,
-                     _unitary_of, adjoint, complex_gaussian, log_range,
-                     random_complex, random_hpd, spawned_streams,
+                     _blocks, _unitary_of, adjoint, complex_gaussian,
+                     log_range, random_complex, random_hpd, spawned_streams,
                      svd_values, to_interval, uniform)
 from .means import heinz_kernel, heron_kernel, p_diff_kernel, p_sum_kernel
 # The matrix-valued means are looked up here by benchmarks/tracer.py.
@@ -566,19 +567,6 @@ def random_instance(dim: int, rng: np.random.Generator,
                           random_complex(dim, rng))
 
 
-# Instances drawn and evaluated together: a stack takes memory linear in
-# its size (f-nu-shape holds 21 grids), so suite cells are cut into pieces
-# of at most CELL_BLOCK by _blocks; fuzz holds its restarts and a sweep's
-# moves whole, as points, and scores them in CELL_BLOCK pieces.
-CELL_BLOCK = 256
-
-
-def _blocks(n: int) -> list[range]:
-    """range(n) cut into consecutive pieces of at most CELL_BLOCK."""
-    return [range(lo, min(lo + CELL_BLOCK, n))
-            for lo in range(0, n, CELL_BLOCK)]
-
-
 def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
     """Blocks (samples, frame, params) of some (case id, samples) pieces
     of cells of one dim, drawn in one pass.  Every sample's stream is
@@ -677,7 +665,7 @@ def run_suite(dims, samples: int, seed: int,
     log_range(condition_range)  # raises before any pass is drawn
 
     start = time.perf_counter()
-    per_pass = max(1, CELL_BLOCK // samples)
+    per_pass = max(1, linalg.CELL_BLOCK // samples)
     pieces = [(cid, r) for cid in case_ids for r in _blocks(samples)]
     tasks = [(dim, pieces[lo:lo + per_pass], seed, tolerance,
               tuple(condition_range))
@@ -774,7 +762,8 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     degree-free point z = (log a, log b, Re Y, Im Y), Y = (ab)^(p/2) o Xt.
     The search ranks points by their worst raw margin (_lowest).  The
     restarts, drawn from ``rng``, have logs uniform on those of
-    FUZZ_CONDITION_RANGE and Y standard complex Gaussian.  The first
+    FUZZ_CONDITION_RANGE and Y standard complex Gaussian, drawn and ranked
+    in pieces of at most CELL_BLOCK, one SVD call each.  The first
     lowest-ranked starts the descent: a sweep moves each coordinate of z
     in turn by +step, then -step, times max(1, max |Y_ij|) for Y, each
     move a copy of z with that one entry changed, and takes the
@@ -796,13 +785,14 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     lo, hi = np.clip(log_range(FUZZ_CONDITION_RANGE), -bound, bound)
 
     n_random, k = max(1, budget // 3), dim * dim
-    z = np.empty((n_random, 2 * dim + 2 * k))
     for block in _blocks(n_random):
-        rows = z[block.start:block.stop]
+        rows = np.empty((len(block), 2 * dim + 2 * k))
         rows[:, :2 * dim] = uniform(rng, lo, hi, (len(rows), 2 * dim))
         y = random_complex(dim, rng, len(rows)).reshape(len(rows), k)
         rows[:, 2 * dim:2 * dim + k], rows[:, 2 * dim + k:] = y.real, y.imag
-    best, z = _lowest(case, params, dim, z)
+        rank, point = _lowest(case, params, dim, rows)
+        if block.start == 0 or rank < best:
+            best, z = rank, point
     evals = n_random
 
     # move 2j is +scale_j on coordinate j, move 2j + 1 is -scale_j

@@ -28,6 +28,17 @@ DEFAULT_CONDITION_RANGE = (0.05, 20.0)
 # NaN or inf margins and ratios, which their callers count or refuse.
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
+# A stack takes memory linear in its size (f-nu-shape holds 21 grids), so
+# suite cells, fuzz restarts and sweeps, and contractivity samples are
+# drawn or scored in pieces of at most CELL_BLOCK, cut by _blocks.
+CELL_BLOCK = 256
+
+
+def _blocks(n: int) -> list[range]:
+    """range(n) cut into consecutive pieces of at most CELL_BLOCK."""
+    return [range(lo, min(lo + CELL_BLOCK, n))
+            for lo in range(0, n, CELL_BLOCK)]
+
 
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import mpmath
@@ -369,6 +370,82 @@ def test_contractivity_svd_failure_raises(monkeypatch):
     fail_lapack(monkeypatch)
     with pytest.raises(NumericalFailureError):
         contractivity_check(KernelSpec("sinch"), a, b, 5, rng)
+
+
+PIECE_SPEC = KernelSpec("coshRatioT", {"r": 0.4, "s1": 1.1, "s2": 0.2,
+                                       "t": 0.6})
+
+
+def test_contractivity_pieces_match_one_piece(monkeypatch):
+    # at CELL_BLOCK 3, 7 samples are drawn and scored as pieces of 3, 3
+    # and 1: the same ratio and worst sample, bit for bit, as one piece
+    rng = np.random.default_rng(11)
+    a, b = random_hpd(3, rng), random_hpd(3, rng)
+    whole = contractivity_check(PIECE_SPEC, a, b, 7, np.random.default_rng(2))
+    sizes, svd = [], dmap.svd_values
+
+    def counted(m):
+        sizes.append(m.shape[1])
+        return svd(m)
+
+    monkeypatch.setattr(dmap, "svd_values", counted)
+    monkeypatch.setattr(linalg, "CELL_BLOCK", 3)
+    pieces = contractivity_check(PIECE_SPEC, a, b, 7,
+                                 np.random.default_rng(2))
+    assert sizes == [3, 3, 1]
+    assert pieces[0].hex() == whole[0].hex()
+    assert pieces[1].tobytes() == whole[1].tobytes()
+
+
+def test_contractivity_tie_across_pieces_keeps_the_first_sample(
+        monkeypatch):
+    # the constant kernel 1 gives every ratio exactly 1: the worst sample
+    # is the first one drawn, in the first of pieces of 3, 3 and 1
+    rng = np.random.default_rng(12)
+    a, b = random_hpd(3, rng), random_hpd(3, rng)
+    monkeypatch.setattr(linalg, "CELL_BLOCK", 3)
+    ratio, worst = contractivity_check(KernelSpec("constant", {"value": 1.0}),
+                                       a, b, 7, np.random.default_rng(4))
+    assert ratio == 1.0
+    first = random_complex(3, np.random.default_rng(4))
+    assert worst.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("failing", [0, 2], ids=["first", "last"])
+def test_contractivity_svd_failure_in_one_piece_raises(monkeypatch, failing):
+    # LAPACK fails on one dim-3 piece only, the first or the last of
+    # three: its NaN ratios are no verdict, whatever the other pieces say
+    rng = np.random.default_rng(7)
+    a, b = random_hpd(3, rng), random_hpd(3, rng)
+    calls, svd = [], np.linalg.svd
+
+    def fail_one(m, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == failing:
+            raise np.linalg.LinAlgError("svd did not converge")
+        return svd(m, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_one)
+    monkeypatch.setattr(linalg, "CELL_BLOCK", 3)
+    with pytest.raises(NumericalFailureError):
+        contractivity_check(PIECE_SPEC, a, b, 7, rng)
+    assert len(calls) > failing
+
+
+def test_contractivity_memory_is_one_piece():
+    # dim 6, 20000 samples: one stack of them all would take 46 MB
+    rng = np.random.default_rng(13)
+    a, b = random_hpd(6, rng), random_hpd(6, rng)
+    contractivity_check(PIECE_SPEC, a, b, 20000, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        ratio, _ = contractivity_check(PIECE_SPEC, a, b, 20000,
+                                       np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(ratio)
+    assert peak <= 5e6
 
 
 def test_contractivity_sample_count_is_an_integer():

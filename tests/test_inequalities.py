@@ -313,7 +313,7 @@ def test_suite_parallel_matches_serial(monkeypatch):
     assert untimed(iq.run_suite([1, 2], 5, seed=31, workers=2)) == serial
     # at CELL_BLOCK 3 each 5-sample cell is two pieces, of 3 and 2
     # samples, in passes of their own, which the pool's two workers share
-    monkeypatch.setattr(iq, "CELL_BLOCK", 3)
+    monkeypatch.setattr(linalg, "CELL_BLOCK", 3)
     assert untimed(iq.run_suite([1, 2], 5, seed=31, workers=2)) == serial
 
 
@@ -334,7 +334,7 @@ def test_blocked_cells_match_one_block(monkeypatch, block, passes):
     whole = untimed(iq.run_suite([1, 3], 10, seed=29))
     assert sizes == [240, 240]
     sizes.clear()
-    monkeypatch.setattr(iq, "CELL_BLOCK", block)
+    monkeypatch.setattr(linalg, "CELL_BLOCK", block)
     blocked = untimed(iq.run_suite([1, 3], 10, seed=29))
     assert sizes == passes
     assert blocked == whole
@@ -384,7 +384,7 @@ def test_draw_passes_match_one_stream_at_a_time(monkeypatch, dim, samples,
         return blocks
 
     monkeypatch.setattr(iq, "_draw_pass", draw_pass)
-    monkeypatch.setattr(iq, "CELL_BLOCK", block)
+    monkeypatch.setattr(linalg, "CELL_BLOCK", block)
     iq.run_suite([dim], samples, 20240801, condition_range=condition_range)
     checked = 0
     for cells, blocks in passes:
@@ -735,14 +735,15 @@ def hook_stacks(monkeypatch, rig=None) -> list:
     return sizes
 
 
-def hook_lowest(monkeypatch, start=None) -> list:
+def hook_lowest(monkeypatch, start=None, restarts=1) -> list:
     """Record (points, (rank, point)) of every inequalities._lowest call:
-    the restarts first, then each sweep's moves.  With a ``start`` point,
-    the restarts are replaced by that one point."""
+    the ``restarts`` calls of the restart blocks first, then each sweep's
+    moves.  With a ``start`` point, each restart block is replaced by
+    that one point, so that it is the best restart."""
     found, lowest = [], iq._lowest
 
     def hooked(case, params, n, points):
-        if start is not None and not found:
+        if start is not None and len(found) < restarts:
             points = start[None]
         found.append((points, lowest(case, params, n, points)))
         return found[-1][1]
@@ -751,13 +752,17 @@ def hook_lowest(monkeypatch, start=None) -> list:
     return found
 
 
-def replay_sweeps(found, dim):
-    """(moves, z, step, x_scale) of each sweep that hook_lowest recorded,
-    replayed from the best restart by the descent's rule."""
+def replay_sweeps(found, dim, restarts=1):
+    """(moves, z, step, x_scale) of each sweep that hook_lowest recorded
+    after its ``restarts`` restart calls, replayed from the first best
+    restart by the descent's rule."""
     best, z = found[0][1]
+    for _, (rank, point) in found[1:restarts]:
+        if rank < best:
+            best, z = rank, point
     x_scale = max(1.0, np.max(np.abs(iq._unpack(z, dim)[2])))
     step = 0.5
-    for moves, (rank, point) in found[1:]:
+    for moves, (rank, point) in found[restarts:]:
         yield moves, z, step, x_scale
         if rank < best - 1e-15:
             best, z = rank, point
@@ -1149,10 +1154,10 @@ def _tiled_moves(z, step, count, scale, n):
     return cand
 
 
-# budgets that end in a sweep cut short: after 20, 36 and 302 restarts,
-# sweeps of 8, 24 and 288 moves (two blocks, 256 and 32) and a last one
-# of 1, 1 and 29
-TILED_BUDGETS = {1: 61, 2: 109, 8: 907}
+# budgets that end in a sweep cut short: after 20, 36 and 302 restarts
+# (one, one and two blocks, 256 and 46), sweeps of 8, 24 and 288 moves
+# (two blocks, 256 and 32) and a last one of 1, 1 and 29
+TILED_BUDGETS = {1: (61, 1), 2: (109, 1), 8: (907, 2)}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
@@ -1162,11 +1167,11 @@ def test_direction_table_moves_equal_tiled_moves(monkeypatch, dim):
     start = _restart(dim, seed=dim)
     start[:2] = 79.8, -79.9
     start[-2:] = 0.0, -0.0
-    found = hook_lowest(monkeypatch, start)
-    budget = TILED_BUDGETS[dim]
+    budget, restarts = TILED_BUDGETS[dim]
+    found = hook_lowest(monkeypatch, start, restarts)
     f = iq.fuzz(iq.get_case("eq1.3"), {}, budget,
                 np.random.default_rng(dim), dim=dim)
-    sweeps = list(replay_sweeps(found, dim))
+    sweeps = list(replay_sweeps(found, dim, restarts))
     assert f.evaluations == budget
     assert sum(len(s[0]) for s in sweeps) == budget - budget // 3
     assert 0 < len(sweeps[-1][0]) < len(sweeps[0][0]) == 2 * len(start)
@@ -1290,6 +1295,56 @@ def test_fuzz_sweep_memory_is_linear_in_its_moves():
     assert peak <= 5e6
 
 
+def test_fuzz_restart_memory_is_one_block():
+    # eq1.2 at dim 6: 10000 restarts of 84 reals each, drawn and scored
+    # 256 at a time; holding them all would take 6.7 MB before a score
+    args = (iq.get_case("eq1.2"), {}, 30000)
+    iq.fuzz(*args, np.random.default_rng(4), dim=6)
+    tracemalloc.start()
+    try:
+        f = iq.fuzz(*args, np.random.default_rng(4), dim=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.evaluations == 30000
+    assert peak <= 3e6
+
+
+@pytest.mark.parametrize("rigged, accepted", [
+    # restart 3 (first block) ties with restart 260 (second block)
+    ({3: -1.0, 260: -1.0}, 3),
+    # restart 260 is below the first block's best
+    ({3: -0.5, 260: -1.0}, 260),
+], ids=["tie-across-blocks", "best-in-second-block"])
+def test_restarts_across_blocks_start_from_the_first_global_best(
+        monkeypatch, rigged, accepted):
+    # dim 1, budget 900: 300 restarts, drawn and scored as blocks of 256
+    # and 44; the rigged restarts get the given raw margins, every other
+    # restart 1; the first sweep moves around the accepted restart, no
+    # move ranks below it, so the step halves in 19 sweeps of 8 moves to
+    # below 1e-6, and the witness is written from it
+    assert linalg.CELL_BLOCK == 256
+
+    def rig(call, raw, frame):
+        if call < 2:  # the restart blocks
+            raw[:] = 1.0
+            for restart, r in rigged.items():
+                if 0 <= restart - 256 * call < len(raw):
+                    raw[restart - 256 * call] = r
+
+    sizes = hook_stacks(monkeypatch, rig)
+    found = hook_lowest(monkeypatch)
+    f = iq.fuzz(iq.get_case("eq1.3"), {}, 900, np.random.default_rng(3),
+                dim=1)
+    assert sizes == [256, 44] + [8] * 19
+    assert f.evaluations == 300 + 8 * 19
+    z = np.concatenate([found[0][0], found[1][0]])[accepted]
+    moves = found[2][0]
+    x_scale = max(1.0, np.max(np.abs(iq._unpack(z, 1)[2])))
+    assert np.array_equal(moves, _sweep(z, 1, 0.5, x_scale))
+    assert lands_at(f.instance, z)
+
+
 @pytest.mark.parametrize("rigged, accepted", [
     # move 3 (first block) ties with moves 270 and 280 (second block)
     ({3: -1.0, 270: -1.0, 280: -1.0}, 3),
@@ -1302,7 +1357,7 @@ def test_sweep_across_blocks_accepts_the_first_global_best(
     # and 32; the rigged moves get the given raw margins, every other
     # move 1; the sweep takes the accepted move's point, and the witness
     # is written from it
-    assert iq.CELL_BLOCK == 256
+    assert linalg.CELL_BLOCK == 256
 
     def rig(call, raw, frame):
         if call:  # the blocks of the sweep
