@@ -257,11 +257,11 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
     are drawn in pieces of at most CELL_BLOCK, [K, 1] times a piece's
     scaled Xt goes through one singular value call, and the first maximum
     in (sample, order) order is kept.  No eigenvector is read: worst_xt
-    is the worst sample as drawn, in the frame, and X = U_A worst_xt U_B*
-    is the caller's to form.  A grid that overflows is not warned about:
-    its NaN singular values, like those svd_values gives a stack whose
-    SVD fails to converge, make the ratio NaN, and a max_ratio that is
-    not finite raises NumericalFailureError, so the ratio is finite.
+    is a copy of the worst sample as drawn, in the frame, and X = U_A
+    worst_xt U_B* is the caller's to form.  A grid that overflows is not
+    warned about: its NaN singular values, like those svd_values gives a
+    stack whose SVD fails to converge, make the ratio NaN, and a max_ratio
+    that is not finite raises NumericalFailureError, so it is finite.
     """
     sample_count = operator.index(sample_count)
     if a.dim != b.dim:
@@ -279,7 +279,7 @@ def contractivity_check(spec: KernelSpec, a: HpdMatrix, b: HpdMatrix,
         j = int(ratios.argmax())
         ratio = float(ratios.flat[j])
         if not ratio <= max_ratio:  # greater, or NaN: no verdict
-            max_ratio, worst = ratio, xt[j // a.dim]
+            max_ratio, worst = ratio, xt[j // a.dim].copy()
             if math.isnan(max_ratio):
                 break
     if not math.isfinite(max_ratio):  # NaN, or -inf: no order to compare

@@ -735,19 +735,19 @@ def _witness(z, n: int, params) -> InstanceTriple:
                           HpdMatrix.from_spectrum(eb, np.eye(n)), x)
 
 
-def _lowest(case, params, n: int, points) -> tuple:
-    """(rank, point) of the first lowest-ranked (_rank) of the points
-    (points, 2n + 2n^2), each scored as the frame of its a and b with
-    xt = Y (_instance_margin): blocks of at most CELL_BLOCK of them, one
-    _instance_margin call each."""
-    best = np.inf, points[0]
-    for block in _blocks(len(points)):
-        la, lb, y = _unpack(points[block.start:block.stop], n)
-        frame = Frame(np.exp(la), np.exp(lb), y)
-        ranks = _rank(_instance_margin(case, frame, params))
+def _lowest(case, params, n: int, blocks) -> tuple:
+    """(rank, point) of the first lowest-ranked (_rank) point of blocks,
+    arrays (points, 2n + 2n^2) of at most CELL_BLOCK points made as they
+    are read, each scored as the frame of its a and b with xt = Y by one
+    _instance_margin call; the point kept is a copy, so no block stays."""
+    best = np.inf, None
+    for points in blocks:
+        la, lb, y = _unpack(points, n)
+        ranks = _rank(_instance_margin(
+            case, Frame(np.exp(la), np.exp(lb), y), params))
         i = int(ranks.argmin())
-        if ranks[i] < best[0]:
-            best = ranks[i], points[block.start + i]
+        if best[1] is None or ranks[i] < best[0]:
+            best = ranks[i], points[i].copy()
     return best
 
 
@@ -760,15 +760,16 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
 
     A case's terms all have one degree p, so a margin depends only on the
     degree-free point z = (log a, log b, Re Y, Im Y), Y = (ab)^(p/2) o Xt.
-    The search ranks points by their worst raw margin (_lowest).  The
-    restarts, drawn from ``rng``, have logs uniform on those of
-    FUZZ_CONDITION_RANGE and Y standard complex Gaussian, drawn and ranked
-    in pieces of at most CELL_BLOCK, one SVD call each.  The first
-    lowest-ranked starts the descent: a sweep moves each coordinate of z
-    in turn by +step, then -step, times max(1, max |Y_ij|) for Y, each
-    move a copy of z with that one entry changed, and takes the
-    first lowest-ranked move if it ranks below the best by more than
-    1e-15, else halves the step; the last sweep is cut to the budget.
+    The search ranks points by their worst raw margin, one _lowest call
+    for all restarts and one per sweep, over pieces of at most CELL_BLOCK
+    points made as they are ranked.  The restarts, drawn from ``rng``,
+    have logs uniform on those of FUZZ_CONDITION_RANGE and Y standard
+    complex Gaussian.  The first lowest-ranked starts the descent: a
+    sweep moves each coordinate of z in turn by +step, then -step, times
+    max(1, max |Y_ij|) for Y, each move a copy of z with that one entry
+    changed, and takes the first lowest-ranked move if it ranks below the
+    best by more than 1e-15, else halves the step; the last sweep is cut
+    to the budget.
     Restarts and moves keep their logs within +-L, L = min(80, 300/|p|),
     so that p |log_geo| <= 600 on the witness and its X stays finite.
     p enters only at _witness(z), whose margins from _margins on the
@@ -784,32 +785,36 @@ def fuzz(case: InequalityCase, overrides: dict, budget: int,
     bound = 300.0 / max(abs(params.get("p", 1.0)), 3.75)
     lo, hi = np.clip(log_range(FUZZ_CONDITION_RANGE), -bound, bound)
 
-    n_random, k = max(1, budget // 3), dim * dim
-    for block in _blocks(n_random):
-        rows = np.empty((len(block), 2 * dim + 2 * k))
-        rows[:, :2 * dim] = uniform(rng, lo, hi, (len(rows), 2 * dim))
-        y = random_complex(dim, rng, len(rows)).reshape(len(rows), k)
-        rows[:, 2 * dim:2 * dim + k], rows[:, 2 * dim + k:] = y.real, y.imag
-        rank, point = _lowest(case, params, dim, rows)
-        if block.start == 0 or rank < best:
-            best, z = rank, point
-    evals = n_random
+    def restarts(count):
+        logs = uniform(rng, lo, hi, (count, 2 * dim))
+        y = random_complex(dim, rng, count).reshape(count, -1)
+        return np.concatenate([logs, y.real, y.imag], axis=1)
+
+    evals = max(1, budget // 3)
+    best, z = _lowest(case, params, dim,
+                      (restarts(len(b)) for b in _blocks(evals)))
 
     # move 2j is +scale_j on coordinate j, move 2j + 1 is -scale_j
     x_scale = max(1.0, float(np.max(np.abs(_unpack(z, dim)[2]))))
     scale = np.where(np.arange(len(z)) < 2 * dim, 1.0, x_scale)
     coord = np.repeat(np.arange(len(z)), 2)
     moves = np.outer(scale, [1.0, -1.0]).ravel()
+
+    def sweep(z, step, count):
+        for block in _blocks(count):
+            piece = slice(block.start, block.stop)
+            cands = np.repeat(z[None], len(block), axis=0)
+            cands[np.arange(len(block)), coord[piece]] += step * moves[piece]
+            logs = cands[:, :2 * dim]
+            np.maximum(logs, -bound, out=logs)
+            np.minimum(logs, bound, out=logs)
+            yield cands
+
     step = 0.5
     while evals < budget and step > 1e-6:
         count = min(len(coord), budget - evals)
         evals += count
-        cands = np.repeat(z[None], count, axis=0)
-        cands[np.arange(count), coord[:count]] += step * moves[:count]
-        logs = cands[:, :2 * dim]
-        np.maximum(logs, -bound, out=logs)
-        np.minimum(logs, bound, out=logs)
-        rank, cand = _lowest(case, params, dim, cands)
+        rank, cand = _lowest(case, params, dim, sweep(z, step, count))
         if rank < best - 1e-15:
             best, z = rank, cand
         else:

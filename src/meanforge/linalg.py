@@ -29,8 +29,8 @@ DEFAULT_CONDITION_RANGE = (0.05, 20.0)
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
 # A stack takes memory linear in its size (f-nu-shape holds 21 grids), so
-# suite cells, fuzz restarts and sweeps, and contractivity samples are
-# drawn or scored in pieces of at most CELL_BLOCK, cut by _blocks.
+# suite cells, fuzz restarts and sweep moves, and contractivity samples are
+# made and scored in _blocks of at most CELL_BLOCK; what is kept is a copy.
 CELL_BLOCK = 256
 
 

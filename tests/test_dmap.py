@@ -411,6 +411,15 @@ def test_contractivity_tie_across_pieces_keeps_the_first_sample(
     assert worst.tobytes() == first.tobytes()
 
 
+def test_contractivity_worst_sample_is_a_copy():
+    # the worst sample kept past its piece owns its data, so the piece it
+    # was drawn in is not held alive with it
+    rng = np.random.default_rng(14)
+    a, b = random_hpd(3, rng), random_hpd(3, rng)
+    _, worst = contractivity_check(PIECE_SPEC, a, b, 7, rng)
+    assert worst.shape == (3, 3) and worst.base is None
+
+
 @pytest.mark.parametrize("failing", [0, 2], ids=["first", "last"])
 def test_contractivity_svd_failure_in_one_piece_raises(monkeypatch, failing):
     # LAPACK fails on one dim-3 piece only, the first or the last of

@@ -618,6 +618,24 @@ def test_eq12_small_spread_limit_at_dim_1(nu, alpha):
                                                      rel=1e-5)
 
 
+@pytest.mark.parametrize("nu, alpha", [(0.3, 0.5), (0.25, 0.5), (0.4, 2.0),
+                                       (0.7, 1.0)])
+def test_eq13_share_limit_at_dim_1(nu, alpha):
+    # a = e^s, b = e^-s give d = s and log_geo = 0, so the scaled Xt is y;
+    # Heinz minus geometric and Heron minus Heinz both vanish like s^2,
+    # with kappa_g = g''(0) / 2 of each kernel, so the share of the Heinz
+    # mean between its bounds tends to (kappa_Heinz - kappa_geo) /
+    # (kappa_Heron - kappa_geo) = (2 nu - 1)^2 / alpha; 1/2 at (1/4, 1/2)
+    s, y = 1e-3, 0.7 - 0.4j
+    frame = Frame(np.array([np.exp(s)]), np.array([np.exp(-s)]),
+                  np.array([[y]]))
+    raw, _ = iq._margins(iq.get_case("eq1.3"), frame,
+                         {"nu": nu, "alpha": alpha})
+    m_lo, m_hi = raw.reshape(2)
+    assert m_lo / (m_lo + m_hi) == pytest.approx((2 * nu - 1) ** 2 / alpha,
+                                                 rel=1e-5)
+
+
 def test_report_round_trip():
     report = iq.run_suite([2], 3, seed=5)
     restored = iq.VerificationReport.from_dict(report.to_dict())
@@ -735,34 +753,34 @@ def hook_stacks(monkeypatch, rig=None) -> list:
     return sizes
 
 
-def hook_lowest(monkeypatch, start=None, restarts=1) -> list:
-    """Record (points, (rank, point)) of every inequalities._lowest call:
-    the ``restarts`` calls of the restart blocks first, then each sweep's
-    moves.  With a ``start`` point, each restart block is replaced by
-    that one point, so that it is the best restart."""
+def hook_lowest(monkeypatch, start=None) -> list:
+    """Record (points, (rank, point)) of every inequalities._lowest call,
+    its blocks joined by np.concatenate: the one call of all restarts
+    first, then each sweep's moves.  With a ``start`` point, the restart
+    blocks are replaced by that one point, so that it is the best
+    restart."""
     found, lowest = [], iq._lowest
 
-    def hooked(case, params, n, points):
-        if start is not None and len(found) < restarts:
-            points = start[None]
-        found.append((points, lowest(case, params, n, points)))
+    def hooked(case, params, n, blocks):
+        if start is not None and not found:
+            blocks = [start[None]]
+        blocks = list(blocks)
+        found.append((np.concatenate(blocks),
+                      lowest(case, params, n, blocks)))
         return found[-1][1]
 
     monkeypatch.setattr(iq, "_lowest", hooked)
     return found
 
 
-def replay_sweeps(found, dim, restarts=1):
+def replay_sweeps(found, dim):
     """(moves, z, step, x_scale) of each sweep that hook_lowest recorded
-    after its ``restarts`` restart calls, replayed from the first best
-    restart by the descent's rule."""
+    after its restart call, replayed from the first best restart by the
+    descent's rule."""
     best, z = found[0][1]
-    for _, (rank, point) in found[1:restarts]:
-        if rank < best:
-            best, z = rank, point
     x_scale = max(1.0, np.max(np.abs(iq._unpack(z, dim)[2])))
     step = 0.5
-    for moves, (rank, point) in found[restarts:]:
+    for moves, (rank, point) in found[1:]:
         yield moves, z, step, x_scale
         if rank < best - 1e-15:
             best, z = rank, point
@@ -1056,7 +1074,7 @@ def test_fuzz_scores_the_margins_of_its_witness(cid, data):
     case = iq.get_case(cid)
     params, points = data.draw(degree_free_points(case))
     for dim, z in enumerate(points, 1):
-        rank, _ = iq._lowest(case, params, dim, z[None])
+        rank, _ = iq._lowest(case, params, dim, [z[None]])
         inst = iq._witness(z, dim, params)
         frame = Frame.of(inst.a, inst.x, inst.b)
         _, scales = iq.step_margins(*case.builder(frame.d, params),
@@ -1155,9 +1173,9 @@ def _tiled_moves(z, step, count, scale, n):
 
 
 # budgets that end in a sweep cut short: after 20, 36 and 302 restarts
-# (one, one and two blocks, 256 and 46), sweeps of 8, 24 and 288 moves
-# (two blocks, 256 and 32) and a last one of 1, 1 and 29
-TILED_BUDGETS = {1: (61, 1), 2: (109, 1), 8: (907, 2)}
+# (one _lowest call; at dim 8 two blocks, 256 and 46), sweeps of 8, 24
+# and 288 moves (two blocks, 256 and 32) and a last one of 1, 1 and 29
+TILED_BUDGETS = {1: 61, 2: 109, 8: 907}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
@@ -1167,11 +1185,11 @@ def test_direction_table_moves_equal_tiled_moves(monkeypatch, dim):
     start = _restart(dim, seed=dim)
     start[:2] = 79.8, -79.9
     start[-2:] = 0.0, -0.0
-    budget, restarts = TILED_BUDGETS[dim]
-    found = hook_lowest(monkeypatch, start, restarts)
+    budget = TILED_BUDGETS[dim]
+    found = hook_lowest(monkeypatch, start)
     f = iq.fuzz(iq.get_case("eq1.3"), {}, budget,
                 np.random.default_rng(dim), dim=dim)
-    sweeps = list(replay_sweeps(found, dim, restarts))
+    sweeps = list(replay_sweeps(found, dim))
     assert f.evaluations == budget
     assert sum(len(s[0]) for s in sweeps) == budget - budget // 3
     assert 0 < len(sweeps[-1][0]) < len(sweeps[0][0]) == 2 * len(start)
@@ -1218,13 +1236,28 @@ def test_sweep_stack_scores_as_single_frames(monkeypatch, cid, overrides,
     cands = _sweep(_restart(dim, seed=dim), dim, 0.5, 1.5)
     margin, raws = iq._instance_margin, []
     hook_stacks(monkeypatch, lambda call, raw, frame: raws.extend(raw))
-    iq._lowest(case, params, dim, cands)
+    iq._lowest(case, params, dim, [cands])
     assert len(raws) == len(cands)
     for c, r in zip(cands, raws):
         la, lb, y = iq._unpack(c, dim)
         frame = Frame(np.exp(la), np.exp(lb), y)
         frame.log_geo = np.zeros_like(frame.d)
         assert r.hex() == float(margin(case, frame, params)).hex()
+
+
+def test_lowest_over_blocks_keeps_a_copy_of_the_first_lowest():
+    # blocks ranked as they come give the rank and point that one block of
+    # them all gives, and the point is a copy that keeps no block alive;
+    # the lowest is in the middle block, so one block replaces the best
+    # and one does not
+    case = iq.get_case("eq1.3")
+    params = case.sampler(np.random.default_rng(0))
+    blocks = [_sweep(_restart(2, seed=s), 2, 0.5, 1.5) for s in (2, 1, 3)]
+    rank, point = iq._lowest(case, params, 2, iter(blocks))
+    want_rank, want = iq._lowest(case, params, 2, [np.concatenate(blocks)])
+    assert (rank, point.tobytes()) == (want_rank, want.tobytes())
+    assert (blocks[1] == point).all(axis=1).any()
+    assert point.base is None
 
 
 def _fuzz_points(dim, seed, count=12) -> np.ndarray:
@@ -1279,10 +1312,23 @@ def test_fuzz_budget_not_a_multiple_of_the_sweep(monkeypatch):
     assert sizes == [83] + [24] * 6 + [23]
 
 
+def test_fuzz_ranking_calls_are_pinned(monkeypatch):
+    # the fuzz workload cuts each probe's time at these calls: at dim 8,
+    # budget 907 is 302 restarts in blocks of 256 and 46, two full
+    # sweeps of 288 moves in blocks of 256 and 32, and a last one of 29
+    sizes = hook_stacks(monkeypatch)
+    f = iq.fuzz(iq.get_case("eq1.3"), {}, 907, np.random.default_rng(8),
+                dim=8)
+    assert f.evaluations == 907
+    assert sizes == [256, 46, 256, 32, 256, 32, 29]
+    assert max(sizes) <= linalg.CELL_BLOCK
+
+
 def test_fuzz_sweep_memory_is_linear_in_its_moves():
     # dim 30 has 2 (60 + 1800) = 3720 moves over 1860 coordinates: a
-    # table of every move would take 55 MB; budget 12 scores 4 restarts
-    # and one sweep of 8 moves
+    # table of every move would take 55 MB, and even one whole sweep is
+    # never held, only a block of at most CELL_BLOCK moves (3.8 MB);
+    # budget 12 scores 4 restarts and one sweep of 8 moves
     args = (iq.get_case("eq1.2"), {"nu": 0.1, "alpha": 0.5}, 12)
     iq.fuzz(*args, np.random.default_rng(0), dim=30)
     tracemalloc.start()
@@ -1308,6 +1354,24 @@ def test_fuzz_restart_memory_is_one_block():
         tracemalloc.stop()
     assert f.evaluations == 30000
     assert peak <= 3e6
+
+
+def test_fuzz_sweep_memory_is_one_block():
+    # eq1.2 at dim 20: 841 restarts in 4 blocks, then one full sweep of
+    # 2 (40 + 800) = 1680 moves of 840 reals each and 2 more moves; the
+    # sweep is made and scored 256 moves (1.7 MB) at a time, and the
+    # best move is kept as a copy, so no block outlives its turn, where
+    # the whole sweep held at once would take 11 MB
+    args = (iq.get_case("eq1.2"), {"nu": 0.3, "alpha": 0.5}, 2523)
+    iq.fuzz(*args, np.random.default_rng(0), dim=20)
+    tracemalloc.start()
+    try:
+        f = iq.fuzz(*args, np.random.default_rng(0), dim=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.evaluations == 2523
+    assert peak <= 15e6
 
 
 @pytest.mark.parametrize("rigged, accepted", [
@@ -1338,8 +1402,8 @@ def test_restarts_across_blocks_start_from_the_first_global_best(
                 dim=1)
     assert sizes == [256, 44] + [8] * 19
     assert f.evaluations == 300 + 8 * 19
-    z = np.concatenate([found[0][0], found[1][0]])[accepted]
-    moves = found[2][0]
+    z = found[0][0][accepted]
+    moves = found[1][0]
     x_scale = max(1.0, np.max(np.abs(iq._unpack(z, 1)[2])))
     assert np.array_equal(moves, _sweep(z, 1, 0.5, x_scale))
     assert lands_at(f.instance, z)
