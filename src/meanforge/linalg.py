@@ -10,9 +10,7 @@ docstring says so.  Hermitian positive definite matrices are carried as
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -28,9 +26,10 @@ DEFAULT_CONDITION_RANGE = (0.05, 20.0)
 # NaN or inf margins and ratios, which their callers count or refuse.
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
-# A stack takes memory linear in its size (f-nu-shape holds 21 grids), so
-# suite cells, fuzz restarts and sweep moves, and contractivity samples are
-# made and scored in _blocks of at most CELL_BLOCK; what is kept is a copy.
+# Suite cells, fuzz restarts and sweep moves, and contractivity samples are
+# made and scored in _blocks of at most CELL_BLOCK points; what is kept is a
+# copy.  That bounds a piece's points, not its bytes: a point's n x n stacks
+# (f-nu-shape holds 21 grids) make a piece, and fuzz's peak, grow like n^2.
 CELL_BLOCK = 256
 
 
@@ -153,60 +152,54 @@ def _order_2(m):
 _CLOSED_FORM = {1: lambda m: np.abs(m[..., 0]), 2: _order_2}
 
 
-@dataclass(frozen=True)
 class HpdMatrix:
     """Hermitian positive definite matrix with its spectral data.
 
     eigenvalues are descending and strictly positive; the columns of
     eigenvectors are orthonormal and matrix = V diag(eigenvalues) V*.
-    The eigenvectors may be held as a function of no arguments, called on
-    their first read (``random_hpd`` defers its QR so), and the matrix is
-    assembled on its first read; each is formed once and kept, so every
-    read returns the same array.
+    Made by ``from_spectrum``, which keeps the columns as given, an array
+    or a function of no arguments (``random_hpd`` defers its QR so), with
+    their sort order.  eigenvectors and matrix are formed on their first
+    read and kept, so every read returns the same array.
     """
 
-    eigenvalues: np.ndarray
-    _eigenvectors: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
-    _matrix: np.ndarray | None = field(default=None, repr=False,
-                                       compare=False)
+    def __init__(self, eigenvalues, vectors, order):
+        self.eigenvalues = eigenvalues
+        self._vectors, self._order = vectors, order
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    @property
+    @cached_property
     def eigenvectors(self) -> np.ndarray:
-        if callable(self._eigenvectors):
-            object.__setattr__(self, "_eigenvectors", self._eigenvectors())
-        return self._eigenvectors
+        v = self._vectors() if callable(self._vectors) else self._vectors
+        return np.asarray(v, dtype=complex)[:, self._order]
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = self._assemble(self.eigenvalues)
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
+        return self._assemble(self.eigenvalues)
 
     @classmethod
     def from_spectrum(cls, eigenvalues, eigenvectors) -> "HpdMatrix":
         """The one check of a spectrum: finite, strictly positive
-        eigenvalues (else ValueError), put with their eigenvector columns
-        in descending order, ties kept in order.  The columns are an
-        array, or a function of no arguments called on their first read."""
+        eigenvalues (else ValueError), put in descending order, ties kept
+        in order.  The eigenvector columns, an array or a function of no
+        arguments, are kept with that order, applied on their first read."""
         w = np.asarray(eigenvalues, dtype=float)
         if not 0.0 < w.min() <= w.max() < np.inf:  # False for a NaN
             raise ValueError("eigenvalues must be finite and strictly "
                              "positive")
         order = np.argsort(-w, kind="stable")
-        vectors = partial(_columns, eigenvectors, order)
-        return cls(w[order], vectors if callable(eigenvectors) else vectors())
+        return cls(w[order], eigenvectors, order)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "HpdMatrix":
         """m, kept as given as ``matrix``, with the spectrum of
         ``hermitian_eig(m)`` checked by ``from_spectrum``."""
-        return replace(cls.from_spectrum(*hermitian_eig(m)),
-                       _matrix=np.asarray(m, dtype=complex))
+        h = cls.from_spectrum(*hermitian_eig(m))
+        h.matrix = np.asarray(m, dtype=complex)
+        return h
 
     def power(self, t: float) -> np.ndarray:
         """Fractional power V diag(lambda^t) V*."""
@@ -220,13 +213,6 @@ class HpdMatrix:
         """The Hermitian part of V diag(w) V*, V the eigenvectors."""
         m = (self.eigenvectors * w) @ adjoint(self.eigenvectors)
         return 0.5 * (m + adjoint(m))
-
-
-def _columns(vectors, order) -> np.ndarray:
-    """The columns of vectors, an array or a function that returns one,
-    as a complex array in the given order."""
-    v = vectors() if callable(vectors) else vectors
-    return np.asarray(v, dtype=complex)[:, order]
 
 
 class Frame:
@@ -330,9 +316,9 @@ def random_hpd(dim: int, rng: np.random.Generator,
     """Random HPD matrix: eigenvalues log-uniform in condition_range, then
     eigenvectors from the QR of a complex Gaussian.  Only the Gaussian's
     real normals are drawn here, as ``random_complex`` draws them; the
-    Gaussian, its QR (a failed one raises NumericalFailureError) and the
-    column order are formed on the first read of ``eigenvectors``.
-    Raises ValueError for dim < 1, as ``random_complex`` does."""
+    Gaussian and its QR (a failed one raises NumericalFailureError) are
+    the columns ``from_spectrum`` keeps, a function called on the first
+    read of ``eigenvectors``.  Raises ValueError for dim < 1."""
     eigs = np.exp(uniform(rng, *log_range(condition_range), size=dim))
     return HpdMatrix.from_spectrum(
         eigs, partial(_unitary_of, _normals(dim, rng)))

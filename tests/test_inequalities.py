@@ -636,6 +636,39 @@ def test_eq13_share_limit_at_dim_1(nu, alpha):
                                                  rel=1e-5)
 
 
+@pytest.mark.parametrize("p", [0.1, 1.0, 6.0])
+def test_f_nu_shape_ratios_are_sech_and_ordered_cosh_ratios(p):
+    # the 41 nodes nu have exponents e = 2 nu - p = -2, -1.9, ..., 2
+    # whatever p is, and each kernel is 2 cosh(e d): a convexity ratio
+    # 2 g_i / (g_(i-1) + g_(i+1)) is sech(0.1 d), a V-shape ratio is
+    # cosh(e_in d) / cosh(e_out d) with the inner exponent the smaller in
+    # modulus; all of them are 1 at d = 0
+    d = np.linspace(-40.0, 40.0, 801)
+    grids, (v_shape, convex) = iq._build_f_nu_shape(d, {"p": p})
+
+    def ratio(step):
+        lhs, rhs = ([c * grids[i] for c, i in terms]
+                    for terms in (step.lhs, step.rhs))
+        return sum(lhs) / sum(rhs)
+
+    convexity = ratio(convex)
+    assert convexity.shape == (39, d.size)
+    np.testing.assert_allclose(convexity, np.broadcast_to(
+        1.0 / np.cosh(0.1 * d), convexity.shape), rtol=1e-13, atol=0)
+    e = np.arange(-20, 21) / 10.0
+    first_inner = np.abs(e[:-1]) <= np.abs(e[1:])
+    e_in = np.where(first_inner, e[:-1], e[1:])[:, None]
+    e_out = np.where(first_inner, e[1:], e[:-1])[:, None]
+    v = ratio(v_shape)
+    assert v.shape == (40, d.size)
+    np.testing.assert_allclose(v, np.cosh(e_in * d) / np.cosh(e_out * d),
+                               rtol=1e-13, atol=0)
+    at_zero = d.size // 2
+    assert d[at_zero] == 0.0
+    assert np.all(convexity[:, at_zero] == 1.0)
+    assert np.all(v[:, at_zero] == 1.0)
+
+
 def test_report_round_trip():
     report = iq.run_suite([2], 3, seed=5)
     restored = iq.VerificationReport.from_dict(report.to_dict())

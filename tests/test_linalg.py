@@ -287,6 +287,23 @@ def test_from_matrix_refuses_a_hermitian_matrix_not_positive_definite(m):
         HpdMatrix.from_matrix(np.array(m, dtype=complex))
 
 
+def test_from_matrix_keeps_the_matrix_it_was_given():
+    # a complex m is kept as the very array given, and power(1) returns
+    # it; a real m is kept as its complex copy, bit for bit
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m = g @ g.conj().T + np.eye(3)
+    h = HpdMatrix.from_matrix(m)
+    assert h.matrix is m
+    assert h.power(1.0) is h.matrix
+    assert h.eigenvectors is h.eigenvectors
+    real = m.real + m.real.T
+    h = HpdMatrix.from_matrix(real)
+    assert h.matrix.dtype == complex
+    assert h.matrix.tobytes() == real.astype(complex).tobytes()
+    assert h.eigenvectors is h.eigenvectors
+
+
 def test_hpd_power_addition():
     rng = np.random.default_rng(4)
     for _ in range(20):
