@@ -571,36 +571,32 @@ def _draw_pass(seed: int, dim: int, cells, condition_range) -> list:
     """Blocks (samples, frame, params) of some (case id, samples) pieces
     of cells of one dim, drawn in one pass.  Every sample's stream is
     derived at once and draws in turn, the instance into rows of the
-    pass arrays and then the case's sampler; the pass ends with one map
-    of u to the log range, one batched QR, one rotation U_A* X U_B and
-    one Frame, whose slices are the pieces' frames."""
+    pass arrays and then its case's sampler; the pass ends with one map
+    of u to the log range, one batched QR and one rotation U_A* X U_B,
+    and each piece's frame is built from its own rows."""
+    rows = [(cid, sample) for cid, samples in cells for sample in samples]
     streams = spawned_streams(seed, [(CASE_IDS.index(cid), dim, sample)
-                                     for cid, samples in cells
-                                     for sample in samples])
-    ends = np.cumsum([len(samples) for _, samples in cells])
-    k = int(ends[-1])
-    u = np.empty((2, k, dim))
+                                     for cid, sample in rows])
+    u = np.empty((2, len(rows), dim))
     # Gaussians of A, B and X: B's and X's are adjacent in a stream
-    g = np.empty((k, 3, 2, dim, dim))
-    rows = zip(streams, u[0], u[1], g)
+    g = np.empty((len(rows), 3, 2, dim, dim))
     params = []
-    for cid, samples in cells:
-        sampler = REGISTRY[cid].sampler
-        params.append([])
-        # samples first, so that zip takes no stream past the piece's last
-        for _, (rng, ua, ub, gs) in zip(samples, rows):
-            # the draws of random_hpd twice, then of random_complex
-            rng.random(out=ua)
-            rng.standard_normal(out=gs[0])
-            rng.random(out=ub)
-            rng.standard_normal(out=gs[1:])
-            params[-1].append(sampler(rng))
+    for (cid, _), rng, ua, ub, gs in zip(rows, streams, u[0], u[1], g):
+        # the draws of random_hpd twice, then of random_complex
+        rng.random(out=ua)
+        rng.standard_normal(out=gs[0])
+        rng.random(out=ub)
+        rng.standard_normal(out=gs[1:])
+        params.append(REGISTRY[cid].sampler(rng))
     ea, eb = np.exp(to_interval(u, *log_range(condition_range)))
     q = _unitary_of(g[:, :2])
-    x = complex_gaussian(g[:, 2])
-    frame = Frame(ea, eb, adjoint(q[:, 0]) @ x @ q[:, 1])
-    return [(samples, frame[end - len(samples):end], p)
-            for (_, samples), p, end in zip(cells, params, ends)]
+    xt = adjoint(q[:, 0]) @ complex_gaussian(g[:, 2]) @ q[:, 1]
+    blocks, lo = [], 0
+    for _, samples in cells:
+        part, lo = slice(lo, lo + len(samples)), lo + len(samples)
+        blocks.append((samples, Frame(ea[part], eb[part], xt[part]),
+                       params[part]))
+    return blocks
 
 
 def _run_case_dim(task) -> CaseResult:

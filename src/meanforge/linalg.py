@@ -242,15 +242,6 @@ class Frame:
         return cls(a.eigenvalues, b.eigenvalues,
                    adjoint(a.eigenvectors) @ x @ b.eigenvectors)
 
-    def __getitem__(self, index) -> "Frame":
-        """The frame of some instances of a stack, ``Frame(a[index],
-        b[index], xt[index])`` bit for bit: d and log_geo are
-        elementwise in the logs, so their slices are theirs."""
-        part = object.__new__(type(self))
-        part.d, part.log_geo = self.d[index], self.log_geo[index]
-        part.xt = self.xt[index]
-        return part
-
     def scaled(self, p=1.0) -> np.ndarray:
         """(a_i b_j)^(p/2) o Xt, on which the kernels of degree p act;
         degree 1 by default."""

@@ -59,6 +59,14 @@ EXIT_CODES = {
                                 "--samples", "1"], 2),
     "verify-workers-0": (["verify", "--workers", "0"], 2),
     "verify-tol-nan": (["verify", "--tol", "nan"], 2),
+    # numbers whose float conversion raises: ValueError, ZeroDivisionError
+    # and OverflowError
+    "verify-tol-not-a-number": (["verify", "--tol", "abc"], 2),
+    "verify-cond-hi-zero-denominator": (["verify", "--cond-hi", "1/0"], 2),
+    "fuzz-set-zero-denominator": (["fuzz", "--case", "eq1.2",
+                                   "--set", "nu=1/0"], 2),
+    "fuzz-set-fraction-overflow": (["fuzz", "--case", "eq1.2",
+                                    "--set", f"nu=1{'0' * 400}/1"], 2),
     # a negative tolerance would turn positive margins into violations
     "verify-tol-negative": (["verify", "--tol", "-1", "--samples", "2",
                              "--dims", "1", "--cases", "eq1.2"], 2),

@@ -23,6 +23,7 @@ from meanforge.means import (heinz_kernel, heron_kernel, p_diff_kernel,
                              p_sum_kernel)
 
 from draw_oracle import sample_draws, sample_frame
+from interval_oracle import eq12_f, prove_eq12
 from scalar_oracle import oracle_margins
 from test_linalg import fail_lapack
 
@@ -261,6 +262,51 @@ def test_scalar_oracle_agreement():
             assert len(margins) == len(expected)
             for got, want in zip(margins, expected):
                 assert got == pytest.approx(want, abs=1e-12 * (1 + abs(want)))
+
+
+def test_eq12_interval_proof_at_n1():
+    # the window nu in [1/4, 3/4] is u = 2 nu - 1 in [-1/2, 1/2]
+    proof = prove_eq12(0.5)
+    assert proof.holds and proof.label == "n = 1, |d| ≤ 40 (interval proof)"
+    assert (proof.boxes, proof.leaves) == (7, 4)
+    # criterion 5's violating probe nu = 0.1, u = -0.8: refused on a box
+    # where f is negative
+    refused = prove_eq12(0.8)
+    assert not refused.holds and refused.label is None
+    assert refused.box[1] - refused.box[0] <= 1e-6
+    assert eq12_f(0.8, refused.box[1]) < 0
+    # f is the engine's raw margin over |y| d^2, at a b = 1 and alpha = 1/2
+    y = 0.7 - 1.3j
+    for nu in (0.25, 0.4, 0.6, 0.75):
+        for d in (0.5, 2.0, 10.0, 30.0):
+            frame = Frame([np.exp(d)], [np.exp(-d)], [[y]])
+            margins = iq._margins(iq.get_case("eq1.2"), frame,
+                                  {"nu": nu, "alpha": 0.5})[0]
+            want = float(eq12_f(2 * nu - 1, d))
+            assert margins.item() / (abs(y) * d * d) == pytest.approx(
+                want, rel=1e-13, abs=0.0), (nu, d)
+
+
+def test_comparison_counts():
+    # a step compares as many grids as each of its terms selects; it is
+    # single-term when each side has one term
+    d = np.linspace(-1.0, 1.0, 4).reshape(2, 2)
+    frame = Frame([2.0, 0.5], [1.0, 3.0], np.eye(2))
+    counts, multi = {}, {}
+    for cid, case in iq.REGISTRY.items():
+        params = case.sampler(np.random.default_rng(0))
+        grids, steps = case.builder(d, params)
+        for step in steps:
+            size, = {np.arange(len(grids))[i].size
+                     for _, i in step.lhs + step.rhs}
+            counts[cid] = counts.get(cid, 0) + size
+            if (len(step.lhs), len(step.rhs)) != (1, 1):
+                multi[cid] = multi.get(cid, 0) + size
+        # as many as the engine scores
+        assert len(iq._margins(case, frame, params)[1]) == counts[cid]
+    assert sum(counts.values()) == 135
+    assert multi == {"refAli": 1, "f-nu-shape": 39}
+    assert sum(counts.values()) - sum(multi.values()) == 95  # single-term
 
 
 def test_suite_determinism():

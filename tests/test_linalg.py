@@ -480,15 +480,3 @@ def test_spawned_streams_replay_default_rng():
         assert np.array_equal(rng.standard_normal((2, 4, 4)),
                               want.standard_normal((2, 4, 4)))
         assert rng.integers(0, 2**31) == want.integers(0, 2**31)
-
-
-@pytest.mark.parametrize("index", [slice(2, 5), slice(0, 7), 3])
-def test_frame_slice_is_the_frame_of_the_slice(index):
-    rng = np.random.default_rng(8)
-    a, b = np.exp(rng.uniform(-3.0, 3.0, (2, 7, 4)))
-    xt = random_complex(4, rng, count=7)
-    part, built = Frame(a, b, xt)[index], Frame(a[index], b[index], xt[index])
-    assert np.array_equal(part.d, built.d)
-    assert np.array_equal(part.log_geo, built.log_geo)
-    assert np.array_equal(part.xt, built.xt)
-    assert np.array_equal(part.scaled(1.3), built.scaled(1.3))
